@@ -8,10 +8,11 @@ between zeta1 and zeta2 times the input mass.
 """
 import numpy as np
 
-from opendyn import (MapSequence, OperatorCache, SeminormSpec, block_operator,
-                     cone_member, control_bounds_check, doubling_map,
-                     dyadic_partition, estimate_LY, hilbert_distance_bound,
-                     sample_cone_density, select_parameters,
+from opendyn import (MapSequence, OperatorCache, SeminormSpec,
+                     apply_operators, cone_member, control_bounds_check,
+                     doubling_map, dyadic_partition, estimate_LY,
+                     hilbert_distance_bound, sample_cone_density,
+                     schedule_operators, select_parameters,
                      verify_cone_contraction)
 from opendyn.phase import Grid
 
@@ -27,14 +28,14 @@ print("selected: T = %d, a = %g, sigma = %g, |Q| = %d"
 
 cache = OperatorCache()
 rng = np.random.default_rng(3)
-blk = block_operator(seq, None, 1, cp.T, g, cache)
+block = schedule_operators(seq, None, cp.T, g, cache)
 print("\nfive sampled cone members through one certified block "
       "(ratio = |phi|_s / (a minE)):")
 print("%14s %14s %12s" % ("ratio before", "ratio after", "in C_sa"))
 for _ in range(5):
     phi = sample_cone_density(g, cp.Q, cp.a, TV, rng)
     before = cone_member(phi, cp.a, cp.Q, TV)
-    out = blk.apply(phi)
+    out = apply_operators(phi, block)
     after = cone_member(out, cp.a, cp.Q, TV)
     shrunk = cone_member(out, cp.sigma * cp.a, cp.Q, TV)
     r0 = before.seminorm_value / (cp.a * before.min_expectation)
@@ -56,8 +57,8 @@ print("\nexpectation control on one sample: conditional masses in "
 
 # the projective-diameter bound asks for members of the contracted cone,
 # which is exactly what block images are
-img_a = blk.apply(sample_cone_density(g, cp.Q, cp.a, TV, rng))
-img_b = blk.apply(sample_cone_density(g, cp.Q, cp.a, TV, rng))
+img_a = apply_operators(sample_cone_density(g, cp.Q, cp.a, TV, rng), block)
+img_b = apply_operators(sample_cone_density(g, cp.Q, cp.a, TV, rng), block)
 print("\nprojective diameter bookkeeping: two block images sit at most %.4f"
       "\napart in the projective metric"
       % hilbert_distance_bound(img_a, img_b, cp))

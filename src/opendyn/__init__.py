@@ -15,16 +15,16 @@ from .phase import (Grid, PartitionSpec, diam_lambda, dyadic_partition,
                     partition_from_labels, torus_delta)
 from .maps import (Branch1D, MapSequence, MapSpec, affine_map, balance_check,
                    beta_map, complexity_sequence, doubling_map,
-                   dynamical_partition, expansion_bound, full_branch_map,
-                   map_from_config, matrix_map, perturbation_distance,
-                   quadratic_full_branch, tripling_map, unit_ball_volume)
+                   dynamical_partition, full_branch_map, map_from_config,
+                   matrix_map, perturbation_distance, quadratic_full_branch,
+                   tripling_map, unit_ball_volume)
 from .holes import (HoleSequence, HoleSpec, disk_hole, hole_from_config,
                     interval_hole, rect_hole, survivor_indicator,
                     survivor_measure, union_hole)
 from .transfer import (GridDensity, OperatorCache, UlamOperator,
-                       apply_operators, block_operator, build_closed,
-                       build_open, escape_mass, evolve, export_operator_coo,
-                       l1_distance, normalize, schedule_operators)
+                       apply_operators, build_closed, build_open, escape_mass,
+                       evolve, export_operator_coo, l1_distance, normalize,
+                       schedule_operators)
 from .seminorm import (ControlReport, LYCertificate, OscParams, SeminormSpec,
                        cone_member, conditional_expectation,
                        control_bounds_check, element_expectations,
@@ -37,7 +37,7 @@ from .cone import (ConeParams, RateConstants, birkhoff_factor, c_lip, delta0,
 from .mixing import (MixingCertificate, StabilityReport, block_mixing_ratios,
                      certify_mixing, default_perturbation, find_mixing_time,
                      mixing_ratios, perturb_full_branch, random_hole,
-                     stability_check)
+                     ratio_profile, stability_check)
 from .experiments import (FAMILIES, ExperimentConfig, RunResult, emit_report,
                           fit_exponential, run_global, run_local)
 

@@ -20,7 +20,7 @@ from .errors import (ConfigError, ParameterError, PreconditionError,
                      SelectionError)
 from .phase import Grid, PartitionSpec
 from .seminorm import (SeminormSpec, cone_member, element_expectations)
-from .transfer import GridDensity, block_operator
+from .transfer import GridDensity, apply_operators, schedule_operators
 
 
 @dataclass(frozen=True)
@@ -278,12 +278,13 @@ def verify_cone_contraction(seq, holes, i: int, cp: ConeParams,
         if fails:
             raise PreconditionError("; ".join(fails))
     rng = np.random.default_rng(seed)
-    block = block_operator(seq, holes, i, cp.T, cp.Q.grid, cache)
+    ops = schedule_operators(seq, holes, i + cp.T - 1, cp.Q.grid,
+                             cache)[i - 1:]
     worst = 0.0
     violations = []
     for j in range(samples):
         phi = sample_cone_density(cp.Q.grid, cp.Q, cp.a, cp.seminorm, rng)
-        img = block.apply(phi)
+        img = apply_operators(phi, ops)
         chk = cone_member(img, cp.sigma * cp.a, cp.Q, cp.seminorm)
         if chk.min_expectation > 0.0:
             worst = max(worst, chk.seminorm_value / (cp.a * chk.min_expectation))

@@ -205,7 +205,8 @@ def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> dict:
         MapSequence.constant(base, cert["k_max"] * cfg.T1), None, cfg.T1,
         cfg.seminorm, cert["ensemble_size"], cert["k_max"], grid,
         seed=cert["ly_seed"], cache=cache)
-    pool = [dyadic_partition(grid, L) for L in range(1, cert["max_level"] + 1)]
+    pool = [dyadic_partition(grid, L) for L in range(1, cert["max_level"] + 1)
+            if grid.n % 2 ** L == 0]
     cp = select_parameters(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
                            cfg.seminorm, pool, base, cfg.sigma, cert["i_max"])
     mix = certify_mixing(base, cp.Q, cfg.zeta1, cfg.zeta2, cert["i_max"])

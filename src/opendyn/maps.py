@@ -361,18 +361,7 @@ class MapSequence:
 
 
 # ---------------------------------------------------------------------------
-# expansion and itinerary structure
-
-def expansion_bound(m: MapSpec) -> float:
-    """sup over branches of the backward contraction ||D(h^-1)||."""
-    return m.s
-
-
-def matrix_backward_contraction(matrix) -> float:
-    """Spectral norm of A^-1, i.e. 1 / (smallest singular value of A)."""
-    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    return float(1.0 / sv.min())
-
+# itinerary structure
 
 def _raw_itineraries(seq: MapSequence, m: int, points: np.ndarray) -> np.ndarray:
     cols = []
@@ -541,6 +530,9 @@ def perturbation_distance(f: MapSpec, g: MapSpec, samples: int = 4096,
     cutd = _cut_distance(f, g)
     bounds_f = np.asarray((0.0,) + f.cuts)
     bounds_g = np.asarray((0.0,) + g.cuts)
+    dist_bnd = np.minimum(
+        np.min(torus_delta(xs_all[:, None], bounds_f[None, :]), axis=1),
+        np.min(torus_delta(xs_all[:, None], bounds_g[None, :]), axis=1))
 
     def close(delta: float) -> bool:
         if cutd >= delta:
@@ -550,9 +542,6 @@ def perturbation_distance(f: MapSpec, g: MapSpec, samples: int = 4096,
             if max(float(torus_delta(bf.lo, bg.lo)),
                    float(torus_delta(bf.hi % 1.0, bg.hi % 1.0))) >= delta:
                 return False
-        dist_bnd = np.minimum(
-            np.min(torus_delta(xs_all[:, None], bounds_f[None, :]), axis=1),
-            np.min(torus_delta(xs_all[:, None], bounds_g[None, :]), axis=1))
         for k, (bf, bg) in enumerate(zip(f.branches, g.branches)):
             lo, hi = max(bf.lo, bg.lo), min(bf.hi, bg.hi)
             mask = (xs_all >= lo) & (xs_all < hi) & (dist_bnd > delta)

@@ -13,81 +13,80 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CertificateError, ConfigError, ParameterError
-from .maps import MapSpec, MapSequence, full_branch_map, perturbation_distance
+from .maps import (Branch1D, MapSpec, MapSequence, full_branch_map,
+                   matrix_map, perturbation_distance)
 from .holes import HoleSpec, HoleSequence
 from .phase import PartitionSpec
-from .transfer import UlamOperator, block_operator, build_closed
+from .transfer import build_closed, schedule_operators
 
 
-def _pair_ratios(matrix, Q: PartitionSpec) -> np.ndarray:
-    """R[e2, e1] = lambda(J_{e1} intersect F^-1 J_{e2})/(lambda lambda)."""
+def ratio_profile(operators, Q: PartitionSpec) -> np.ndarray:
+    """(min, max) of the pair ratio after each step of an operator product.
+
+    Row k holds the extremes over element pairs of
+    lambda(J1 intersect F_1^-1 ... F_{k+1}^-1 J2)/(lambda(J1) lambda(J2))
+    for the first k+1 operators.  The block of element indicators is
+    pushed through one operator at a time, so no product is formed.
+    """
+    if not operators:
+        raise ConfigError("need at least one operator")
     grid = Q.grid
     cm = grid.cell_measure
-    ne = Q.n_elements
-    P = np.zeros((grid.total_cells, ne))
-    lam = np.empty(ne)
-    for k, cells in enumerate(Q.elements):
-        if cells.size == 0:
-            raise ConfigError("partition element of zero measure")
-        P[cells, k] = 1.0
-        lam[k] = cells.size * cm
-    V = matrix @ P
-    inter = np.empty((ne, ne))
-    for k, cells in enumerate(Q.elements):
-        inter[k] = V[cells].sum(axis=0) * cm
-    return inter / (lam[None, :] * lam[:, None])
-
-
-def mixing_ratios(map_or_block, Q: PartitionSpec, i: int = 1) -> tuple:
-    """Extremes of the pair ratio at time i.
-
-    Accepts a map (its closed operator is applied i times) or a
-    prebuilt block operator (i then counts block applications).
-    """
-    if i < 1:
-        raise ConfigError("i must be >= 1")
-    if isinstance(map_or_block, UlamOperator):
-        op = map_or_block
-        if op.grid != Q.grid:
+    sizes = np.array([cells.size for cells in Q.elements])
+    if (sizes == 0).any():
+        raise ConfigError("partition element of zero measure")
+    lam = sizes * cm
+    n = grid.total_cells
+    S = sparse.csr_matrix((np.ones(n), (Q.labels(), np.arange(n))),
+                          shape=(Q.n_elements, n))
+    V = S.T.toarray()
+    out = np.empty((len(operators), 2))
+    for k, op in enumerate(operators):
+        if op.grid != grid:
             raise ConfigError("operator and partition grids differ")
-    else:
-        op = build_closed(map_or_block, Q.grid)
-    M = op.matrix
-    power = M
-    for _ in range(i - 1):
-        power = (M @ power).tocsr()
-    R = _pair_ratios(power, Q)
-    return float(R.min()), float(R.max())
+        V = op.matrix @ V
+        R = (S @ V) * cm / (lam[None, :] * lam[:, None])
+        out[k] = R.min(), R.max()
+    return out
 
 
-def find_mixing_time(mapspec, Q: PartitionSpec, zeta1: float, zeta2: float,
-                     i_max: int = 24):
-    """Smallest E <= i_max with all pair ratios inside (zeta1, zeta2) for
-    every E <= i <= i_max, or None when the window never stabilizes."""
+def _closed_window(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
+                   zeta2: float, i_max: int) -> tuple:
+    """(E, profile): the ratio profile of the closed map over steps
+    1..i_max, and the first step after the last one whose ratios leave
+    (zeta1, zeta2), or None when the profile ends outside the window."""
     if not (0.0 < zeta1 < 1.0 < zeta2):
         raise ParameterError("need 0 < zeta1 < 1 < zeta2")
-    op = build_closed(mapspec, Q.grid) if isinstance(mapspec, MapSpec) else mapspec
-    M = op.matrix
-    ok = np.zeros(i_max + 1, dtype=bool)
-    power = None
-    for i in range(1, i_max + 1):
-        power = M if power is None else (M @ power).tocsr()
-        R = _pair_ratios(power, Q)
-        ok[i] = zeta1 < R.min() and R.max() < zeta2
-    good_tail = np.flatnonzero(~ok[1:])
-    if good_tail.size == 0:
-        return 1
-    E = int(good_tail.max()) + 2  # first index after the last failure
-    return E if E <= i_max else None
+    profile = ratio_profile([build_closed(mapspec, Q.grid)] * i_max, Q)
+    ok = (zeta1 < profile[:, 0]) & (profile[:, 1] < zeta2)
+    bad = np.flatnonzero(~ok)
+    E = int(bad.max()) + 2 if bad.size else 1
+    return (E if E <= i_max else None), profile
+
+
+def mixing_ratios(mapspec: MapSpec, Q: PartitionSpec, i: int = 1) -> tuple:
+    """Extremes of the pair ratio of the closed map at time i."""
+    if i < 1:
+        raise ConfigError("i must be >= 1")
+    profile = ratio_profile([build_closed(mapspec, Q.grid)] * i, Q)
+    return tuple(profile[-1].tolist())
+
+
+def find_mixing_time(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
+                     zeta2: float, i_max: int = 24):
+    """Smallest E <= i_max with all pair ratios inside (zeta1, zeta2) for
+    every E <= i <= i_max, or None when the window never stabilizes."""
+    return _closed_window(mapspec, Q, zeta1, zeta2, i_max)[0]
 
 
 def block_mixing_ratios(seq, holes, start: int, T: int, Q: PartitionSpec,
                         cache=None) -> tuple:
     """Pair-ratio extremes for the open block of steps start..start+T-1."""
-    block = block_operator(seq, holes, start, T, Q.grid, cache)
-    return mixing_ratios(block, Q, 1)
+    ops = schedule_operators(seq, holes, start + T - 1, Q.grid, cache)
+    return tuple(ratio_profile(ops[start - 1:], Q)[-1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +118,13 @@ class MixingCertificate:
                                  tuple(rec["i_checked"]))
 
 
-def certify_mixing(mapspec, Q: PartitionSpec, zeta1: float, zeta2: float,
-                   i_max: int = 24) -> MixingCertificate:
-    E = find_mixing_time(mapspec, Q, zeta1, zeta2, i_max)
+def certify_mixing(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
+                   zeta2: float, i_max: int = 24) -> MixingCertificate:
+    E, profile = _closed_window(mapspec, Q, zeta1, zeta2, i_max)
     if E is None:
         raise CertificateError(
             f"no mixing time within i_max = {i_max} for ({zeta1}, {zeta2})")
-    rmin, rmax = mixing_ratios(mapspec, Q, E)
+    rmin, rmax = profile[E - 1].tolist()
     return MixingCertificate(zeta1, zeta2, Q, E, rmin, rmax, (1, i_max))
 
 
@@ -164,10 +163,14 @@ def perturb_full_branch(base: MapSpec, delta: float, rng) -> MapSpec:
 
 def perturb_offsets(base: MapSpec, delta: float, rng) -> MapSpec:
     """Random translation jitter of every branch (same continuity
-    partition, same slopes), always within delta in sup norm."""
+    partition, same slopes), or of the offset vector of a torus map,
+    always within delta in sup norm."""
     if delta == 0.0:
         return base
-    from .maps import Branch1D
+    if base.dimension == 2:
+        shift = rng.uniform(-0.45 * delta, 0.45 * delta, 2)
+        offset = tuple(float(o + s) for o, s in zip(base.offset, shift))
+        return matrix_map(base.matrix, offset, base.check_expanding)
     shift = rng.uniform(-0.45 * delta, 0.45 * delta, len(base.branches))
     branches = tuple(
         Branch1D(b.lo, b.hi, (b.coeffs[0] + s,) + tuple(b.coeffs[1:]))
@@ -235,8 +238,8 @@ def stability_check(g: MapSpec, Q: PartitionSpec, zeta1: float, zeta2: float,
         maps = MapSequence(tuple(sampler(g, delta, rng) for _ in range(S)))
         holes = HoleSequence(tuple(random_hole(g.dimension, epsilon, rng)
                                    for _ in range(S)))
-        block = block_operator(maps, holes, 1, S, Q.grid, cache)
-        rmin, rmax = mixing_ratios(block, Q, 1)
+        ops = schedule_operators(maps, holes, S, Q.grid, cache)
+        rmin, rmax = ratio_profile(ops, Q)[-1].tolist()
         if not (zeta1 < rmin and rmax < zeta2):
             violations.append((j, rmin, rmax))
     return StabilityReport(len(violations) == 0, violations, samples, seed,

@@ -21,7 +21,7 @@ from scipy import ndimage
 from .errors import (CertificateError, ConfigError, DegenerateParametersWarning,
                      ParameterError, PreconditionError)
 from .phase import Grid, PartitionSpec, diam_lambda, metric_diam
-from .transfer import GridDensity, block_operator
+from .transfer import GridDensity, apply_operators, schedule_operators
 
 NONNEG_TOL = 1e-12  # float dust allowed below zero after matrix products
 
@@ -202,10 +202,12 @@ def control_bounds_check(seq, holes, i: int, T: int, Q: PartitionSpec,
     check = cone_member(phi, a, Q, sem)
     if not check.ok:
         raise PreconditionError(f"phi not in the cone: margin {check.margin:.3g}")
-    block = block_operator(seq, holes, i, T, phi.grid, cache)
+    if T < 1:
+        raise ConfigError("block length must be >= 1")
+    ops = schedule_operators(seq, holes, i + T - 1, phi.grid, cache)[i - 1:]
     if check_mixing:
-        from .mixing import mixing_ratios
-        rmin, rmax = mixing_ratios(block, Q, 1)
+        from .mixing import ratio_profile
+        rmin, rmax = ratio_profile(ops, Q)[-1]
         if not (zeta1 < rmin and rmax < zeta2):
             raise PreconditionError(
                 f"block ratios [{rmin:.4g}, {rmax:.4g}] escape ({zeta1}, {zeta2})")
@@ -215,7 +217,7 @@ def control_bounds_check(seq, holes, i: int, T: int, Q: PartitionSpec,
         warnings.warn("lower control bound is vacuous (zeta1 <= zeta2*a*d/M)",
                       DegenerateParametersWarning)
     mass = phi.mass
-    e = element_expectations(block.apply(phi), Q)
+    e = element_expectations(apply_operators(phi, ops), Q)
     lower = lo_coef * mass
     upper = zeta2 * (1.0 + (a / M) * d) * mass
     return ControlReport(bool(e.min() >= lower - NONNEG_TOL),
@@ -302,7 +304,6 @@ def estimate_LY(seq, holes, T1: int, sem: SeminormSpec, ensemble_size: int,
     """
     if len(seq) < k_max * T1:
         raise ConfigError("map sequence shorter than k_max * T1")
-    from .transfer import schedule_operators, apply_operators
     ops = schedule_operators(seq, holes, k_max * T1, grid, cache)
     members = ly_ensemble(grid, ensemble_size, seed)
     s0 = np.array([sem.value(phi) for phi in members])
@@ -344,7 +345,6 @@ def verify_ly(cert: LYCertificate, seq, holes, grid: Grid,
               seed: int | None = None, cache=None):
     """Replay a certificate on its stored ensemble (or a fresh seed).
     Returns (ok, violations) where violations list (member, k, excess)."""
-    from .transfer import schedule_operators, apply_operators
     sem = SeminormSpec.from_config(cert.seminorm)
     use_seed = cert.ensemble["seed"] if seed is None else seed
     members = ly_ensemble(grid, cert.ensemble["size"], use_seed)

@@ -111,13 +111,6 @@ class UlamOperator:
             raise ConfigError("column sums of an open operator measure survival")
         return float(np.abs(self.column_sums() - 1.0).max())
 
-    def compose(self, earlier: "UlamOperator") -> "UlamOperator":
-        """self after earlier (matrix product, left factor acts last)."""
-        if self.grid != earlier.grid:
-            raise ConfigError("operators live on different grids")
-        return UlamOperator(self.grid, (self.matrix @ earlier.matrix).tocsr(),
-                            None, ("compose", self.key, earlier.key))
-
 
 # ---------------------------------------------------------------------------
 # 1D assembly by exact interval overlap
@@ -267,12 +260,17 @@ def build_open(mapspec: MapSpec, hole, grid: Grid) -> UlamOperator:
     Hole membership is sampled at cell centers, matching the survivor
     indicator convention.
     """
-    closed = build_closed(mapspec, grid)
+    return _open(build_closed(mapspec, grid), hole)
+
+
+def _open(closed: UlamOperator, hole) -> UlamOperator:
+    """The closed operator with the rows of hole cells zeroed."""
     if hole is None:
         return closed
+    grid = closed.grid
     mask = hole.contains(grid.centers())
     D = sparse.diags((~mask).astype(float))
-    key = ("open", mapspec.content_key(), _hole_key(hole), grid.n)
+    key = ("open", closed.key[1], _hole_key(hole), grid.n)
     return UlamOperator(grid, (D @ closed.matrix).tocsr(), mask, key)
 
 
@@ -283,7 +281,12 @@ def _hole_key(hole) -> tuple:
 
 
 class OperatorCache:
-    """Content-addressed cache so repeated schedule steps assemble once."""
+    """Content-addressed cache so repeated schedule steps assemble once.
+
+    An open operator whose closed operator is already stored is masked
+    from it instead of reassembled.  Closed operators are stored only
+    when asked for, so a long open schedule does not also keep the
+    closed parent of every step."""
 
     def __init__(self):
         self._store = {}
@@ -292,16 +295,15 @@ class OperatorCache:
         return len(self._store)
 
     def get(self, mapspec: MapSpec, hole, grid: Grid) -> UlamOperator:
-        key = ("open" if hole is not None else "closed",
-               mapspec.content_key(), _hole_key(hole), grid.dimension, grid.n)
+        closed_key = (mapspec.content_key(), grid.dimension, grid.n, ())
+        key = closed_key[:3] + (_hole_key(hole),)
         op = self._store.get(key)
         if op is None:
-            op = build_open(mapspec, hole, grid)
+            closed = self._store.get(closed_key)
+            op = build_open(mapspec, hole, grid) if closed is None \
+                else _open(closed, hole)
             self._store[key] = op
         return op
-
-    def __len__(self) -> int:
-        return len(self._store)
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +342,6 @@ def schedule_operators(map_seq, hole_seq, m: int, grid: Grid,
         hole = hole_seq.at(i) if hole_seq is not None else None
         ops.append(cache.get(map_seq.at(i), hole, grid))
     return ops
-
-
-def block_operator(map_seq, hole_seq, start: int, length: int, grid: Grid,
-                   cache: OperatorCache | None = None) -> UlamOperator:
-    """Product operator for steps start..start+length-1 (later maps act last)."""
-    if length < 1:
-        raise ConfigError("block length must be >= 1")
-    ops = schedule_operators(map_seq, hole_seq, start + length - 1, grid, cache)[start - 1:]
-    out = ops[0]
-    for op in ops[1:]:
-        out = op.compose(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

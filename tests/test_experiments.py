@@ -124,6 +124,28 @@ def test_run_local_flags_and_records():
     assert res.constants["lambda"] < 1.0
 
 
+TORUS_CFG = {
+    "kind": "local",
+    "grid": {"dimension": 2, "n": 16},
+    "seed": 7,
+    "horizon": 12,
+    "map": {"kind": "affine_2d", "matrix": [[3, 1], [1, 2]],
+            "offset": [0.1, 0.2]},
+    "holes": {"kind": "random_intervals", "epsilon": 0.02},
+    "zeta1": 0.8, "zeta2": 1.2, "sigma": 0.5, "T1": 1,
+    "seminorm": {"kind": "tv"},
+}
+
+
+def test_torus_run_default_certificates():
+    # the default max_level exceeds what n = 16 resolves; the dyadic pool
+    # keeps only the levels that divide the grid
+    res = run_local(dict(TORUS_CFG, delta=0.0))
+    assert res.passed
+    assert res.constants["T"] >= res.certificates["mixing"]["E"]
+    assert res.certificates["stability"]["samples"] == 8
+
+
 def test_run_local_wrong_kind_rejected():
     cfg = dict(LOCAL_CFG, kind="global", family={"name": "constant_doubling"})
     with pytest.raises(ConfigError):

@@ -5,10 +5,10 @@ from opendyn.errors import BoundaryError, ConfigError, ParameterError
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import (Branch1D, MapSequence, MapSpec, affine_map,
                           balance_check, beta_map, complexity_sequence,
-                          doubling_map, dynamical_partition, expansion_bound,
-                          full_branch_map, map_from_config, matrix_map,
-                          perturbation_distance, quadratic_full_branch,
-                          tripling_map, unit_ball_volume)
+                          doubling_map, dynamical_partition, full_branch_map,
+                          map_from_config, matrix_map, perturbation_distance,
+                          quadratic_full_branch, tripling_map,
+                          unit_ball_volume)
 from opendyn.phase import Grid
 
 GOLDEN_MEAN_SQ = (3.0 + np.sqrt(5.0)) / 2.0   # largest singular value factor
@@ -80,7 +80,7 @@ def test_quadratic_branch_inverse():
 
 
 def test_expansion_bound_oracles():
-    assert abs(expansion_bound(doubling_map()) - 0.5) < 1e-15
+    assert abs(doubling_map().s - 0.5) < 1e-15
     m2 = matrix_map([[2, 0], [0, 3]])
     assert abs(m2.s - 0.5) < 1e-12
     m3 = matrix_map([[3, 1], [1, 2]])

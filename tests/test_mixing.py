@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from opendyn.errors import CertificateError, ConfigError, ParameterError
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import (MapSequence, doubling_map, full_branch_map,
-                          perturbation_distance, tripling_map)
+                          matrix_map, perturbation_distance, tripling_map)
 from opendyn.mixing import (MixingCertificate, block_mixing_ratios,
                             certify_mixing, default_perturbation,
                             find_mixing_time, mixing_ratios,
-                            perturb_full_branch, random_hole,
+                            perturb_full_branch, random_hole, ratio_profile,
                             stability_check)
 from opendyn.phase import Grid, dyadic_partition, partition_from_labels
-from opendyn.transfer import block_operator
+from opendyn.transfer import build_closed, build_open
 
 
 def test_dyadic_ratios_exact():
@@ -156,3 +158,101 @@ def test_zero_measure_element_rejected():
         object.__setattr__(bad, "elements",
                            bad.elements + (np.array([], dtype=np.int64),))
         mixing_ratios(doubling_map(), bad, 1)
+
+
+def test_stability_check_2d_with_delta():
+    g = Grid(2, 16)
+    Q = dyadic_partition(g, 2)
+    base = matrix_map([[3, 1], [1, 2]], (0.1, 0.2))
+    drawn = []
+
+    def recording(m, delta, rng):
+        drawn.append(default_perturbation(m, delta, rng))
+        return drawn[-1]
+
+    rep = stability_check(base, Q, 0.5, 2.0, S=3, delta=0.01, epsilon=0.01,
+                          samples=4, seed=5, perturb=recording)
+    assert rep.ok and rep.samples == 4
+    assert len(drawn) == 12
+    for m in drawn:
+        d = perturbation_distance(base, m)
+        assert d is not None and 0.0 < d <= 0.01
+    again = stability_check(base, Q, 0.5, 2.0, S=3, delta=0.01, epsilon=0.01,
+                            samples=4, seed=5)
+    assert again.to_json() == rep.to_json()
+
+
+# ---------------------------------------------------------------------------
+# ratio_profile against explicit dense products
+
+def _reference_profile(operators, Q):
+    """(min, max) pair ratio after each step from dense matrix products
+    and per-element sums."""
+    cm = Q.grid.cell_measure
+    lam = np.array([cells.size * cm for cells in Q.elements])
+    product = np.eye(Q.grid.total_cells)
+    rows = []
+    for op in operators:
+        product = op.matrix.toarray() @ product
+        inter = np.array([[product[np.ix_(c2, c1)].sum() * cm
+                           for c1 in Q.elements] for c2 in Q.elements])
+        R = inter / (lam[None, :] * lam[:, None])
+        rows.append((R.min(), R.max()))
+    return np.array(rows)
+
+
+def _reference_window(profile, zeta1, zeta2):
+    i_max = len(profile)
+    for E in range(1, i_max + 1):
+        if all(zeta1 < lo and hi < zeta2 for lo, hi in profile[E - 1:]):
+            return E
+    return None
+
+
+@st.composite
+def _full_branch_maps(draw):
+    nb = draw(st.integers(2, 4))
+    lengths = np.array(draw(st.lists(st.floats(1.0, 4.0), min_size=nb,
+                                     max_size=nb)))
+    cuts = np.cumsum(lengths / lengths.sum())[:-1]
+    return full_branch_map(list(cuts))
+
+
+@st.composite
+def _holes(draw):
+    if draw(st.booleans()):
+        return None
+    lo = draw(st.floats(0.0, 0.999))
+    width = draw(st.floats(0.001, 0.2))
+    return interval_hole(lo, (lo + width) % 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(3, 8), data=st.data(),
+       steps=st.lists(st.tuples(_full_branch_maps(), _holes()), min_size=1,
+                      max_size=6))
+def test_ratio_profile_matches_dense_products(k, data, steps):
+    g = Grid(1, 2 ** k)
+    Q = dyadic_partition(g, data.draw(st.integers(1, min(k, 5))))
+    ops = [build_open(m, h, g) for m, h in steps]
+    # float64 sums of nonnegative terms over n*i rounding steps
+    np.testing.assert_allclose(ratio_profile(ops, Q),
+                               _reference_profile(ops, Q), rtol=1e-12, atol=0)
+
+    closed = build_closed(steps[0][0], g)
+    i_max = data.draw(st.integers(1, 8))
+    zeta1 = data.draw(st.floats(0.05, 0.99))
+    zeta2 = data.draw(st.floats(1.01, 3.0))
+    ref = _reference_profile([closed] * i_max, Q)
+    # the window test is ill-posed for a ratio on the window's edge
+    assume(min(np.abs(ref - zeta1).min(), np.abs(ref - zeta2).min()) > 1e-12)
+    assert find_mixing_time(steps[0][0], Q, zeta1, zeta2, i_max) == \
+        _reference_window(ref, zeta1, zeta2)
+
+
+def test_ratio_profile_rejects_empty_and_mismatched():
+    Q = dyadic_partition(Grid(1, 64), 2)
+    with pytest.raises(ConfigError):
+        ratio_profile([], Q)
+    with pytest.raises(ConfigError):
+        ratio_profile([build_closed(doubling_map(), Grid(1, 32))], Q)

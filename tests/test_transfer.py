@@ -7,10 +7,11 @@ from opendyn.maps import (MapSequence, affine_map, doubling_map,
                           full_branch_map, matrix_map, quadratic_full_branch,
                           tripling_map)
 from opendyn.phase import Grid
+from opendyn import transfer
 from opendyn.transfer import (GridDensity, OperatorCache, apply_operators,
-                              block_operator, build_closed, build_open,
-                              escape_mass, evolve, export_operator_coo,
-                              l1_distance, normalize, schedule_operators)
+                              build_closed, build_open, escape_mass, evolve,
+                              export_operator_coo, l1_distance, normalize,
+                              schedule_operators)
 
 
 def random_expanding_map(rng):
@@ -164,18 +165,6 @@ def test_l1_distance_convention():
     assert abs(l1_distance(phi, psi) - 1.0) < 1e-15
 
 
-def test_block_operator_is_product():
-    g = Grid(1, 512)
-    seq = MapSequence.constant(doubling_map(), 4)
-    holes = HoleSequence.static(interval_hole(0.1, 0.2), 4)
-    blk = block_operator(seq, holes, 1, 3, g)
-    ops = schedule_operators(seq, holes, 3, g)
-    phi = GridDensity.from_function(g, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))
-    via_block = blk.apply(phi)
-    via_steps = apply_operators(phi, ops)
-    assert np.max(np.abs(via_block.values - via_steps.values)) < 1e-12
-
-
 def test_cache_collapses_identical_steps():
     g = Grid(1, 256)
     cache = OperatorCache()
@@ -187,6 +176,36 @@ def test_cache_collapses_identical_steps():
     holes2 = HoleSequence.static(interval_hole(0.3, 0.32), 6)
     evolve(seq, holes2, GridDensity.uniform(g), 6, cache=cache)
     assert len(cache) == 2
+
+
+@pytest.mark.parametrize("mapspec, grid, hole", [
+    (doubling_map(), Grid(1, 256), interval_hole(0.1, 0.12)),
+    (matrix_map([[3, 1], [1, 2]], (0.1, 0.2)), Grid(2, 8),
+     rect_hole(0.2, 0.45, 0.7, 0.1)),
+])
+def test_cache_masks_stored_closed_operator(monkeypatch, mapspec, grid, hole):
+    cache = OperatorCache()
+    cache.get(mapspec, None, grid)
+    ref = build_open(mapspec, hole, grid)
+    calls = []
+    real = transfer.build_closed
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transfer, "build_closed", counting)
+    op = cache.get(mapspec, hole, grid)
+    assert calls == []
+    assert op.key == ref.key
+    assert np.array_equal(op.hole_mask, ref.hole_mask)
+    assert np.array_equal(op.matrix.indptr, ref.matrix.indptr)
+    assert np.array_equal(op.matrix.indices, ref.matrix.indices)
+    assert np.array_equal(op.matrix.data, ref.matrix.data)
+    # an open operator alone does not bring its closed parent into the cache
+    fresh = OperatorCache()
+    fresh.get(mapspec, hole, grid)
+    assert len(fresh) == 1 and len(calls) == 1
 
 
 def test_export_coo_roundtrip(tmp_path):
