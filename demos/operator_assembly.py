@@ -36,5 +36,5 @@ skew = build_closed(matrix_map([[3, 1], [1, 2]]), g2)
 print("\ntorus automorphisms on a %d x %d grid:" % (g2.n, g2.n))
 print("  [[2,1],[1,1]]  column-sum error %.3e (unimodular: cell images tile)"
       % cat.column_sum_error())
-print("  [[3,1],[1,2]]  column-sum error %.3e (polygon clipping)"
+print("  [[3,1],[1,2]]  column-sum error %.3e (one cell image clipped, tiled)"
       % skew.column_sum_error())

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (BoundaryError, CertificateError, ConfigError,
                      ParameterError, PreconditionError, SelectionError,
                      TotalEscapeError)
-from .phase import Grid, dyadic_partition
+from .phase import Grid, dyadic_partition, dyadic_pool
 from .maps import MapSequence, map_from_config
 from .holes import HoleSequence
 from .seminorm import SeminormSpec, estimate_LY
@@ -104,8 +104,7 @@ def _cmd_select_params(args) -> int:
     if "map" in cfg:
         grid = _grid_from(cfg.get("grid", {}))
         base = map_from_config(cfg["map"])
-        pool = [dyadic_partition(grid, L)
-                for L in range(1, cfg.get("max_level", 8) + 1)]
+        pool = dyadic_pool(grid, cfg.get("max_level", 8))
     cp = select_parameters(cfg["zeta1"], cfg["zeta2"], cfg["theta"],
                            cfg["C"], cfg.get("T1", 1), sem, pool, base,
                            cfg.get("sigma", 0.5), cfg.get("i_max", 24))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (CertificateError, ConfigError, ParameterError,
                      TotalEscapeError)
-from .phase import Grid, dyadic_partition
+from .phase import Grid, dyadic_pool
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
                    map_from_config, perturbation_distance)
 from .holes import HoleSequence, HoleSpec, hole_from_config
@@ -205,8 +205,7 @@ def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> dict:
         MapSequence.constant(base, cert["k_max"] * cfg.T1), None, cfg.T1,
         cfg.seminorm, cert["ensemble_size"], cert["k_max"], grid,
         seed=cert["ly_seed"], cache=cache)
-    pool = [dyadic_partition(grid, L) for L in range(1, cert["max_level"] + 1)
-            if grid.n % 2 ** L == 0]
+    pool = dyadic_pool(grid, cert["max_level"])
     cp = select_parameters(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
                            cfg.seminorm, pool, base, cfg.sigma, cert["i_max"])
     mix = certify_mixing(base, cp.Q, cfg.zeta1, cfg.zeta2, cert["i_max"])
@@ -294,14 +293,8 @@ def run_local(config) -> RunResult:
     certs = _certify(base, grid, cfg, cache)
     ly, cp, mix = certs["ly"], certs["cp"], certs["mixing"]
 
-    maps = []
-    for _ in range(cfg.horizon):
-        g = default_perturbation(base, cfg.delta, rng)
-        d = perturbation_distance(base, g)
-        if d is None or d > cfg.delta + 1e-9:
-            raise ConfigError("drawn map exceeds the declared delta cap")
-        maps.append(g)
-    mseq = MapSequence(tuple(maps))
+    mseq = MapSequence(tuple(default_perturbation(base, cfg.delta, rng)
+                             for _ in range(cfg.horizon)))
     hseq = hole_schedule(cfg.holes, cfg.horizon, grid.dimension, rng)
 
     cp = _bump_T_for_blocks(cp, mseq, hseq, cfg, cache, ly, mix.E)

@@ -132,9 +132,10 @@ def certify_mixing(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
 # perturbation samplers
 
 def _is_full_branch(m: MapSpec) -> bool:
-    if m.dimension != 1:
-        return False
-    return all(abs(b.image[1] - b.image[0] - 1.0) < 1e-9 for b in m.branches)
+    """Piecewise-affine with every branch onto the circle: the family
+    perturb_full_branch draws from."""
+    return m.kind == "affine_1d" and all(
+        abs(b.image[1] - b.image[0] - 1.0) < 1e-9 for b in m.branches)
 
 
 def perturb_full_branch(base: MapSpec, delta: float, rng) -> MapSpec:
@@ -179,7 +180,7 @@ def perturb_offsets(base: MapSpec, delta: float, rng) -> MapSpec:
 
 
 def default_perturbation(base: MapSpec, delta: float, rng) -> MapSpec:
-    if base.dimension == 1 and _is_full_branch(base) and base.cuts:
+    if _is_full_branch(base) and base.cuts:
         return perturb_full_branch(base, delta, rng)
     return perturb_offsets(base, delta, rng)
 

@@ -3,9 +3,8 @@
 Everything downstream works on a uniform grid of half-open cells,
 [i/n, (i+1)/n) in 1D and products of such intervals in 2D (cell index
 ix*n + iy).  Partitions are sets of grid cells plus explicit boundary
-descriptors (points, axis-aligned segments, or sampled chart polylines)
-so that boundary complexity can be counted exactly for the piecewise
-affine/axis-aligned case.
+descriptors (points or axis-aligned segments) so that boundary
+complexity can be counted exactly.
 """
 
 from __future__ import annotations
@@ -196,33 +195,14 @@ class SegmentDescriptor:
         return pts
 
 
-@dataclass(frozen=True)
-class ChartDescriptor:
-    """Sampled codimension-one curve, supplied by the map/hole author.
-
-    Incidence counting uses the sample polyline; accuracy is whatever
-    the author sampled, which is the documented contract for non
-    axis-aligned boundaries.
-    """
-
-    points: tuple  # ((x, y), ...)
-
-    def contains(self, p, tol=1e-7) -> bool:
-        pts = np.asarray(self.points, dtype=float)
-        d = torus_delta(pts, np.asarray(p, dtype=float)[None, :])
-        return bool((np.sqrt((d ** 2).sum(axis=1)) <= tol).any())
-
-
-Descriptor = Union[PointDescriptor, SegmentDescriptor, ChartDescriptor]
+Descriptor = Union[PointDescriptor, SegmentDescriptor]
 
 
 def _descriptor_to_json(d: Descriptor) -> dict:
     if isinstance(d, PointDescriptor):
         return {"kind": "point", "x": d.x}
-    if isinstance(d, SegmentDescriptor):
-        return {"kind": "segment", "axis": d.axis, "level": d.level,
-                "lo": d.lo, "hi": d.hi}
-    return {"kind": "chart", "points": [list(p) for p in d.points]}
+    return {"kind": "segment", "axis": d.axis, "level": d.level,
+            "lo": d.lo, "hi": d.hi}
 
 
 def _descriptor_from_json(rec: dict) -> Descriptor:
@@ -231,8 +211,6 @@ def _descriptor_from_json(rec: dict) -> Descriptor:
         return PointDescriptor(rec["x"])
     if kind == "segment":
         return SegmentDescriptor(rec["axis"], rec["level"], rec["lo"], rec["hi"])
-    if kind == "chart":
-        return ChartDescriptor(tuple(tuple(p) for p in rec["points"]))
     raise ConfigError(f"unknown descriptor kind {kind!r}")
 
 
@@ -397,10 +375,8 @@ def _candidate_points(descs: Sequence[Descriptor]) -> list:
     for d in descs:
         if isinstance(d, PointDescriptor):
             pts.append((d.x % 1.0,))
-        elif isinstance(d, SegmentDescriptor):
-            pts.extend(d.endpoints())
         else:
-            pts.extend(tuple(float(c) % 1.0 for c in p) for p in d.points)
+            pts.extend(d.endpoints())
     # crossings of perpendicular segments
     for i, s in enumerate(segs):
         for t in segs[i + 1:]:
@@ -418,9 +394,8 @@ def partition_complexity(p: PartitionSpec) -> int:
     """Max number of boundary pieces through a single phase-space point.
 
     Counts descriptor incidences over candidate points (descriptor points,
-    segment endpoints, perpendicular crossings, chart samples).  Exact for
-    point/axis-aligned-segment boundaries; chart curves contribute via
-    their author-supplied sample points.
+    segment endpoints, perpendicular crossings), which is exact for
+    point and axis-aligned-segment boundaries.
     """
     flat = [d for bnd in p.boundary for d in bnd]
     if not flat:
@@ -476,6 +451,12 @@ def dyadic_partition(grid: Grid, level: int) -> PartitionSpec:
             else:
                 boundary.append(())
     return PartitionSpec(grid, tuple(elements), tuple(boundary))
+
+
+def dyadic_pool(grid: Grid, max_level: int) -> list:
+    """Dyadic partitions of levels 1..max_level that the grid resolves."""
+    return [dyadic_partition(grid, L) for L in range(1, max_level + 1)
+            if grid.n % 2 ** L == 0]
 
 
 def _runs_1d(mask: np.ndarray) -> list:

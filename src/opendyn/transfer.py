@@ -1,8 +1,10 @@
 """Ulam discretization of (open) transfer operators.
 
 M[j, i] = lambda(C_i intersect F^-1 C_j) / lambda(C_i), assembled by
-exact interval overlap in 1D (branch inverses are closed-form) and by
-polygon clipping in 2D, so closed-map columns sum to 1 up to float
+exact interval overlap in 1D (branch inverses are closed-form).  In 2D
+the integer matrix moves every cell image by whole cells, so the image
+of one cell is clipped against the grid once and the resulting stencil
+is tiled over all columns.  Closed-map columns sum to 1 up to float
 rounding only.  Open operators zero the rows of hole cells, with hole
 membership sampled at cell centers.
 """
@@ -16,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, TotalEscapeError
-from .maps import MapSpec, affine_map
+from .maps import MapSpec
 from .phase import Grid
 
 MASS_FLOOR = 1e-15  # below this, a density is treated as fully escaped
@@ -163,18 +165,7 @@ def _build_1d(mapspec: MapSpec, grid: Grid) -> sparse.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# 2D assembly
-
-def _axis_factor(a: int, off: float, grid1: Grid) -> sparse.csr_matrix:
-    """1D matrix for x -> a*x + off mod 1 split into |a| unit-image branches."""
-    a = int(a)
-    if a == 0:
-        raise ConfigError("zero diagonal entry")
-    k = abs(a)
-    cuts = [j / k for j in range(1, k)]
-    spec = affine_map(cuts, [float(a)] * k, [float(off)] * k, check_expanding=False)
-    return _build_1d(spec, grid1)
-
+# 2D assembly by one clipped cell image, tiled
 
 def _clip_axis(poly, axis: int, val: float, keep_le: bool):
     out = []
@@ -199,58 +190,57 @@ def _poly_area(poly) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def _build_2d_general(mapspec: MapSpec, grid: Grid) -> sparse.csr_matrix:
-    n, h = grid.n, grid.spacing
-    A = np.asarray(mapspec.matrix, dtype=float)
-    b = np.asarray(mapspec.offset, dtype=float)
+def _stencil(A: np.ndarray, frac: np.ndarray):
+    """Grid-cell overlaps of the image of the unit cell under x -> A x + frac,
+    in cell units: (dx, dy, weight) with weights summing to 1."""
+    P = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) @ A.T + frac
+    poly = [tuple(p) for p in P]
+    lo = np.floor(P.min(axis=0)).astype(int)
+    hi = np.ceil(P.max(axis=0)).astype(int)
     det = abs(float(np.linalg.det(A)))
-    unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) * h
-    image0 = unit @ A.T
-    rows, cols, vals = [], [], []
-    for ix in range(n):
-        for iy in range(n):
-            P0 = image0 + (A @ np.array([ix * h, iy * h])) + b
-            poly = [tuple(p) for p in P0]
-            gx0 = int(math.floor(P0[:, 0].min() * n))
-            gx1 = int(math.ceil(P0[:, 0].max() * n))
-            gy0 = int(math.floor(P0[:, 1].min() * n))
-            gy1 = int(math.ceil(P0[:, 1].max() * n))
-            col = ix * n + iy
-            for gx in range(gx0, gx1):
-                px = _clip_axis(poly, 0, gx * h, False)
-                px = _clip_axis(px, 0, (gx + 1) * h, True)
-                if len(px) < 3:
-                    continue
-                for gy in range(gy0, gy1):
-                    py = _clip_axis(px, 1, gy * h, False)
-                    py = _clip_axis(py, 1, (gy + 1) * h, True)
-                    area = _poly_area(py)
-                    if area > 1e-18:
-                        rows.append((gx % n) * n + (gy % n))
-                        cols.append(col)
-                        vals.append(area / (det * h * h))
-    return sparse.coo_matrix((vals, (rows, cols)),
-                             shape=(n * n, n * n)).tocsr()
+    dx, dy, w = [], [], []
+    for gx in range(lo[0], hi[0]):
+        px = _clip_axis(_clip_axis(poly, 0, gx, False), 0, gx + 1, True)
+        for gy in range(lo[1], hi[1]):
+            py = _clip_axis(_clip_axis(px, 1, gy, False), 1, gy + 1, True)
+            area = _poly_area(py)
+            if area > 1e-14:        # smaller pieces are clipping round-off
+                dx.append(gx)
+                dy.append(gy)
+                w.append(area / det)
+    return np.array(dx), np.array(dy), np.array(w)
+
+
+def _build_2d(mapspec: MapSpec, grid: Grid) -> sparse.csr_matrix:
+    """A is an integer matrix, so the image of cell (ix, iy) is the image
+    of cell (0, 0) shifted by the whole cells A (ix, iy) + floor(n b): one
+    stencil, clipped in cell units near the origin, fills every column."""
+    n = grid.n
+    A = np.rint(np.asarray(mapspec.matrix, dtype=float))
+    shift = n * np.asarray(mapspec.offset, dtype=float)
+    whole = np.floor(shift)
+    dx, dy, w = _stencil(A, shift - whole)
+    cols = np.arange(n * n, dtype=np.int64)
+    sx, sy = A.astype(np.int64) @ np.vstack(np.divmod(cols, n)) \
+        + whole.astype(np.int64)[:, None]
+    rows = ((sx[:, None] + dx) % n) * n + (sy[:, None] + dy) % n
+    return sparse.coo_matrix(
+        (np.tile(w, n * n), (rows.ravel(), np.repeat(cols, w.size))),
+        shape=(n * n, n * n)).tocsr()
 
 
 # ---------------------------------------------------------------------------
 # public assembly
 
 def build_closed(mapspec: MapSpec, grid: Grid) -> UlamOperator:
-    """Ulam matrix of the closed map on the given grid."""
+    """Ulam matrix of the closed map on the given grid: exact interval
+    overlaps in 1D; in 2D one cell image clipped once and tiled."""
     if mapspec.dimension != grid.dimension:
         raise ConfigError("map and grid dimensions differ")
     if mapspec.dimension == 1:
         M = _build_1d(mapspec, grid)
     else:
-        A = np.asarray(mapspec.matrix)
-        if A[0, 1] == 0 and A[1, 0] == 0:
-            g1 = Grid(1, grid.n)
-            Mx = _axis_factor(int(A[0, 0]), mapspec.offset[0], g1)
-            My = _axis_factor(int(A[1, 1]), mapspec.offset[1], g1)
-            M = sparse.kron(Mx, My, format="csr")
-        else:
-            M = _build_2d_general(mapspec, grid)
+        M = _build_2d(mapspec, grid)
     return UlamOperator(grid, M, None, ("closed", mapspec.content_key(), grid.n))
 
 

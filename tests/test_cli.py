@@ -85,6 +85,20 @@ def test_select_params_and_constants(tmp_path, capsys):
     assert "376.0577185154148" in out
 
 
+@pytest.mark.parametrize("map_rec, grid", [
+    ({"kind": "affine_2d", "matrix": [[3, 1], [1, 2]], "offset": [0.1, 0.2]},
+     {"dimension": 2, "n": 16}),
+    ({"kind": "full_branch_1d", "cuts": [0.5]}, {"dimension": 1, "n": 1000}),
+])
+def test_select_params_caps_levels_at_grid(tmp_path, map_rec, grid):
+    # the default max_level 8 exceeds what either grid resolves; the pool
+    # keeps only the dyadic levels that divide n
+    sel = write(tmp_path, "sel.json", {
+        "zeta1": 0.8, "zeta2": 1.2, "theta": 0.5, "C": 0.1, "T1": 1,
+        "seminorm": {"kind": "tv"}, "map": map_rec, "grid": grid})
+    assert main(["select-params", sel]) == 0
+
+
 def test_usage_and_config_errors(tmp_path):
     assert main(["no-such-command", "x.json"]) == 1
     assert main([]) == 1

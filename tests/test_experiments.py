@@ -137,10 +137,11 @@ TORUS_CFG = {
 }
 
 
-def test_torus_run_default_certificates():
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+def test_torus_run_default_certificates(delta):
     # the default max_level exceeds what n = 16 resolves; the dyadic pool
     # keeps only the levels that divide the grid
-    res = run_local(dict(TORUS_CFG, delta=0.0))
+    res = run_local(dict(TORUS_CFG, delta=delta))
     assert res.passed
     assert res.constants["T"] >= res.certificates["mixing"]["E"]
     assert res.certificates["stability"]["samples"] == 8

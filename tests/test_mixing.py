@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from opendyn.errors import CertificateError, ConfigError, ParameterError
 from opendyn.holes import HoleSequence, interval_hole
-from opendyn.maps import (MapSequence, doubling_map, full_branch_map,
-                          matrix_map, perturbation_distance, tripling_map)
+from opendyn.maps import (MapSequence, beta_map, doubling_map,
+                          full_branch_map, matrix_map, perturbation_distance,
+                          quadratic_full_branch, tripling_map)
 from opendyn.mixing import (MixingCertificate, block_mixing_ratios,
                             certify_mixing, default_perturbation,
                             find_mixing_time, mixing_ratios,
@@ -102,11 +103,16 @@ def test_default_perturbation_zero_delta_is_identity():
     assert g.content_key() == base.content_key()
 
 
-def test_default_perturbation_three_branch():
+@pytest.mark.parametrize("base", [
+    full_branch_map([0.5, 0.75]), beta_map(2.5), quadratic_full_branch(0.2),
+    matrix_map([[3, 1], [1, 2]], (0.1, 0.2)),
+], ids=["three_branch", "beta", "quadratic", "torus"])
+def test_default_perturbation_keeps_kind_within_delta(base):
+    # the sampler alone guarantees the delta cap: run_local does not re-check
     rng = np.random.default_rng(4)
-    base = full_branch_map([0.5, 0.75])
     for _ in range(10):
         g = default_perturbation(base, 0.02, rng)
+        assert g.kind == base.kind
         d = perturbation_distance(base, g)
         assert d is not None and d <= 0.02 + 1e-9
 

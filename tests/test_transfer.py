@@ -1,5 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from opendyn.errors import ConfigError, TotalEscapeError
 from opendyn.holes import HoleSequence, interval_hole, rect_hole
@@ -103,6 +108,83 @@ def test_open_rows_zeroed_on_hole():
     assert np.all(rows[inside] == 0.0)
 
 
+def _reference_2d(mapspec, grid):
+    """Per-cell clipping in torus coordinates: the image polygon of every
+    cell is clipped against the grid on its own."""
+    n, h = grid.n, grid.spacing
+    A = np.asarray(mapspec.matrix, dtype=float)
+    b = np.asarray(mapspec.offset, dtype=float)
+    det = abs(float(np.linalg.det(A)))
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) * h
+    M = np.zeros((n * n, n * n))
+    for ix in range(n):
+        for iy in range(n):
+            P = unit @ A.T + A @ np.array([ix * h, iy * h]) + b
+            poly = [tuple(p) for p in P]
+            lo = np.floor(P.min(axis=0) * n).astype(int)
+            hi = np.ceil(P.max(axis=0) * n).astype(int)
+            for gx in range(lo[0], hi[0]):
+                px = transfer._clip_axis(poly, 0, gx * h, False)
+                px = transfer._clip_axis(px, 0, (gx + 1) * h, True)
+                for gy in range(lo[1], hi[1]):
+                    py = transfer._clip_axis(px, 1, gy * h, False)
+                    py = transfer._clip_axis(py, 1, (gy + 1) * h, True)
+                    M[(gx % n) * n + gy % n, ix * n + iy] += \
+                        transfer._poly_area(py) / (det * h * h)
+    return M
+
+
+@settings(max_examples=30, deadline=None)
+@given(entries=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       offset=st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+       n=st.sampled_from([4, 8]))
+def test_2d_stencil_matches_per_cell_clipping(entries, offset, n):
+    a, b, c, d = entries
+    assume(abs(a * d - b * c) >= 2)
+    m = matrix_map([[a, b], [c, d]], offset, check_expanding=False)
+    g = Grid(2, n)
+    M = build_closed(m, g).matrix.toarray()
+    assert np.abs(M - _reference_2d(m, g)).max() <= 1e-12
+
+
+def _exact_axis(a, off, n):
+    """1D Ulam matrix of x -> a*x + off mod 1 from rational cell overlaps."""
+    M = np.zeros((n, n))
+    shift = Fraction(off) * n
+    for i in range(n):
+        lo, hi = sorted((a * i + shift, a * (i + 1) + shift))
+        for g in range(int(np.floor(lo)), int(np.ceil(hi))):
+            M[g % n, i] += float((min(hi, g + 1) - max(lo, g)) / abs(a))
+    return M
+
+
+def _axis_operator(a, off, n):
+    """build_closed of x -> a*x + off mod 1 split into |a| branches."""
+    k = abs(a)
+    m = affine_map([j / k for j in range(1, k)], [float(a)] * k,
+                   [float(off)] * k, check_expanding=False)
+    return build_closed(m, Grid(1, n)).matrix
+
+
+@settings(max_examples=30, deadline=None)
+@given(diag=st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                      st.sampled_from([-3, -2, -1, 1, 2, 3])),
+       offset=st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                        st.floats(0.0, 1.0, exclude_max=True)),
+       n=st.sampled_from([4, 8, 16]))
+def test_2d_diagonal_is_product_of_axes(diag, offset, n):
+    a, d = diag
+    assume(abs(a * d) >= 2)
+    M = build_closed(matrix_map([[a, 0], [0, d]], offset,
+                                check_expanding=False), Grid(2, n)).matrix
+    exact = np.kron(_exact_axis(a, offset[0], n), _exact_axis(d, offset[1], n))
+    assert np.abs(M.toarray() - exact).max() <= 1e-15
+    # the 1D builder rounds its grid-edge preimages at the 1e-15 level
+    kron = sparse.kron(_axis_operator(a, offset[0], n),
+                       _axis_operator(d, offset[1], n))
+    assert abs(M - kron).max() <= 1e-14
+
+
 def test_2d_diagonal_exact():
     g = Grid(2, 32)
     op = build_closed(matrix_map([[2, 0], [0, 3]]), g)
@@ -112,11 +194,14 @@ def test_2d_diagonal_exact():
 
 
 def test_2d_general_matrix_stochastic():
-    g = Grid(2, 32)
-    op = build_closed(matrix_map([[3, 1], [1, 2]]), g)
-    assert op.column_sum_error() <= 1e-10
-    cat = matrix_map([[2, 1], [1, 1]], check_expanding=False)
-    assert build_closed(cat, g).column_sum_error() <= 1e-10
+    # integer-matrix maps preserve Lebesgue measure, so the Ulam matrix
+    # is doubly stochastic
+    g = Grid(2, 128)
+    for m in (matrix_map([[3, 1], [1, 2]], (0.1, 0.2)),
+              matrix_map([[2, 1], [1, 1]], check_expanding=False)):
+        M = build_closed(m, g).matrix
+        for axis in (0, 1):
+            assert np.abs(np.asarray(M.sum(axis=axis)) - 1.0).max() <= 1e-13
 
 
 def test_evolve_escape_oracle():
