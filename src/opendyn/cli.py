@@ -28,7 +28,6 @@ from .errors import (BoundaryError, CertificateError, ConfigError,
                      TotalEscapeError)
 from .phase import Grid, dyadic_partition, dyadic_pool
 from .maps import MapSequence, map_from_config
-from .holes import HoleSequence
 from .seminorm import SeminormSpec, estimate_LY
 from .cone import ConeParams, birkhoff_factor, delta0, rate_constants, \
     select_parameters

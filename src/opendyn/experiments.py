@@ -1,19 +1,18 @@
 """Experiment orchestration: certified memory-loss runs and reports.
 
-A local run holds a schedule of small perturbations of one base map
-with drifting holes and tracks the L1 distance between two renormalized
-densities.  A global run traverses a parametrized curve of maps slowly
-enough that per-sample certificates chain along the curve.  Both share
-the same certification pipeline (Lasota-Yorke estimate, parameter
-selection, mixing time) and the same evolution core, and both emit a
-CSV distance series plus a replayable structured summary.
+Both regimes run one pipeline, `_run`: certify, draw the hole schedule,
+build the run's operators once, grow T until every open block mixes,
+audit the cone, evolve two densities, then budget, fit and report.  A
+regime only supplies a plan: its per-sample certificates, its map
+schedule and its own flags, constants and certificates once T is final.
+A local run perturbs one base map; a global run traverses a map curve
+slowly enough that per-sample certificates chain along it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -25,12 +24,12 @@ from .phase import Grid, dyadic_pool
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
                    map_from_config, perturbation_distance)
 from .holes import HoleSequence, HoleSpec, hole_from_config
-from .transfer import (GridDensity, OperatorCache, apply_operators,
-                       l1_distance, normalize, schedule_operators)
+from .transfer import (GridDensity, OperatorCache, l1_distance, normalize,
+                       schedule_operators)
 from .seminorm import LYCertificate, SeminormSpec, cone_member, estimate_LY
-from .cone import ConeParams, rate_constants, select_parameters
-from .mixing import (block_mixing_ratios, certify_mixing, default_perturbation,
-                     random_hole, stability_check)
+from .cone import ConeParams, RateConstants, rate_constants, select_parameters
+from .mixing import (certify_mixing, default_perturbation, random_hole,
+                     ratio_profile, stability_check)
 
 FIT_FLOOR = 1e-14
 
@@ -111,10 +110,6 @@ class ExperimentConfig:
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc}") from exc
 
-    @staticmethod
-    def from_json(text: str) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(text))
-
 
 @dataclass
 class RunResult:
@@ -158,11 +153,22 @@ def hole_schedule(rec: dict, m: int, dimension: int, rng) -> HoleSequence:
                                  for _ in range(m)))
     else:
         raise ConfigError(f"unknown hole schedule kind {kind!r}")
-    cap = float(rec.get("epsilon_cap", rec.get("measure", rec.get("epsilon", 1.0))))
+    cap = hole_cap(rec)
     for h in seq.holes:
         if h is not None and h.measure() > cap + 1e-12:
             raise ConfigError("hole exceeds the declared measure cap")
     return seq
+
+
+def hole_cap(rec: dict) -> float:
+    """Largest hole measure a schedule may use: its epsilon_cap, else its
+    measure or epsilon, else the static hole's measure, else 0 (no holes)."""
+    for key in ("epsilon_cap", "measure", "epsilon"):
+        if key in rec:
+            return float(rec[key])
+    if rec.get("kind") == "static":
+        return hole_from_config(rec["hole"]).measure()
+    return 0.0
 
 
 def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
@@ -209,23 +215,17 @@ def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> dict:
     cp = select_parameters(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
                            cfg.seminorm, pool, base, cfg.sigma, cert["i_max"])
     mix = certify_mixing(base, cp.Q, cfg.zeta1, cfg.zeta2, cert["i_max"])
-    return {"ly": ly, "cp": cp, "mixing": mix, "rate": rate_constants(cp)}
+    return {"ly": ly, "cp": cp, "mixing": mix}
 
 
-def _bump_T_for_blocks(cp: ConeParams, mseq, hseq, cfg: ExperimentConfig,
-                       cache, ly: LYCertificate, E: int) -> ConeParams:
-    """Grow the block length until every open block of the actual
-    schedule keeps its pair ratios inside the mixing window."""
+def _bump_T_for_blocks(cp: ConeParams, ops: list, cfg: ExperimentConfig,
+                       ly: LYCertificate, E: int) -> ConeParams:
+    """Grow the block length until every open block of the run's
+    operators keeps its pair ratios inside the mixing window."""
     for _ in range(8):
-        nblocks = cfg.horizon // cp.T
-        ok = True
-        for b in range(nblocks):
-            lo, hi = block_mixing_ratios(mseq, hseq, 1 + b * cp.T, cp.T,
-                                         cp.Q, cache)
-            if not (cfg.zeta1 < lo and hi < cfg.zeta2):
-                ok = False
-                break
-        if ok:
+        if all(cfg.zeta1 < lo and hi < cfg.zeta2 for lo, hi in (
+                ratio_profile(ops[b * cp.T:(b + 1) * cp.T], cp.Q)[-1]
+                for b in range(cfg.horizon // cp.T))):
             fails = cp.audit(ly.theta, ly.C, cfg.T1, E)
             if fails:
                 raise CertificateError("; ".join(fails))
@@ -237,16 +237,14 @@ def _bump_T_for_blocks(cp: ConeParams, mseq, hseq, cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 # evolution core
 
-def _execute(mseq: MapSequence, hseq: HoleSequence, phi0: GridDensity,
-             psi0: GridDensity, m_max: int, grid: Grid, cache,
+def _execute(ops: list, phi0: GridDensity, psi0: GridDensity,
              sem: SeminormSpec):
-    ops = schedule_operators(mseq, hseq, m_max, grid, cache)
     phi, psi = phi0, psi0
     records, peaks = [], []
     peak = max(sem.value(normalize(phi0)), sem.value(normalize(psi0)))
-    for k in range(1, m_max + 1):
-        phi = ops[k - 1].apply(phi)
-        psi = ops[k - 1].apply(psi)
+    for k, op in enumerate(ops, start=1):
+        phi = op.apply(phi)
+        psi = op.apply(psi)
         try:
             phin, psin = normalize(phi), normalize(psi)
         except TotalEscapeError as exc:
@@ -279,62 +277,86 @@ def _flags_and_fit(records, budget, rate, fit_r2_min: float = 0.95):
 # ---------------------------------------------------------------------------
 # runs
 
-def run_local(config) -> RunResult:
-    """Certified local-theorem run: perturbations of one base map with a
-    hole schedule, two cone densities, renormalized distance tracking."""
+def _run(config, kind: str, plan) -> RunResult:
+    """The certified pipeline both regimes share.
+
+    plan(cfg, rng, cache) returns the regime's per-sample _certify
+    results (the first one sets the cone), its map schedule and a
+    callback that, given the final cone parameters, returns the regime's
+    own (flags, constants, certificates).  Holes and psi are drawn from
+    rng after the plan's own draws.
+    """
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
-    if cfg.kind != "local":
-        raise ConfigError("run_local needs a local config")
+    if cfg.kind != kind:
+        raise ConfigError(f"run_{kind} needs a {kind} config")
     rng = np.random.default_rng(cfg.seed)
     grid, cache = cfg.grid, OperatorCache()
-    base = map_from_config(cfg.map_rec)
-
-    certs = _certify(base, grid, cfg, cache)
-    ly, cp, mix = certs["ly"], certs["cp"], certs["mixing"]
-
-    mseq = MapSequence(tuple(default_perturbation(base, cfg.delta, rng)
-                             for _ in range(cfg.horizon)))
+    samples, mseq, finish = plan(cfg, rng, cache)
     hseq = hole_schedule(cfg.holes, cfg.horizon, grid.dimension, rng)
+    ops = schedule_operators(mseq, hseq, cfg.horizon, grid, cache)
 
-    cp = _bump_T_for_blocks(cp, mseq, hseq, cfg, cache, ly, mix.E)
-    rate = rate_constants(cp)
+    first = samples[0]
+    cp = _bump_T_for_blocks(first["cp"], ops, cfg, first["ly"],
+                            first["mixing"].E)
     if cfg.horizon < 2 * cp.T:
         raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
+    # price every sample at the block length the run uses, then take the
+    # worst value of each constant
+    rates = [dataclasses.astuple(rate_constants(
+        dataclasses.replace(c["cp"], T=cp.T))) for c in samples]
+    rate = RateConstants(*map(max, zip(*rates)))
 
     phi0 = GridDensity.uniform(grid)
     psi0 = build_density(cfg.psi, grid, rng)
-    audit_phi = cone_member(phi0, cp.a, cp.Q, cfg.seminorm)
-    audit_psi = cone_member(psi0, cp.a, cp.Q, cfg.seminorm)
-    if not (audit_phi.ok and audit_psi.ok):
-        raise ConfigError("initial densities fail the cone audit")
+    for dens in (phi0, psi0):
+        if not cone_member(dens, cp.a, cp.Q, cfg.seminorm).ok:
+            raise ConfigError("initial densities fail the cone audit")
+    own_flags, own_constants, own_certificates = finish(cp)
 
-    eps_cap = float(cfg.holes.get("measure", cfg.holes.get("epsilon", 0.0)))
-    stab = stability_check(base, cp.Q, cfg.zeta1, cfg.zeta2, cp.T, cfg.delta,
-                           eps_cap, cfg.certificates["stability_samples"],
-                           seed=cfg.seed + 1, cache=cache)
-
-    records, peaks = _execute(mseq, hseq, phi0, psi0, cfg.horizon, grid,
-                              cache, cfg.seminorm)
+    records, peaks = _execute(ops, phi0, psi0, cfg.seminorm)
     budget = _grid_budget(records, peaks, grid, rate.c_lip)
     fit, bound_ok, fit_ok = _flags_and_fit(records, budget, rate)
 
-    flags = {"ly_certified": True, "params_audit": True, "mixing_certified": True,
-             "stability": stab.ok, "cone_audit": True,
-             "bound_dominated": bound_ok, "fit_ok": fit_ok}
+    flags = {"ly_certified": True, "params_audit": True,
+             "mixing_certified": True, "cone_audit": True,
+             "bound_dominated": bound_ok, "fit_ok": fit_ok, **own_flags}
     constants = {"delta0": rate.delta0, "lambda": rate.lam, "c0": rate.c0,
                  "c_lip": rate.c_lip, "a": cp.a, "sigma": cp.sigma, "T": cp.T,
-                 "zeta1": cp.zeta1, "zeta2": cp.zeta2, "d": cp.d, "M": cp.M,
-                 "grid_n": grid.n, "budget_formula": "c_lip*m*h*peak_seminorm/2"}
-    certificates = {
-        "ly": json.loads(ly.to_json()),
-        "mixing": {"E": mix.E, "ratio_min": mix.ratio_min,
-                   "ratio_max": mix.ratio_max, "i_checked": list(mix.i_checked)},
-        "cone_params": cp.to_config(),
-        "stability": json.loads(stab.to_json()),
-    }
+                 "zeta1": cp.zeta1, "zeta2": cp.zeta2, "grid_n": grid.n,
+                 "budget_formula": "c_lip*m*h*peak_seminorm/2",
+                 **own_constants}
+    certificates = {"cone_params": cp.to_config(), **own_certificates}
     return RunResult(records, fit, constants, certificates, flags, budget,
                      cfg.raw)
+
+
+def _local_plan(cfg: ExperimentConfig, rng, cache):
+    base = map_from_config(cfg.map_rec)
+    certs = _certify(base, cfg.grid, cfg, cache)
+    mseq = MapSequence(tuple(default_perturbation(base, cfg.delta, rng)
+                             for _ in range(cfg.horizon)))
+
+    def finish(cp: ConeParams):
+        stab = stability_check(base, cp.Q, cfg.zeta1, cfg.zeta2, cp.T,
+                               cfg.delta, hole_cap(cfg.holes),
+                               cfg.certificates["stability_samples"],
+                               seed=cfg.seed + 1, cache=cache)
+        mix = certs["mixing"]
+        return ({"stability": stab.ok}, {"d": cp.d, "M": cp.M}, {
+            "ly": json.loads(certs["ly"].to_json()),
+            "mixing": {"E": mix.E, "ratio_min": mix.ratio_min,
+                       "ratio_max": mix.ratio_max,
+                       "i_checked": list(mix.i_checked)},
+            "stability": json.loads(stab.to_json())})
+
+    return [certs], mseq, finish
+
+
+def run_local(config) -> RunResult:
+    """Certified local-theorem run: perturbations of one base map with a
+    hole schedule, two cone densities, renormalized distance tracking."""
+    return _run(config, "local", _local_plan)
 
 
 def _stability_radius(family, u: float, u_lo: float, u_hi: float,
@@ -364,15 +386,7 @@ def _stability_radius(family, u: float, u_lo: float, u_hi: float,
     return lo
 
 
-def run_global(config) -> RunResult:
-    """Certified quasi-static traversal of a map curve: per-sample
-    certificates, sampled speed limit, then the shared evolution core."""
-    cfg = config if isinstance(config, ExperimentConfig) \
-        else ExperimentConfig.from_dict(config)
-    if cfg.kind != "global":
-        raise ConfigError("run_global needs a global config")
-    rng = np.random.default_rng(cfg.seed)
-    grid, cache = cfg.grid, OperatorCache()
+def _global_plan(cfg: ExperimentConfig, rng, cache):
     fam_rec = cfg.family
     name = fam_rec.get("name")
     if name not in FAMILIES:
@@ -380,16 +394,11 @@ def run_global(config) -> RunResult:
     family = FAMILIES[name]
     u0 = float(fam_rec.get("u_start", 0.0))
     u1 = float(fam_rec.get("u_end", 1.0))
-    n_samples = int(fam_rec.get("cert_samples", 5))
-
-    sample_us = np.linspace(u0, u1, max(n_samples, 2))
-    sample_certs, xis = [], []
-    for s in sample_us:
-        c = _certify(family(float(s)), grid, cfg, cache)
-        sample_certs.append(c)
-        xis.append(_stability_radius(family, float(s), u0, u1, cfg.delta))
-    Ts = [c["cp"].T for c in sample_certs]
-    sigma_estimate = min(x / (2.0 * t) for x, t in zip(xis, Ts))
+    n_samples = max(int(fam_rec.get("cert_samples", 5)), 2)
+    sample_us = [float(s) for s in np.linspace(u0, u1, n_samples)]
+    samples = [_certify(family(s), cfg.grid, cfg, cache) for s in sample_us]
+    xis = [_stability_radius(family, s, u0, u1, cfg.delta) for s in sample_us]
+    sigma_estimate = min(x / (2.0 * c["cp"].T) for x, c in zip(xis, samples))
 
     step_rec = fam_rec.get("step", "auto")
     step = sigma_estimate if step_rec == "auto" else float(step_rec)
@@ -397,55 +406,29 @@ def run_global(config) -> RunResult:
         raise ConfigError(
             f"parameter step {step:.4g} exceeds the sampled speed limit "
             f"{sigma_estimate:.4g}")
-
     us = [min(u1, u0 + k * step) if u1 >= u0 else u0 for k in range(cfg.horizon)]
     mseq = MapSequence(tuple(family(u) for u in us))
-    hseq = hole_schedule(cfg.holes, cfg.horizon, grid.dimension, rng)
 
-    cp0, ly0, mix0 = (sample_certs[0]["cp"], sample_certs[0]["ly"],
-                      sample_certs[0]["mixing"])
-    cp0 = _bump_T_for_blocks(cp0, mseq, hseq, cfg, cache, ly0, mix0.E)
-    if cfg.horizon < 2 * cp0.T:
-        raise ConfigError(f"horizon must be at least 2T = {2 * cp0.T}")
-    rates = [c["rate"] for c in sample_certs]
-    worst = dataclasses.replace(
-        rates[0], delta0=max(r.delta0 for r in rates),
-        lam=max(r.lam for r in rates), c0=max(r.c0 for r in rates),
-        c_lip=max(r.c_lip for r in rates))
+    def finish(cp: ConeParams):
+        return ({"speed_limit": True}, {
+            "sigma_estimate": sigma_estimate, "step": step,
+            "xi_samples": xis, "sample_points": sample_us}, {
+            "per_sample": [{
+                "u": s,
+                "ly": json.loads(c["ly"].to_json()),
+                "mixing": {"E": c["mixing"].E,
+                           "ratio_min": c["mixing"].ratio_min,
+                           "ratio_max": c["mixing"].ratio_max},
+                "T": c["cp"].T, "a": c["cp"].a,
+            } for s, c in zip(sample_us, samples)]})
 
-    phi0 = GridDensity.uniform(grid)
-    psi0 = build_density(cfg.psi, grid, rng)
-    for dens in (phi0, psi0):
-        if not cone_member(dens, cp0.a, cp0.Q, cfg.seminorm).ok:
-            raise ConfigError("initial densities fail the cone audit")
+    return samples, mseq, finish
 
-    records, peaks = _execute(mseq, hseq, phi0, psi0, cfg.horizon, grid,
-                              cache, cfg.seminorm)
-    budget = _grid_budget(records, peaks, grid, worst.c_lip)
-    fit, bound_ok, fit_ok = _flags_and_fit(records, budget, worst)
 
-    flags = {"ly_certified": True, "params_audit": True, "mixing_certified": True,
-             "cone_audit": True, "speed_limit": True,
-             "bound_dominated": bound_ok, "fit_ok": fit_ok}
-    constants = {"delta0": worst.delta0, "lambda": worst.lam, "c0": worst.c0,
-                 "c_lip": worst.c_lip, "a": cp0.a, "sigma": cp0.sigma,
-                 "T": cp0.T, "zeta1": cfg.zeta1, "zeta2": cfg.zeta2,
-                 "grid_n": grid.n, "sigma_estimate": sigma_estimate,
-                 "step": step, "xi_samples": xis,
-                 "sample_points": [float(s) for s in sample_us],
-                 "budget_formula": "c_lip*m*h*peak_seminorm/2"}
-    certificates = {
-        "per_sample": [{
-            "u": float(s),
-            "ly": json.loads(c["ly"].to_json()),
-            "mixing": {"E": c["mixing"].E, "ratio_min": c["mixing"].ratio_min,
-                       "ratio_max": c["mixing"].ratio_max},
-            "T": c["cp"].T, "a": c["cp"].a,
-        } for s, c in zip(sample_us, sample_certs)],
-        "cone_params": cp0.to_config(),
-    }
-    return RunResult(records, fit, constants, certificates, flags, budget,
-                     cfg.raw)
+def run_global(config) -> RunResult:
+    """Certified quasi-static traversal of a map curve: per-sample
+    certificates, sampled speed limit, then the shared evolution core."""
+    return _run(config, "global", _global_plan)
 
 
 # ---------------------------------------------------------------------------

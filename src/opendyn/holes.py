@@ -9,7 +9,7 @@ in the i-th hole.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -160,10 +160,6 @@ class HoleSequence:
     @staticmethod
     def closed(length: int) -> "HoleSequence":
         return HoleSequence((None,) * length)
-
-    @staticmethod
-    def from_schedule(factory: Callable, params: Sequence) -> "HoleSequence":
-        return HoleSequence(tuple(factory(p) for p in params))
 
 
 def survivor_indicator(map_seq, hole_seq: HoleSequence, m: int, grid: Grid,

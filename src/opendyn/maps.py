@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BoundaryError, ConfigError, ParameterError, ResolutionWarning
-from .phase import (Grid, PartitionSpec, PointDescriptor, partition_from_labels,
-                    torus_delta)
+from .phase import (Grid, PartitionSpec, _max_incidence,
+                    partition_from_labels, torus_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +219,6 @@ class MapSpec:
         span = k.max(axis=0) - lo + 1
         return (k[:, 0] - lo[0]) * span[1] + (k[:, 1] - lo[1])
 
-    def partition_spec(self, grid: Grid) -> PartitionSpec:
-        """Grid-aligned continuity partition with exact cut descriptors (1D)."""
-        labels = self.locate_element(grid.centers())
-        p = partition_from_labels(grid, labels)
-        if self.dimension == 1 and self.cuts:
-            cutpts = [PointDescriptor(0.0)] + [PointDescriptor(c) for c in self.cuts]
-            bnd = []
-            for k in range(p.n_elements):
-                left = cutpts[k]
-                right = cutpts[(k + 1) % len(cutpts)]
-                bnd.append((left, right))
-            p = PartitionSpec(grid, p.elements, tuple(bnd))
-        return p
-
     def to_config(self) -> dict:
         if self.dimension == 1:
             return {"kind": self.kind,
@@ -355,10 +341,6 @@ class MapSequence:
     def constant(m: MapSpec, length: int) -> "MapSequence":
         return MapSequence((m,) * length)
 
-    @staticmethod
-    def from_schedule(family: Callable, params: Sequence) -> "MapSequence":
-        return MapSequence(tuple(family(p) for p in params))
-
 
 # ---------------------------------------------------------------------------
 # itinerary structure
@@ -414,7 +396,6 @@ def complexity_sequence(seq: MapSequence, holes, m: int, grid: Grid) -> list:
     Holes contribute their preimage boundaries through the escaped-cell
     mask, evaluated at grid resolution.
     """
-    from .phase import partition_complexity  # local import keeps deps one-way
     centers = grid.centers()
     out = []
     alive = np.ones(grid.total_cells, dtype=bool)
@@ -435,27 +416,9 @@ def complexity_sequence(seq: MapSequence, holes, m: int, grid: Grid) -> list:
             continue
         part = partition_from_labels(grid, merged)
         keep = [k2 for k2, u in enumerate(np.unique(merged)) if u != -1]
-        descs = tuple(part.boundary[k2] for k2 in keep)
-        if all(len(d) == 0 for d in descs):
-            out.append(0)
-        else:
-            out.append(_descriptor_complexity(descs))
+        out.append(_max_incidence(
+            [d for k2 in keep for d in part.boundary[k2]]))
     return out
-
-
-def _descriptor_complexity(desc_groups) -> int:
-    from .phase import _candidate_points, _contains
-    flat = [d for grp in desc_groups for d in grp]
-    if not flat:
-        return 0
-    best, seen = 0, set()
-    for q in _candidate_points(flat):
-        key = tuple(round(float(c) % 1.0, 9) for c in q)
-        if key in seen:
-            continue
-        seen.add(key)
-        best = max(best, sum(1 for d in flat if _contains(d, q)))
-    return best
 
 
 # ---------------------------------------------------------------------------

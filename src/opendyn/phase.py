@@ -66,15 +66,6 @@ class Grid:
         gx, gy = np.meshgrid(mid, mid, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
 
-    def nodes(self) -> np.ndarray:
-        """Grid nodes (cell corner lattice), one per cell by periodicity."""
-        n, h = self.n, self.spacing
-        edge = np.arange(n) * h
-        if self.dimension == 1:
-            return edge
-        gx, gy = np.meshgrid(edge, edge, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
     def cell_corners(self, cells: np.ndarray) -> np.ndarray:
         """Corner points of the given cells: (k, 2) in 1D, (k, 4, 2) in 2D."""
         cells = np.asarray(cells, dtype=np.int64)
@@ -275,11 +266,6 @@ class PartitionSpec:
         return PartitionSpec(grid, elements, boundary, rec["regularity_bound"])
 
 
-def measure(cells: np.ndarray, grid: Grid) -> float:
-    """Lebesgue measure of a union of grid cells."""
-    return float(np.asarray(cells).size * grid.cell_measure)
-
-
 def diam_lambda(p: PartitionSpec) -> float:
     """Largest element measure, the coarseness gauge used by the cone bounds."""
     return max(e.size for e in p.elements) * p.grid.cell_measure
@@ -398,12 +384,14 @@ def partition_complexity(p: PartitionSpec) -> int:
     point and axis-aligned-segment boundaries.
     """
     flat = [d for bnd in p.boundary for d in bnd]
-    if not flat:
-        if p.n_elements == 1:
-            return 0
+    if not flat and p.n_elements > 1:
         raise ConfigError("partition has no boundary descriptors to count")
-    best = 0
-    seen = set()
+    return _max_incidence(flat)
+
+
+def _max_incidence(flat: Sequence[Descriptor]) -> int:
+    """Max number of descriptors through one candidate point (0 for none)."""
+    best, seen = 0, set()
     for q in _candidate_points(flat):
         key = tuple(round(float(c) % 1.0, 9) for c in q)
         if key in seen:

@@ -144,10 +144,7 @@ def conditional_expectation(phi: GridDensity, Q: PartitionSpec) -> GridDensity:
     piecewise-constant density.  Mass is preserved exactly."""
     if Q.grid != phi.grid:
         raise ConfigError("partition and density grids differ")
-    out = np.empty_like(phi.values)
-    for cells in Q.elements:
-        out[cells] = phi.values[cells].mean()
-    return GridDensity(phi.grid, out)
+    return GridDensity(phi.grid, element_expectations(phi, Q)[Q.labels()])
 
 
 def element_expectations(phi: GridDensity, Q: PartitionSpec) -> np.ndarray:
@@ -291,6 +288,29 @@ def _c_lattice_value(c_needed: float) -> float:
     return 1e-12 * 2.0 ** t
 
 
+def _ly_replay(seq, holes, T1: int, k_max: int, sem: SeminormSpec,
+               members: list, grid: Grid, cache=None) -> tuple:
+    """(s0, mass0, svals): each member's seminorm and mass, and its
+    seminorm after k*T1 steps of the schedule in column k-1."""
+    if len(seq) < k_max * T1:
+        raise ConfigError("map sequence shorter than k_max * T1")
+    ops = schedule_operators(seq, holes, k_max * T1, grid, cache)
+    s0 = np.array([sem.value(phi) for phi in members])
+    mass0 = np.array([phi.mass for phi in members])
+    svals = np.empty((len(members), k_max))
+    for j, phi in enumerate(members):
+        traj = apply_operators(phi, ops, keep_all=True)
+        for k in range(1, k_max + 1):
+            svals[j, k - 1] = sem.value(traj[k * T1])
+    return s0, mass0, svals
+
+
+def _ly_excess(s0, mass0, svals, T1: int, theta: float, C: float) -> np.ndarray:
+    """How far each replayed seminorm exceeds theta^(kT1) |phi|_s + C ||phi||."""
+    kpow = np.arange(1, svals.shape[1] + 1) * T1
+    return svals - (np.outer(s0, theta ** kpow) + C * mass0[:, None])
+
+
 def estimate_LY(seq, holes, T1: int, sem: SeminormSpec, ensemble_size: int,
                 k_max: int, grid: Grid, seed: int = 0,
                 cache=None) -> LYCertificate:
@@ -302,23 +322,13 @@ def estimate_LY(seq, holes, T1: int, sem: SeminormSpec, ensemble_size: int,
     power bound).  Raises CertificateError with a witness if no theta
     below 1 admits a finite constant.
     """
-    if len(seq) < k_max * T1:
-        raise ConfigError("map sequence shorter than k_max * T1")
-    ops = schedule_operators(seq, holes, k_max * T1, grid, cache)
-    members = ly_ensemble(grid, ensemble_size, seed)
-    s0 = np.array([sem.value(phi) for phi in members])
-    mass0 = np.array([phi.mass for phi in members])
-    svals = np.empty((ensemble_size, k_max))
-    for j, phi in enumerate(members):
-        traj = apply_operators(phi, ops, keep_all=True)
-        for k in range(1, k_max + 1):
-            svals[j, k - 1] = sem.value(traj[k * T1])
-
-    kpow = np.arange(1, k_max + 1) * T1
-    c_needed = np.empty(THETA_LATTICE.size)
-    for t, theta in enumerate(THETA_LATTICE):
-        gap = svals - np.outer(s0, theta ** kpow)
-        c_needed[t] = max(0.0, float((gap / mass0[:, None]).max()))
+    s0, mass0, svals = _ly_replay(seq, holes, T1, k_max, sem,
+                                  ly_ensemble(grid, ensemble_size, seed),
+                                  grid, cache)
+    # the C each lattice theta needs: the worst excess per unit mass
+    c_needed = np.array([max(0.0, float(
+        (_ly_excess(s0, mass0, svals, T1, theta, 0.0) / mass0[:, None]).max()))
+        for theta in THETA_LATTICE])
     c_star = c_needed.min()
     if not np.isfinite(c_star) or c_star > 1e9:
         j_bad = int(np.unravel_index(np.argmax(svals), svals.shape)[0])
@@ -329,9 +339,9 @@ def estimate_LY(seq, holes, T1: int, sem: SeminormSpec, ensemble_size: int,
     C = _c_lattice_value(c_needed[t_sel])
 
     # replay audit before certifying
-    bound = np.outer(s0, theta ** kpow) + C * mass0[:, None]
-    if (svals > bound + 1e-9).any():
-        j_bad, k_bad = np.unravel_index(np.argmax(svals - bound), svals.shape)
+    excess = _ly_excess(s0, mass0, svals, T1, theta, C)
+    if (excess > 1e-9).any():
+        j_bad, k_bad = np.unravel_index(np.argmax(excess), excess.shape)
         raise CertificateError(
             f"selected (theta={theta}, C={C}) fails replay at member {j_bad}, "
             f"k={k_bad + 1}")
@@ -345,17 +355,12 @@ def verify_ly(cert: LYCertificate, seq, holes, grid: Grid,
               seed: int | None = None, cache=None):
     """Replay a certificate on its stored ensemble (or a fresh seed).
     Returns (ok, violations) where violations list (member, k, excess)."""
-    sem = SeminormSpec.from_config(cert.seminorm)
     use_seed = cert.ensemble["seed"] if seed is None else seed
     members = ly_ensemble(grid, cert.ensemble["size"], use_seed)
-    ops = schedule_operators(seq, holes, cert.max_k * cert.T1, grid, cache)
-    violations = []
-    for j, phi in enumerate(members):
-        s0, m0 = sem.value(phi), phi.mass
-        traj = apply_operators(phi, ops, keep_all=True)
-        for k in range(1, cert.max_k + 1):
-            sk = sem.value(traj[k * cert.T1])
-            bound = cert.theta ** (k * cert.T1) * s0 + cert.C * m0
-            if sk > bound + 1e-9:
-                violations.append((j, k, sk - bound))
+    s0, mass0, svals = _ly_replay(seq, holes, cert.T1, cert.max_k,
+                                  SeminormSpec.from_config(cert.seminorm),
+                                  members, grid, cache)
+    excess = _ly_excess(s0, mass0, svals, cert.T1, cert.theta, cert.C)
+    violations = [(int(j), int(k) + 1, float(excess[j, k]))
+                  for j, k in np.argwhere(excess > 1e-9)]
     return len(violations) == 0, violations

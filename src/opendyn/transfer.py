@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
@@ -182,6 +183,12 @@ def _clip_axis(poly, axis: int, val: float, keep_le: bool):
     return out
 
 
+def _clip_cell(poly, gx: int, gy: int):
+    for axis, g in ((0, gx), (1, gy)):
+        poly = _clip_axis(_clip_axis(poly, axis, g, False), axis, g + 1, True)
+    return poly
+
+
 def _poly_area(poly) -> float:
     if len(poly) < 3:
         return 0.0
@@ -193,8 +200,11 @@ def _poly_area(poly) -> float:
 def _stencil(A: np.ndarray, frac: np.ndarray):
     """Grid-cell overlaps of the image of the unit cell under x -> A x + frac,
     in cell units: (dx, dy, weight) with weights summing to 1."""
-    P = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) @ A.T + frac
+    corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+    P = corners @ A.T + frac
     poly = [tuple(p) for p in P]
+    exact = [tuple(int(v) + Fraction(f) for v, f in zip(c, frac))
+             for c in corners @ A.astype(np.int64).T]
     lo = np.floor(P.min(axis=0)).astype(int)
     hi = np.ceil(P.max(axis=0)).astype(int)
     det = abs(float(np.linalg.det(A)))
@@ -204,7 +214,11 @@ def _stencil(A: np.ndarray, frac: np.ndarray):
         for gy in range(lo[1], hi[1]):
             py = _clip_axis(_clip_axis(px, 1, gy, False), 1, gy + 1, True)
             area = _poly_area(py)
-            if area > 1e-14:        # smaller pieces are clipping round-off
+            if 0.0 < area <= 1e-14:
+                # clipping noise or a true sliver along a grid line: only
+                # exact rationals tell them apart
+                area = _poly_area(_clip_cell(exact, gx, gy))
+            if area > 0.0:
                 dx.append(gx)
                 dy.append(gy)
                 w.append(area / det)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -121,3 +122,19 @@ def test_rerun_is_byte_identical(tmp_path):
     for name in ("report.csv", "report_summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.json"))
+# shipped configs without a "kind" entry, by file name
+SUBCOMMAND = {"constants.json": "constants", "ly.json": "certify-ly",
+              "mixing.json": "certify-mixing", "select.json": "select-params"}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_runs(tmp_path, capsys, path):
+    cfg = json.loads(path.read_text())
+    command = SUBCOMMAND.get(path.name) or f"simulate-{cfg['kind']}"
+    argv = [command, str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    if command.startswith("simulate-"):
+        assert "verdict: pass" in capsys.readouterr().out

@@ -1,14 +1,19 @@
 import copy
 import json
+import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import opendyn.experiments
+import opendyn.mixing
+import opendyn.seminorm
 from opendyn.errors import ConfigError, ParameterError
 from opendyn.experiments import (FAMILIES, ExperimentConfig, build_density,
-                                 emit_report, fit_exponential, hole_schedule,
-                                 run_global, run_local)
-from opendyn.holes import HoleSequence
+                                 emit_report, fit_exponential, hole_cap,
+                                 hole_schedule, run_global, run_local)
+from opendyn.holes import HoleSequence, hole_from_config
 from opendyn.maps import MapSequence, doubling_map
 from opendyn.phase import Grid
 from opendyn.transfer import GridDensity, build_closed, evolve, normalize
@@ -81,6 +86,13 @@ def test_hole_schedule_kinds_and_cap():
                        "epsilon_cap": 0.01}, 4, 1, rng)
     with pytest.raises(ConfigError):
         hole_schedule({"kind": "nonsense"}, 4, 1, rng)
+    assert hole_cap({"kind": "none"}) == 0.0
+    assert hole_cap({"kind": "random_intervals", "epsilon": 0.005}) == 0.005
+    assert hole_cap({"kind": "drifting_interval", "measure": 0.05,
+                     "epsilon_cap": 0.01}) == 0.01
+    static = {"kind": "static",
+              "hole": {"dimension": 1, "intervals": [[0.3, 0.305]]}}
+    assert hole_cap(static) == hole_from_config(static["hole"]).measure()
 
 
 def test_build_density_kinds():
@@ -215,6 +227,44 @@ def test_global_step_cap_enforced():
     }
     with pytest.raises(ConfigError):
         run_global(cfg)
+
+
+def test_stability_check_covers_static_hole():
+    static = {"dimension": 1, "intervals": [[0.3, 0.305]]}
+    res = run_local(dict(LOCAL_CFG, holes={"kind": "static", "hole": static}))
+    assert res.certificates["stability"]["epsilon"] == \
+        hole_from_config(static).measure()
+
+
+def test_global_lambda_priced_at_final_T():
+    # at this seed and grid the open blocks grow T past every sample's own
+    # T; each sample's rate must be priced at the T the run uses
+    cfg = json.loads((pathlib.Path(__file__).parents[1] / "configs"
+                      / "global.json").read_text())
+    cfg["seed"] = 5
+    cfg["grid"]["n"] = 1024
+    res = run_global(cfg)
+    c = res.constants
+    assert c["T"] > max(s["T"] for s in res.certificates["per_sample"])
+    assert c["lambda"] == pytest.approx(
+        math.tanh(c["delta0"] / 4.0) ** (1.0 / c["T"]), rel=1e-12)
+
+
+def test_run_builds_its_operators_once(monkeypatch):
+    # the run's own schedule (length = horizon) is assembled into an
+    # operator list once; the block checks and the evolution share it
+    calls = []
+    real = opendyn.experiments.schedule_operators
+
+    def counting(map_seq, hole_seq, m, grid, cache=None):
+        if len(map_seq) == LOCAL_CFG["horizon"]:
+            calls.append(m)
+        return real(map_seq, hole_seq, m, grid, cache)
+
+    for mod in (opendyn.experiments, opendyn.mixing, opendyn.seminorm):
+        monkeypatch.setattr(mod, "schedule_operators", counting)
+    assert run_local(LOCAL_CFG).passed
+    assert calls == [LOCAL_CFG["horizon"]]
 
 
 def test_family_registry_slopes():
