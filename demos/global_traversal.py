@@ -2,9 +2,10 @@
 
 The curve interpolates branch slopes from (2, 2) to (3, 3, 3) while staying
 Lebesgue-preserving.  Certificates are priced at sampled parameter values,
-each sample contributes a perturbation radius, and min xi / (2T) becomes the
-speed limit on the parameter steps.  A run that respects the limit keeps the
-worst-case constants valid along the whole path.
+each sample contributes a perturbation radius, and min xi / (2T) at the run's
+final block length T becomes the speed limit on the parameter steps.  A run
+that respects the limit keeps the worst-case constants valid along the whole
+path.
 """
 from opendyn import ConfigError, run_global
 

@@ -281,10 +281,11 @@ def _run(config, kind: str, plan) -> RunResult:
     """The certified pipeline both regimes share.
 
     plan(cfg, rng, cache) returns the regime's per-sample _certify
-    results (the first one sets the cone), its map schedule and a
-    callback that, given the final cone parameters, returns the regime's
-    own (flags, constants, certificates).  Holes and psi are drawn from
-    rng after the plan's own draws.
+    results (the first one sets the cone), a function from the block
+    length T to its map schedule, and a callback that, given the final
+    cone parameters, returns the regime's own (flags, constants,
+    certificates).  Holes and psi are drawn from rng after the plan's own
+    draws.
     """
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
@@ -292,13 +293,18 @@ def _run(config, kind: str, plan) -> RunResult:
         raise ConfigError(f"run_{kind} needs a {kind} config")
     rng = np.random.default_rng(cfg.seed)
     grid, cache = cfg.grid, OperatorCache()
-    samples, mseq, finish = plan(cfg, rng, cache)
+    samples, schedule, finish = plan(cfg, rng, cache)
     hseq = hole_schedule(cfg.holes, cfg.horizon, grid.dimension, rng)
-    ops = schedule_operators(mseq, hseq, cfg.horizon, grid, cache)
 
     first = samples[0]
-    cp = _bump_T_for_blocks(first["cp"], ops, cfg, first["ly"],
-                            first["mixing"].E)
+    cp, mseq = first["cp"], None
+    # the map schedule may depend on the block length (a traversal's speed
+    # limit); T only grows, so rebuild and re-check until the schedule the
+    # blocks were checked on is the one for the final T
+    while (nxt := schedule(cp.T)) != mseq:
+        mseq = nxt
+        ops = schedule_operators(mseq, hseq, cfg.horizon, grid, cache)
+        cp = _bump_T_for_blocks(cp, ops, cfg, first["ly"], first["mixing"].E)
     if cfg.horizon < 2 * cp.T:
         raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
     # price every sample at the block length the run uses, then take the
@@ -350,7 +356,7 @@ def _local_plan(cfg: ExperimentConfig, rng, cache):
                        "i_checked": list(mix.i_checked)},
             "stability": json.loads(stab.to_json())})
 
-    return [certs], mseq, finish
+    return [certs], lambda T: mseq, finish
 
 
 def run_local(config) -> RunResult:
@@ -398,19 +404,29 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
     sample_us = [float(s) for s in np.linspace(u0, u1, n_samples)]
     samples = [_certify(family(s), cfg.grid, cfg, cache) for s in sample_us]
     xis = [_stability_radius(family, s, u0, u1, cfg.delta) for s in sample_us]
-    sigma_estimate = min(x / (2.0 * c["cp"].T) for x, c in zip(xis, samples))
-
     step_rec = fam_rec.get("step", "auto")
-    step = sigma_estimate if step_rec == "auto" else float(step_rec)
-    if u1 > u0 and step > sigma_estimate + 1e-15:
-        raise ConfigError(
-            f"parameter step {step:.4g} exceeds the sampled speed limit "
-            f"{sigma_estimate:.4g}")
-    us = [min(u1, u0 + k * step) if u1 >= u0 else u0 for k in range(cfg.horizon)]
-    mseq = MapSequence(tuple(family(u) for u in us))
+
+    def speed(T: int) -> tuple:
+        """(speed limit, step) at block length T: a block of T steps moves
+        the parameter by at most half the smallest certified radius."""
+        limit = min(xis) / (2.0 * T)
+        step = limit if step_rec == "auto" else float(step_rec)
+        if u1 > u0 and step > limit + 1e-15:
+            raise ConfigError(
+                f"parameter step {step:.4g} exceeds the speed limit "
+                f"{limit:.4g} at block length T = {T}")
+        return limit, step
+
+    def schedule(T: int) -> MapSequence:
+        step = speed(T)[1]
+        us = [min(u1, u0 + k * step) if u1 >= u0 else u0
+              for k in range(cfg.horizon)]
+        return MapSequence(tuple(family(u) for u in us))
 
     def finish(cp: ConeParams):
-        return ({"speed_limit": True}, {
+        sigma_estimate, step = speed(cp.T)
+        moves = step * cp.T <= min(xis) / 2.0 + 1e-15
+        return ({"speed_limit": u1 <= u0 or moves}, {
             "sigma_estimate": sigma_estimate, "step": step,
             "xi_samples": xis, "sample_points": sample_us}, {
             "per_sample": [{
@@ -422,12 +438,13 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
                 "T": c["cp"].T, "a": c["cp"].a,
             } for s, c in zip(sample_us, samples)]})
 
-    return samples, mseq, finish
+    return samples, schedule, finish
 
 
 def run_global(config) -> RunResult:
     """Certified quasi-static traversal of a map curve: per-sample
-    certificates, sampled speed limit, then the shared evolution core."""
+    certificates, the speed limit at the run's final block length, then
+    the shared evolution core."""
     return _run(config, "global", _global_plan)
 
 

@@ -57,15 +57,18 @@ class Branch1D:
         """Closed-form inverse on the branch image (y unwrapped, not mod 1)."""
         c = self.coeffs
         y = np.asarray(y, dtype=float)
-        if len(c) == 2:
+        if len(c) == 2 or c[2] == 0.0:
             return (y - c[0]) / c[1]
-        # quadratic formula, root selection by branch domain
+        # quadratic formula in the form free of cancellation (roots q/a2
+        # and a0/q), root selection by branch domain
         a2, a1, a0 = c[2], c[1], c[0] - y
         disc = np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * a0, 0.0))
-        r1 = (-a1 + disc) / (2.0 * a2)
-        r2 = (-a1 - disc) / (2.0 * a2)
+        q = -0.5 * (a1 + np.copysign(disc, a1))
+        with np.errstate(all="ignore"):
+            r1, r2 = q / a2, a0 / q
         mid = 0.5 * (self.lo + self.hi)
-        return np.where(np.abs(r1 - mid) <= np.abs(r2 - mid), r1, r2)
+        # a double root (q = 0) leaves r2 undefined and is r1
+        return np.where(np.abs(r2 - mid) < np.abs(r1 - mid), r2, r1)
 
     @property
     def s_branch(self) -> float:
@@ -446,35 +449,38 @@ def balance_check(s_T: float, kappa_T: float, alpha: float, N: int) -> tuple:
 # ---------------------------------------------------------------------------
 # distance in the map topology
 
-def _cut_distance(f: MapSpec, g: MapSpec) -> float:
-    worst = 0.0
-    for a, b in zip(f.cuts, g.cuts):
-        worst = max(worst, float(torus_delta(a, b)))
-    return worst
+def _quadratic_size(q: tuple, a: float, b: float, alpha: float) -> float:
+    """Exact C^0 + C^1 + alpha-Hölder size of q(x) = q0 + q1*x + q2*x^2
+    on (a, b), with the C^0 term measured on the circle (distance to Z).
+
+    The range of q is spanned by its values at a, b and an interior
+    vertex; distance to Z peaks at 1/2 on half-integers and otherwise at
+    an end of the range.  q' is affine, so |q'| peaks at an endpoint and
+    its Hölder quotient is |q''| * |x - y|^(1 - alpha).
+    """
+    q0, q1, q2 = q
+    ys = [q0 + x * (q1 + x * q2) for x in (a, b)]
+    if q2 != 0.0 and a < -q1 / (2.0 * q2) < b:
+        ys.append(q0 - q1 * q1 / (4.0 * q2))
+    y_lo, y_hi = min(ys), max(ys)
+    if math.floor(y_hi - 0.5) + 0.5 >= y_lo:
+        c0 = 0.5
+    else:
+        c0 = max(abs(y - round(y)) for y in (y_lo, y_hi))
+    c1 = max(abs(q1 + 2.0 * q2 * a), abs(q1 + 2.0 * q2 * b))
+    return c0 + c1 + abs(2.0 * q2) * (b - a) ** (1.0 - alpha)
 
 
-def _holder_quotient(u_f, u_g, xs: np.ndarray, alpha: float, rng) -> float:
-    if xs.size < 2:
-        return 0.0
-    k = min(256, xs.size)
-    ii = rng.integers(0, xs.size, k)
-    jj = rng.integers(0, xs.size, k)
-    keep = ii != jj
-    ii, jj = ii[keep], jj[keep]
-    du = (u_f(xs[ii]) - u_g(xs[ii])) - (u_f(xs[jj]) - u_g(xs[jj]))
-    dx = np.abs(xs[ii] - xs[jj])
-    return float(np.max(np.abs(du) / dx ** alpha)) if ii.size else 0.0
-
-
-def perturbation_distance(f: MapSpec, g: MapSpec, samples: int = 4096,
-                          tol: float = 1e-9, seed: int = 0):
+def perturbation_distance(f: MapSpec, g: MapSpec, tol: float = 1e-9):
     """Smallest delta making g a delta-perturbation of f, or None.
 
-    Checks the partition distance (per-element interval Hausdorff and
-    cut displacement) and the C^{1+alpha} distance of branch differences
-    away from a delta-neighborhood of both partitions' boundaries,
-    evaluated on sample points.  Returns None when the maps are not
-    comparable (different kind, dimension, or branch count).
+    g is delta-close to f when every branch domain endpoint moves by less
+    than delta and, for each branch pair, the exact C^{1+alpha} size of
+    the difference f_k - g_k (see `_quadratic_size`) on the common domain
+    minus a delta-neighborhood of its ends is below delta.  Branches are
+    polynomials of degree <= 2, so each size is closed-form; delta is
+    found by bisection to relative tolerance tol.  Returns None when the
+    maps are not comparable (different kind, dimension, or branch count).
     """
     if f.dimension != g.dimension or f.kind != g.kind \
             or f.n_branches != g.n_branches:
@@ -487,40 +493,29 @@ def perturbation_distance(f: MapSpec, g: MapSpec, samples: int = 4096,
     if f.content_key() == g.content_key():
         return 0.0
 
-    rng = np.random.default_rng(seed)
-    xs_all = (np.arange(samples) + 0.5) / samples
     alpha = min(f.holder_alpha, g.holder_alpha)
-    cutd = _cut_distance(f, g)
-    bounds_f = np.asarray((0.0,) + f.cuts)
-    bounds_g = np.asarray((0.0,) + g.cuts)
-    dist_bnd = np.minimum(
-        np.min(torus_delta(xs_all[:, None], bounds_f[None, :]), axis=1),
-        np.min(torus_delta(xs_all[:, None], bounds_g[None, :]), axis=1))
+    # element Hausdorff distance equals the largest endpoint displacement
+    # for arcs; the interior endpoints are the cuts
+    moved, pairs = 0.0, []
+    for bf, bg in zip(f.branches, g.branches):
+        moved = max(moved, float(torus_delta(bf.lo, bg.lo)),
+                    float(torus_delta(bf.hi % 1.0, bg.hi % 1.0)))
+        cf, cg = (tuple(b.coeffs) + (0.0,) * (3 - len(b.coeffs))
+                  for b in (bf, bg))
+        q = tuple(float(u - v) for u, v in zip(cf, cg))
+        pairs.append((max(bf.lo, bg.lo), min(bf.hi, bg.hi), q))
 
     def close(delta: float) -> bool:
-        if cutd >= delta:
+        if moved >= delta:
             return False
-        # element Hausdorff equals max endpoint displacement for arcs
-        for bf, bg in zip(f.branches, g.branches):
-            if max(float(torus_delta(bf.lo, bg.lo)),
-                   float(torus_delta(bf.hi % 1.0, bg.hi % 1.0))) >= delta:
-                return False
-        for k, (bf, bg) in enumerate(zip(f.branches, g.branches)):
-            lo, hi = max(bf.lo, bg.lo), min(bf.hi, bg.hi)
-            mask = (xs_all >= lo) & (xs_all < hi) & (dist_bnd > delta)
-            xs = xs_all[mask]
-            if xs.size == 0:
-                continue
-            c0 = float(np.max(torus_delta(bf.value(xs) % 1.0, bg.value(xs) % 1.0)))
-            c1 = float(np.max(np.abs(bf.deriv(xs) - bg.deriv(xs))))
-            ch = _holder_quotient(bf.deriv, bg.deriv, xs, alpha, rng)
-            if c0 + c1 + ch >= delta:
-                return False
-        return True
+        # both partitions' boundaries nearest to a point of [lo, hi) are
+        # lo and hi, so the points delta away from them form (lo+d, hi-d)
+        return all(_quadratic_size(q, lo + delta, hi - delta, alpha) < delta
+                   for lo, hi, q in pairs if lo + delta < hi - delta)
 
+    # circle distances are at most 1/2 and every branch domain is empty
+    # once delta >= 1/2, so close(2.0) holds
     lo, hi = 0.0, 2.0
-    if not close(hi):
-        return None
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid <= tol:

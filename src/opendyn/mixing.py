@@ -141,8 +141,9 @@ def _is_full_branch(m: MapSpec) -> bool:
 def perturb_full_branch(base: MapSpec, delta: float, rng) -> MapSpec:
     """Random full-branch map within perturbation distance delta of the
     base: interior cuts jitter and slopes/offsets follow to keep every
-    branch onto the circle.  The distance is verified, shrinking the
-    jitter if the first draw lands outside."""
+    branch onto the circle.  Each draw is checked with the exact
+    `perturbation_distance`, and the jitter is halved until one lands
+    within delta."""
     if delta == 0.0:
         return base
     cuts = np.asarray(base.cuts, dtype=float)

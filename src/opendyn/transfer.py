@@ -134,21 +134,24 @@ def _branch_entries(branch, n: int):
     Y = np.arange(k0, k1 + 1) * h
     Y[0], Y[-1] = y0, y1
     X = np.clip(np.asarray(branch.inverse(Y), dtype=float), d0, d1)
+    # the image ends pull back to the domain ends exactly, so adjacent
+    # branches tile their shared cell with no round-trip gap
+    X[0], X[-1] = (d0, d1) if increasing else (d1, d0)
+    # in cell units every piece is a difference of nearby coordinates,
+    # exact in floating point, so the pieces of a column sum to one cell
+    X *= n
     mid = 0.5 * (Y[:-1] + Y[1:])
     tgt = np.floor((mid % 1.0) * n).astype(np.int64) % n
     Xl = np.minimum(X[:-1], X[1:])
     Xr = np.maximum(X[:-1], X[1:])
     keep = Xr > Xl
     Xl, Xr, tgt = Xl[keep], Xr[keep], tgt[keep]
-    i0 = np.clip(np.floor(Xl * n + 1e-15).astype(np.int64), 0, n - 1)
-    split = np.minimum(Xr, (i0 + 1) * h)
-    rows = [tgt]
-    cols = [i0]
-    vals = [(split - Xl) / h]
-    spill = Xr > split + 1e-18
-    rows.append(tgt[spill])
-    cols.append(np.clip(i0[spill] + 1, 0, n - 1))
-    vals.append((Xr[spill] - split[spill]) / h)
+    i0 = np.clip(np.floor(Xl + 1e-15).astype(np.int64), 0, n - 1)
+    split = np.minimum(Xr, i0 + 1.0)
+    spill = Xr > split
+    rows = [tgt, tgt[spill]]
+    cols = [i0, np.clip(i0[spill] + 1, 0, n - 1)]
+    vals = [split - Xl, Xr[spill] - split[spill]]
     return rows, cols, vals
 
 

@@ -247,7 +247,7 @@ def test_09_global_slope_traversal(capsys):
     step_ok = res.constants["step"] <= res.constants["sigma_estimate"] + 1e-15
     ok = (res.passed and r2 >= 0.95 and lam_fit < 1.0 and step_ok
           and dt < 120.0)
-    _verdict(capsys, 9, "slope 2->3 traversal under the sampled speed limit",
+    _verdict(capsys, 9, "slope 2->3 traversal under the final-T speed limit",
              ok, f"lam_fit {lam_fit:.4f}, R2 {r2:.4f}, {dt:.1f}s")
 
 

@@ -236,18 +236,39 @@ def test_stability_check_covers_static_hole():
         hole_from_config(static).measure()
 
 
-def test_global_lambda_priced_at_final_T():
-    # at this seed and grid the open blocks grow T past every sample's own
-    # T; each sample's rate must be priced at the T the run uses
+def _global_seed5():
+    # at this seed and grid the open blocks grow T from every sample's own
+    # T = 3 to 4
     cfg = json.loads((pathlib.Path(__file__).parents[1] / "configs"
                       / "global.json").read_text())
     cfg["seed"] = 5
     cfg["grid"]["n"] = 1024
-    res = run_global(cfg)
+    return cfg
+
+
+def test_global_lambda_priced_at_final_T():
+    # each sample's rate must be priced at the T the run uses
+    res = run_global(_global_seed5())
     c = res.constants
     assert c["T"] > max(s["T"] for s in res.certificates["per_sample"])
     assert c["lambda"] == pytest.approx(
         math.tanh(c["delta0"] / 4.0) ** (1.0 / c["T"]), rel=1e-12)
+
+
+def test_global_speed_limit_at_final_T():
+    # the auto step is planned again at the grown T, so no block moves the
+    # parameter by more than half of any certified radius
+    res = run_global(_global_seed5())
+    c = res.constants
+    assert c["T"] == 4 and res.flags["speed_limit"]
+    assert c["sigma_estimate"] == min(c["xi_samples"]) / (2.0 * c["T"])
+    assert all(c["step"] * c["T"] / xi <= 0.5 + 1e-12
+               for xi in c["xi_samples"])
+    # an explicit step inside the limit at T = 3 but not at the final T = 4
+    cfg = _global_seed5()
+    cfg["family"]["step"] = 0.004
+    with pytest.raises(ConfigError, match="T = 4"):
+        run_global(cfg)
 
 
 def test_run_builds_its_operators_once(monkeypatch):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from opendyn import maps
 from opendyn.errors import BoundaryError, ConfigError, ParameterError
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import (Branch1D, MapSequence, MapSpec, affine_map,
@@ -9,7 +12,8 @@ from opendyn.maps import (Branch1D, MapSequence, MapSpec, affine_map,
                           map_from_config, matrix_map, perturbation_distance,
                           quadratic_full_branch, tripling_map,
                           unit_ball_volume)
-from opendyn.phase import Grid
+from opendyn.mixing import perturb_full_branch, perturb_offsets
+from opendyn.phase import Grid, torus_delta
 
 GOLDEN_MEAN_SQ = (3.0 + np.sqrt(5.0)) / 2.0   # largest singular value factor
 
@@ -169,6 +173,129 @@ def test_perturbation_distance_2d():
     assert d is not None and abs(d - 0.05) < 1e-9
     c = matrix_map([[3, 0], [0, 3]])
     assert perturbation_distance(a, c) is None
+
+
+def _bisect(close, tol=1e-9):
+    """The bisection over delta that perturbation_distance runs."""
+    lo, hi = 0.0, 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid <= tol:
+            break
+        if close(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= tol * max(1.0, hi):
+            break
+    return hi
+
+
+def _sampled_distance(f, g, n=2 ** 14, pair_points=128):
+    """Dense-sampled reference: C^0 and C^1 of each branch difference at
+    n cell centres at least delta from both partitions' boundaries, and
+    the Hölder quotient of the derivative difference over all pairs of
+    about pair_points of those centres."""
+    xs_all = (np.arange(n) + 0.5) / n
+    alpha = min(f.holder_alpha, g.holder_alpha)
+    bounds = np.r_[0.0, f.cuts, g.cuts]
+    dist_bnd = np.min(torus_delta(xs_all[:, None], bounds[None, :]), axis=1)
+    moved = max(max(torus_delta(bf.lo, bg.lo),
+                    torus_delta(bf.hi % 1.0, bg.hi % 1.0))
+                for bf, bg in zip(f.branches, g.branches))
+
+    def close(delta):
+        if moved >= delta:
+            return False
+        for bf, bg in zip(f.branches, g.branches):
+            xs = xs_all[(xs_all >= max(bf.lo, bg.lo))
+                        & (xs_all < min(bf.hi, bg.hi)) & (dist_bnd > delta)]
+            if xs.size == 0:
+                continue
+            c0 = torus_delta(bf.value(xs) % 1.0, bg.value(xs) % 1.0).max()
+            du = bf.deriv(xs) - bg.deriv(xs)
+            stride = max(1, xs.size // pair_points)
+            xp, dp = xs[::stride], du[::stride]
+            dx = np.abs(xp[:, None] - xp[None, :])
+            apart = dx > 0.0
+            ch = (np.abs(dp[:, None] - dp[None, :])[apart]
+                  / dx[apart] ** alpha).max() if apart.any() else 0.0
+            if c0 + np.abs(du).max() + ch >= delta:
+                return False
+        return True
+
+    return _bisect(close)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["full_branch", "offsets_affine",
+                               "offsets_quadratic", "quadratic_pair"]),
+       e1=st.floats(-0.5, 0.5), e2=st.floats(-0.5, 0.5),
+       delta=st.floats(0.001, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+# the difference of two quadratic_full_branch maps has its vertex in the
+# middle of each branch, where neither end of the domain sees it
+@example(family="quadratic_pair", e1=0.03, e2=0.01, delta=0.05, seed=0)
+def test_perturbation_distance_bounds_dense_sampling(family, e1, e2, delta,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    if family == "full_branch":
+        cuts = [[0.5], [1 / 3, 2 / 3], [0.3, 0.55], [0.5, 0.75]]
+        f = full_branch_map(cuts[rng.integers(len(cuts))])
+        g = perturb_full_branch(f, delta, rng)
+    elif family == "offsets_affine":
+        f = [doubling_map(), beta_map(2.5),
+             full_branch_map([0.3, 0.55])][rng.integers(3)]
+        g = perturb_offsets(f, delta, rng)
+    elif family == "offsets_quadratic":
+        f = quadratic_full_branch(e1)
+        g = perturb_offsets(f, delta, rng)
+    else:
+        f, g = quadratic_full_branch(e1), quadratic_full_branch(e2)
+    exact = perturbation_distance(f, g)
+    ref = _sampled_distance(f, g)
+    # the sup over the whole domain is never below a sup over samples; the
+    # bisections agree up to their tolerance
+    assert exact >= ref - 2e-9
+    # a sample lies within h of every point, so the sampled sum is short by
+    # at most h*(sup|q'| + |q''|), and a domain too short to hold two
+    # samples vanishes within 1.5*h more of delta
+    h = 1.0 / 2 ** 14
+    slope = max(
+        abs(bf.coeffs[1] - bg.coeffs[1]) + 4.0 * abs(
+            (bf.coeffs[2] if len(bf.coeffs) == 3 else 0.0)
+            - (bg.coeffs[2] if len(bg.coeffs) == 3 else 0.0))
+        for bf, bg in zip(f.branches, g.branches))
+    assert exact <= ref + (slope + 2.0) * h + 2e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                   st.floats(-2.0, 2.0)),
+       a=st.floats(0.0, 1.0), length=st.floats(1e-3, 1.0),
+       alpha=st.floats(0.05, 1.0))
+# q ranges over (0.42, 0.58): the distance to Z peaks at 1/2 inside the
+# range, above its value at either end
+@example(q=(0.4, 0.2, 0.0), a=0.1, length=0.8, alpha=1.0)
+# a short domain, where the reference's Hölder quotients round the most
+@example(q=(0.0, 1.0, 1.0), a=0.0, length=0.015625, alpha=1.0)
+def test_quadratic_size_is_dense_supremum(q, a, length, alpha):
+    b = a + length
+    xs = np.linspace(a, b, 4001)
+    q0, q1, q2 = q
+    y = q0 + xs * (q1 + xs * q2)
+    dq = q1 + 2.0 * q2 * xs
+    # every 40th point keeps both ends, so the widest pair spans (a, b)
+    xp, dp = xs[::40], dq[::40]
+    dx = np.abs(xp[:, None] - xp[None, :])
+    apart = dx > 0.0
+    ch = (np.abs(dp[:, None] - dp[None, :])[apart] / dx[apart] ** alpha).max()
+    ref = np.abs(y - np.round(y)).max() + np.abs(dq).max() + ch
+    got = maps._quadratic_size(q, a, b, alpha)
+    # the reference's divided differences round by ~eps*|q'| over the
+    # closest pair spacing, length/100
+    slack = 1e-12 + 4.0 * np.finfo(float).eps * np.abs(dq).max() \
+        / (length / 100.0) ** alpha
+    assert ref - slack <= got <= ref + np.abs(dq).max() * length / 4000 + slack
 
 
 def test_dynamical_partition_doubling():

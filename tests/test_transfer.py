@@ -11,6 +11,7 @@ from opendyn.holes import HoleSequence, interval_hole, rect_hole
 from opendyn.maps import (MapSequence, affine_map, doubling_map,
                           full_branch_map, matrix_map, quadratic_full_branch,
                           tripling_map)
+from opendyn.mixing import perturb_offsets
 from opendyn.phase import Grid
 from opendyn import transfer
 from opendyn.transfer import (GridDensity, OperatorCache, apply_operators,
@@ -95,6 +96,37 @@ def test_open_columns_bounded():
         assert colsums.max() <= 1.0 + 1e-12
     with pytest.raises(ConfigError):
         op.column_sum_error()   # survival, not stochasticity
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["affine", "quadratic"]),
+       eps=st.floats(-0.8, 0.8), cut=st.floats(0.35, 0.65),
+       n=st.integers(2, 4096), seed=st.integers(0, 2 ** 32 - 1),
+       holes=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.floats(0.001, 0.3)),
+                      min_size=1, max_size=4))
+# a quadratic branch with a zero x^2 coefficient is affine
+@example(kind="quadratic", eps=0.0, cut=0.5, n=1024, seed=0,
+         holes=[(0.3, 0.1)])
+def test_1d_transfer_conserves_or_loses_mass(kind, eps, cut, n, seed, holes):
+    # one random map per step: random affine maps, or offset jitters of one
+    # quadratic map; one interval hole per step, possibly wrapping
+    rng = np.random.default_rng(seed)
+    g = Grid(1, n)
+    if kind == "affine":
+        maps = [random_expanding_map(rng) for _ in holes]
+    else:
+        base = quadratic_full_branch(eps, cut)
+        maps = [perturb_offsets(base, 0.1, rng) for _ in holes]
+    ops = []
+    for m, (lo, w) in zip(maps, holes):
+        assert build_closed(m, g).column_sum_error() <= 1e-13
+        op = build_open(m, interval_hole(lo, (lo + w) % 1.0), g)
+        assert op.column_sums().max() <= 1.0 + 1e-13
+        ops.append(op)
+    phi = GridDensity(g, rng.uniform(0.1, 2.0, n))
+    masses = [d.mass for d in apply_operators(phi, ops, keep_all=True)]
+    assert all(b <= a * (1.0 + 1e-13) for a, b in zip(masses, masses[1:]))
 
 
 def test_open_rows_zeroed_on_hole():
