@@ -21,10 +21,9 @@ from .maps import (Branch1D, MapSequence, MapSpec, affine_map, balance_check,
 from .holes import (HoleSequence, HoleSpec, disk_hole, hole_from_config,
                     interval_hole, rect_hole, survivor_indicator,
                     survivor_measure, union_hole)
-from .transfer import (GridDensity, OperatorCache, UlamOperator,
-                       apply_operators, build_closed, build_open, escape_mass,
-                       evolve, export_operator_coo, l1_distance, normalize,
-                       schedule_operators)
+from .transfer import (GridDensity, OperatorCache, UlamOperator, build_closed,
+                       build_open, escape_mass, evolve, export_operator_coo,
+                       l1_distance, normalize, push, schedule_operators)
 from .seminorm import (ControlReport, LYCertificate, OscParams, SeminormSpec,
                        cone_member, conditional_expectation,
                        control_bounds_check, element_expectations,
@@ -34,10 +33,10 @@ from .cone import (ConeParams, RateConstants, birkhoff_factor, c_lip, delta0,
                    hilbert_distance_bound, rate_constants,
                    sample_cone_density, select_parameters,
                    verify_cone_contraction)
-from .mixing import (MixingCertificate, StabilityReport, block_mixing_ratios,
-                     certify_mixing, default_perturbation, find_mixing_time,
-                     mixing_ratios, perturb_full_branch, random_hole,
-                     ratio_profile, stability_check)
+from .mixing import (MixingCertificate, StabilityReport, certify_mixing,
+                     default_perturbation, find_mixing_time, mixing_ratios,
+                     perturb_full_branch, random_hole, ratio_profile,
+                     stability_check)
 from .experiments import (FAMILIES, ExperimentConfig, RunResult, emit_report,
                           fit_exponential, run_global, run_local)
 

@@ -20,7 +20,7 @@ from .errors import (ConfigError, ParameterError, PreconditionError,
                      SelectionError)
 from .phase import Grid, PartitionSpec
 from .seminorm import (SeminormSpec, cone_member, element_expectations)
-from .transfer import GridDensity, apply_operators, schedule_operators
+from .transfer import GridDensity, push, schedule_operators
 
 
 @dataclass(frozen=True)
@@ -271,21 +271,26 @@ def verify_cone_contraction(seq, holes, i: int, cp: ConeParams,
     """Sampled check that the block of steps i..i+T-1 maps the aperture-a
     cone into the sigma*a cone.  Reports the worst |L phi|_s/(a minE)
     ratio; contraction means it stays at or below sigma."""
-    if cp.Q is None:
-        raise ConfigError("verify_cone_contraction needs a selected partition")
+    if cp.Q is None or samples < 1:
+        raise ConfigError("verify_cone_contraction needs a selected "
+                          "partition and samples >= 1")
     if theta_LY is not None:
         fails = cp.audit(theta_LY, C_LY, T1)
         if fails:
             raise PreconditionError("; ".join(fails))
     rng = np.random.default_rng(seed)
-    ops = schedule_operators(seq, holes, i + cp.T - 1, cp.Q.grid,
-                             cache)[i - 1:]
+    grid = cp.Q.grid
+    ops = schedule_operators(seq, holes, i + cp.T - 1, grid, cache)[i - 1:]
+    V = np.column_stack([sample_cone_density(grid, cp.Q, cp.a, cp.seminorm,
+                                             rng).values
+                         for _ in range(samples)])
+    for V in push(ops, V, grid):
+        pass
     worst = 0.0
     violations = []
-    for j in range(samples):
-        phi = sample_cone_density(cp.Q.grid, cp.Q, cp.a, cp.seminorm, rng)
-        img = apply_operators(phi, ops)
-        chk = cone_member(img, cp.sigma * cp.a, cp.Q, cp.seminorm)
+    for j, img in enumerate(np.ascontiguousarray(V.T)):
+        chk = cone_member(GridDensity(grid, img), cp.sigma * cp.a, cp.Q,
+                          cp.seminorm)
         if chk.min_expectation > 0.0:
             worst = max(worst, chk.seminorm_value / (cp.a * chk.min_expectation))
         if not chk.ok:

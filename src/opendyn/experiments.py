@@ -2,7 +2,7 @@
 
 Both regimes run one pipeline, `_run`: certify, draw the hole schedule,
 build the run's operators once, grow T until every open block mixes,
-audit the cone, evolve two densities, then budget, fit and report.  A
+audit the cone, push both densities, then budget, fit and report.  A
 regime only supplies a plan: its per-sample certificates, its map
 schedule and its own flags, constants and certificates once T is final.
 A local run perturbs one base map; a global run traverses a map curve
@@ -24,8 +24,8 @@ from .phase import Grid, dyadic_pool
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
                    map_from_config, perturbation_distance)
 from .holes import HoleSequence, HoleSpec, hole_from_config
-from .transfer import (GridDensity, OperatorCache, l1_distance, normalize,
-                       schedule_operators)
+from .transfer import (MASS_FLOOR, GridDensity, OperatorCache, normalize,
+                       push, schedule_operators)
 from .seminorm import LYCertificate, SeminormSpec, cone_member, estimate_LY
 from .cone import ConeParams, RateConstants, rate_constants, select_parameters
 from .mixing import (certify_mixing, default_perturbation, random_hole,
@@ -134,25 +134,27 @@ def hole_schedule(rec: dict, m: int, dimension: int, rng) -> HoleSequence:
     kind = rec.get("kind", "none")
     if kind == "none":
         return HoleSequence.closed(m)
-    if kind == "static":
-        hole = hole_from_config(rec["hole"])
-        seq = HoleSequence.static(hole, m)
-    elif kind == "drifting_interval":
-        w = float(rec["measure"])
-        c0 = float(rec.get("center", 0.3))
-        v = float(rec.get("velocity", 0.137))
-        holes = []
-        for k in range(m):
-            c = (c0 + k * v) % 1.0
-            holes.append(HoleSpec(1, intervals=(((c - w / 2) % 1.0,
-                                                 (c + w / 2) % 1.0),)))
-        seq = HoleSequence(tuple(holes))
-    elif kind == "random_intervals":
-        eps = float(rec["epsilon"])
-        seq = HoleSequence(tuple(random_hole(dimension, eps, rng)
-                                 for _ in range(m)))
-    else:
-        raise ConfigError(f"unknown hole schedule kind {kind!r}")
+    try:
+        if kind == "static":
+            seq = HoleSequence.static(hole_from_config(rec["hole"]), m)
+        elif kind == "drifting_interval":
+            w = float(rec["measure"])
+            c0 = float(rec.get("center", 0.3))
+            v = float(rec.get("velocity", 0.137))
+            holes = []
+            for k in range(m):
+                c = (c0 + k * v) % 1.0
+                holes.append(HoleSpec(1, intervals=(((c - w / 2) % 1.0,
+                                                     (c + w / 2) % 1.0),)))
+            seq = HoleSequence(tuple(holes))
+        elif kind == "random_intervals":
+            eps = float(rec["epsilon"])
+            seq = HoleSequence(tuple(random_hole(dimension, eps, rng)
+                                     for _ in range(m)))
+        else:
+            raise ConfigError(f"unknown hole schedule kind {kind!r}")
+    except KeyError as exc:
+        raise ConfigError(f"{kind} hole schedule missing key {exc}") from exc
     cap = hole_cap(rec)
     for h in seq.holes:
         if h is not None and h.measure() > cap + 1e-12:
@@ -198,7 +200,7 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
         heights = rng.uniform(0.25, 2.0, nb)
         v = np.repeat(heights, grid.total_cells // nb)
         v = np.r_[v, np.full(grid.total_cells - v.size, heights[-1])]
-        return GridDensity(grid, v).normalized()
+        return normalize(GridDensity(grid, v))
     raise ConfigError(f"unknown density kind {kind!r}")
 
 
@@ -239,20 +241,30 @@ def _bump_T_for_blocks(cp: ConeParams, ops: list, cfg: ExperimentConfig,
 
 def _execute(ops: list, phi0: GridDensity, psi0: GridDensity,
              sem: SeminormSpec):
-    phi, psi = phi0, psi0
-    records, peaks = [], []
+    """Push phi and psi as one block and record masses, normalized L1 and
+    the seminorm peak per step.  Exact power-of-two rescaling of each
+    column (exponent carried) keeps long runs from underflowing."""
     peak = max(sem.value(normalize(phi0)), sem.value(normalize(psi0)))
-    for k, op in enumerate(ops, start=1):
-        phi = op.apply(phi)
-        psi = op.apply(psi)
-        try:
-            phin, psin = normalize(phi), normalize(psi)
-        except TotalEscapeError as exc:
-            raise TotalEscapeError(f"total escape at step {k}: {exc}") from exc
-        peak = max(peak, sem.value(phin), sem.value(psin))
-        records.append({"m": k, "mass_phi": phi.mass, "mass_psi": psi.mass,
-                        "l1_distance": l1_distance(phin, psin)})
+    V = np.column_stack([phi0.values, psi0.values])
+    mass_in = np.array([phi0.mass, psi0.mass])
+    exponent = np.zeros(2, dtype=int)
+    records, peaks = [], []
+    for k, V in enumerate(push(ops, V, phi0.grid), start=1):
+        W = np.ascontiguousarray(V.T)
+        mass = W.mean(axis=1)
+        if (mass <= MASS_FLOOR * mass_in).any():
+            raise TotalEscapeError(
+                f"total escape at step {k}: a density kept at most "
+                f"{MASS_FLOOR:.3g} of its mass")
+        W /= mass[:, None]
+        peak = max(peak, float(sem.rows(W, phi0.grid).max()))
+        mass_phi, mass_psi = np.ldexp(mass, exponent).tolist()
+        records.append({"m": k, "mass_phi": mass_phi, "mass_psi": mass_psi,
+                        "l1_distance": float(np.abs(W[0] - W[1]).mean())})
         peaks.append(peak)
+        mass_in, shift = np.frexp(mass)
+        V *= np.ldexp(1.0, -shift)
+        exponent += shift
     return records, peaks
 
 

@@ -128,6 +128,8 @@ def disk_hole(cx: float, cy: float, r: float) -> HoleSpec:
 def hole_from_config(rec: dict):
     if rec is None:
         return None
+    if "dimension" not in rec:
+        raise ConfigError("hole config missing key 'dimension'")
     return HoleSpec(rec["dimension"],
                     intervals=tuple(tuple(t) for t in rec.get("intervals", ())),
                     rects=tuple(tuple(t) for t in rec.get("rects", ())),

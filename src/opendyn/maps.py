@@ -296,18 +296,22 @@ def matrix_map(matrix, offset=(0.0, 0.0), check_expanding: bool = True) -> MapSp
 
 
 def map_from_config(rec: dict) -> MapSpec:
-    kind = rec["kind"]
-    if kind in ("affine_1d", "quadratic_1d"):
-        branches = tuple(Branch1D(lo, hi, tuple(co)) for lo, hi, co in rec["branches"])
-        return MapSpec(1, kind, branches,
-                       check_expanding=rec.get("check_expanding", True))
-    if kind == "full_branch_1d":
-        return full_branch_map(rec["cuts"])
-    if kind == "beta_1d":
-        return beta_map(rec["beta"])
-    if kind == "affine_2d":
-        return matrix_map(rec["matrix"], rec.get("offset", (0.0, 0.0)),
-                          rec.get("check_expanding", True))
+    try:
+        kind = rec["kind"]
+        if kind in ("affine_1d", "quadratic_1d"):
+            branches = tuple(Branch1D(lo, hi, tuple(co))
+                             for lo, hi, co in rec["branches"])
+            return MapSpec(1, kind, branches,
+                           check_expanding=rec.get("check_expanding", True))
+        if kind == "full_branch_1d":
+            return full_branch_map(rec["cuts"])
+        if kind == "beta_1d":
+            return beta_map(rec["beta"])
+        if kind == "affine_2d":
+            return matrix_map(rec["matrix"], rec.get("offset", (0.0, 0.0)),
+                              rec.get("check_expanding", True))
+    except KeyError as exc:
+        raise ConfigError(f"map config missing key {exc}") from exc
     raise ConfigError(f"unknown map kind {kind!r}")
 
 

@@ -2,9 +2,9 @@
 
 The mixing condition asks that lambda(J1 intersect F^-i J2)/(lambda(J1)
 lambda(J2)) stay inside (zeta1, zeta2) for all element pairs once i
-reaches the mixing time E.  Intersection measures come from the Ulam
-operator applied to element indicator densities, which is exact for
-aligned affine maps.
+reaches the mixing time E.  Intersection measures come from pushing the
+block of element indicator densities through the Ulam operators, which
+is exact for aligned affine maps.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CertificateError, ConfigError, ParameterError
 from .maps import (Branch1D, MapSpec, MapSequence, full_branch_map,
                    matrix_map, perturbation_distance)
 from .holes import HoleSpec, HoleSequence
 from .phase import PartitionSpec
-from .transfer import build_closed, schedule_operators
+from .transfer import build_closed, push, schedule_operators
 
 
 def ratio_profile(operators, Q: PartitionSpec) -> np.ndarray:
@@ -33,22 +32,14 @@ def ratio_profile(operators, Q: PartitionSpec) -> np.ndarray:
     """
     if not operators:
         raise ConfigError("need at least one operator")
-    grid = Q.grid
-    cm = grid.cell_measure
+    cm = Q.grid.cell_measure
     sizes = np.array([cells.size for cells in Q.elements])
     if (sizes == 0).any():
         raise ConfigError("partition element of zero measure")
     lam = sizes * cm
-    n = grid.total_cells
-    S = sparse.csr_matrix((np.ones(n), (Q.labels(), np.arange(n))),
-                          shape=(Q.n_elements, n))
-    V = S.T.toarray()
     out = np.empty((len(operators), 2))
-    for k, op in enumerate(operators):
-        if op.grid != grid:
-            raise ConfigError("operator and partition grids differ")
-        V = op.matrix @ V
-        R = (S @ V) * cm / (lam[None, :] * lam[:, None])
+    for k, V in enumerate(push(operators, Q.indicator.T.toarray(), Q.grid)):
+        R = (Q.indicator @ V) * cm / (lam[None, :] * lam[:, None])
         out[k] = R.min(), R.max()
     return out
 
@@ -80,13 +71,6 @@ def find_mixing_time(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
     """Smallest E <= i_max with all pair ratios inside (zeta1, zeta2) for
     every E <= i <= i_max, or None when the window never stabilizes."""
     return _closed_window(mapspec, Q, zeta1, zeta2, i_max)[0]
-
-
-def block_mixing_ratios(seq, holes, start: int, T: int, Q: PartitionSpec,
-                        cache=None) -> tuple:
-    """Pair-ratio extremes for the open block of steps start..start+T-1."""
-    ops = schedule_operators(seq, holes, start + T - 1, Q.grid, cache)
-    return tuple(ratio_profile(ops[start - 1:], Q)[-1].tolist())
 
 
 # ---------------------------------------------------------------------------

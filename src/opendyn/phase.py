@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError
 
@@ -247,6 +249,14 @@ class PartitionSpec:
         for k, cells in enumerate(self.elements):
             lab[cells] = k
         return lab
+
+    @cached_property
+    def indicator(self) -> sparse.csr_matrix:
+        """n_elements x cells 0/1 membership: `indicator @ V` sums V, of shape
+        (cells,) or (cells, k), over each element in cell index order."""
+        n = self.grid.total_cells
+        return sparse.csr_matrix((np.ones(n), (self.labels(), np.arange(n))),
+                                 shape=(self.n_elements, n))
 
     def to_json(self) -> str:
         return json.dumps({

@@ -2,7 +2,8 @@
 
 Total variation (1D, cyclic) and the oscillation seminorm (sup over a
 dyadic ladder of scales of the averaged oscillation over metric balls)
-measure density regularity.  On top of them: conditional expectations,
+measure density regularity; each is evaluated for every row of a
+(k, cells) block at once.  On top of them: conditional expectations,
 cone membership, the conditional-expectation control bounds for a
 certified block, and empirical Lasota-Yorke certification.
 """
@@ -20,26 +21,30 @@ from scipy import ndimage
 
 from .errors import (CertificateError, ConfigError, DegenerateParametersWarning,
                      ParameterError, PreconditionError)
+from .mixing import ratio_profile
 from .phase import Grid, PartitionSpec, diam_lambda, metric_diam
-from .transfer import GridDensity, apply_operators, schedule_operators
+from .transfer import GridDensity, push, schedule_operators
 
 NONNEG_TOL = 1e-12  # float dust allowed below zero after matrix products
 
 
 # ---------------------------------------------------------------------------
-# seminorms
+# seminorms: each reduces along the contiguous last axis of a (k, cells)
+# array, so a row gives the same bits as the same density on its own
+
+def _tv_rows(V: np.ndarray, grid: Grid) -> np.ndarray:
+    if grid.dimension == 1:
+        return np.abs(V - np.roll(V, -1, axis=1)).sum(axis=1)
+    k, n = V.shape[0], grid.n
+    W = V.reshape(k, n, n)
+    return sum(np.abs(W - np.roll(W, 1, axis=a)).reshape(k, -1).sum(axis=1)
+               for a in (1, 2)) / n
+
 
 def total_variation(phi: GridDensity) -> float:
     """Cyclic total variation.  1D: sum of |jumps| around the circle.
     2D: jumps across cell edges weighted by edge length."""
-    v = phi.values
-    if phi.grid.dimension == 1:
-        return float(np.abs(np.diff(np.r_[v, v[0]])).sum())
-    n = phi.grid.n
-    w = v.reshape(n, n)
-    jumps = np.abs(w - np.roll(w, 1, axis=0)).sum() \
-        + np.abs(w - np.roll(w, 1, axis=1)).sum()
-    return float(jumps / n)
+    return float(_tv_rows(phi.values[None], phi.grid)[0])
 
 
 @dataclass(frozen=True)
@@ -56,9 +61,24 @@ class OscParams:
             raise ConfigError("eps0 must be positive")
 
 
-def _window_halfwidth(eps: float, h: float) -> int:
-    # cells overlapping the open ball of radius eps around a cell center
-    return int(math.floor(eps / h + 0.5 - 1e-12))
+def _osc_rows(V: np.ndarray, grid: Grid, p: OscParams) -> tuple:
+    """(ladder scales eps, eps^(-alpha) * mean oscillation: rows x scales)."""
+    h, diam = grid.spacing, grid.cell_diameter
+    if p.eps0 < diam - 1e-12:
+        raise ConfigError("eps0 below one cell diameter")
+    k, dim = V.shape[0], grid.dimension
+    W = V.reshape((k,) + (grid.n,) * dim)
+    scales, cols = [], []
+    eps = diam
+    while eps <= p.eps0 * (1.0 + 1e-12):
+        # cells overlapping the open ball of radius eps around a cell center
+        size = (1,) + (2 * int(math.floor(eps / h + 0.5 - 1e-12)) + 1,) * dim
+        osc = ndimage.maximum_filter(W, size=size, mode="wrap") \
+            - ndimage.minimum_filter(W, size=size, mode="wrap")
+        scales.append(eps)
+        cols.append(osc.reshape(k, -1).mean(axis=1) / eps ** p.alpha)
+        eps *= 2.0
+    return scales, np.column_stack(cols)
 
 
 def oscillation_seminorm(phi: GridDensity, p: OscParams,
@@ -70,27 +90,10 @@ def oscillation_seminorm(phi: GridDensity, p: OscParams,
     overlaps (a square window in 2D).  The ladder realizes the supremum
     up to the documented scale discretization.
     """
-    grid = phi.grid
-    h, diam = grid.spacing, grid.cell_diameter
-    if p.eps0 < diam - 1e-12:
-        raise ConfigError("eps0 below one cell diameter")
-    profile = []
-    eps = diam
-    while eps <= p.eps0 * (1.0 + 1e-12):
-        k = _window_halfwidth(eps, h)
-        size = 2 * k + 1
-        if grid.dimension == 1:
-            hi = ndimage.maximum_filter1d(phi.values, size, mode="wrap")
-            lo = ndimage.minimum_filter1d(phi.values, size, mode="wrap")
-        else:
-            w = phi.values.reshape(grid.n, grid.n)
-            hi = ndimage.maximum_filter(w, size=size, mode="wrap").ravel()
-            lo = ndimage.minimum_filter(w, size=size, mode="wrap").ravel()
-        integral = float((hi - lo).mean())
-        profile.append((eps, integral / eps ** p.alpha))
-        eps *= 2.0
-    value = max(v for _, v in profile)
-    return (value, profile) if return_profile else value
+    scales, vals = _osc_rows(phi.values[None], phi.grid, p)
+    value = float(vals[0].max())
+    return (value, list(zip(scales, vals[0].tolist()))) if return_profile \
+        else value
 
 
 @dataclass(frozen=True)
@@ -111,10 +114,14 @@ class SeminormSpec:
         if self.kind == "osc" and self.osc is None:
             raise ConfigError("oscillation seminorm needs OscParams")
 
-    def value(self, phi: GridDensity) -> float:
+    def rows(self, V: np.ndarray, grid: Grid) -> np.ndarray:
+        """The seminorm of each row of a (k, cells) array."""
         if self.kind == "tv":
-            return total_variation(phi)
-        return oscillation_seminorm(phi, self.osc)
+            return _tv_rows(V, grid)
+        return _osc_rows(V, grid, self.osc)[1].max(axis=1)
+
+    def value(self, phi: GridDensity) -> float:
+        return float(self.rows(phi.values[None], phi.grid)[0])
 
     def diam(self, Q: PartitionSpec) -> float:
         return diam_lambda(Q) if self.kind == "tv" else metric_diam(Q)
@@ -148,7 +155,8 @@ def conditional_expectation(phi: GridDensity, Q: PartitionSpec) -> GridDensity:
 
 
 def element_expectations(phi: GridDensity, Q: PartitionSpec) -> np.ndarray:
-    return np.array([phi.values[cells].mean() for cells in Q.elements])
+    """Average of phi over each element of Q."""
+    return (Q.indicator @ phi.values) / [cells.size for cells in Q.elements]
 
 
 class ConeCheck(NamedTuple):
@@ -188,7 +196,7 @@ class ControlReport(NamedTuple):
 def control_bounds_check(seq, holes, i: int, T: int, Q: PartitionSpec,
                          zeta1: float, zeta2: float, a: float, M: float,
                          phi: GridDensity, sem: SeminormSpec,
-                         cache=None, check_mixing: bool = True) -> ControlReport:
+                         cache=None) -> ControlReport:
     """Two-sided bound on E[L_block phi | Q] for a cone density phi:
 
         (zeta1 - zeta2*(a/M)*d) * mass <= E[...] <= zeta2*(1 + (a/M)*d) * mass
@@ -202,19 +210,19 @@ def control_bounds_check(seq, holes, i: int, T: int, Q: PartitionSpec,
     if T < 1:
         raise ConfigError("block length must be >= 1")
     ops = schedule_operators(seq, holes, i + T - 1, phi.grid, cache)[i - 1:]
-    if check_mixing:
-        from .mixing import ratio_profile
-        rmin, rmax = ratio_profile(ops, Q)[-1]
-        if not (zeta1 < rmin and rmax < zeta2):
-            raise PreconditionError(
-                f"block ratios [{rmin:.4g}, {rmax:.4g}] escape ({zeta1}, {zeta2})")
+    rmin, rmax = ratio_profile(ops, Q)[-1]
+    if not (zeta1 < rmin and rmax < zeta2):
+        raise PreconditionError(
+            f"block ratios [{rmin:.4g}, {rmax:.4g}] escape ({zeta1}, {zeta2})")
     d = sem.diam(Q)
     lo_coef = zeta1 - zeta2 * (a / M) * d
     if lo_coef <= 0.0:
         warnings.warn("lower control bound is vacuous (zeta1 <= zeta2*a*d/M)",
                       DegenerateParametersWarning)
     mass = phi.mass
-    e = element_expectations(apply_operators(phi, ops), Q)
+    for v in push(ops, phi.values, phi.grid):
+        pass
+    e = element_expectations(GridDensity(phi.grid, v), Q)
     lower = lo_coef * mass
     upper = zeta2 * (1.0 + (a / M) * d) * mass
     return ControlReport(bool(e.min() >= lower - NONNEG_TOL),
@@ -295,14 +303,11 @@ def _ly_replay(seq, holes, T1: int, k_max: int, sem: SeminormSpec,
     if len(seq) < k_max * T1:
         raise ConfigError("map sequence shorter than k_max * T1")
     ops = schedule_operators(seq, holes, k_max * T1, grid, cache)
-    s0 = np.array([sem.value(phi) for phi in members])
-    mass0 = np.array([phi.mass for phi in members])
-    svals = np.empty((len(members), k_max))
-    for j, phi in enumerate(members):
-        traj = apply_operators(phi, ops, keep_all=True)
-        for k in range(1, k_max + 1):
-            svals[j, k - 1] = sem.value(traj[k * T1])
-    return s0, mass0, svals
+    W = np.array([phi.values for phi in members])
+    svals = np.column_stack([
+        sem.rows(np.ascontiguousarray(V.T), grid)
+        for step, V in enumerate(push(ops, W.T, grid), 1) if step % T1 == 0])
+    return sem.rows(W, grid), W.mean(axis=1), svals
 
 
 def _ly_excess(s0, mass0, svals, T1: int, theta: float, C: float) -> np.ndarray:

@@ -6,7 +6,8 @@ the integer matrix moves every cell image by whole cells, so the image
 of one cell is clipped against the grid once and the resulting stencil
 is tiled over all columns.  Closed-map columns sum to 1 up to float
 rounding only.  Open operators zero the rows of hole cells, with hole
-membership sampled at cell centers.
+membership sampled at cell centers.  `push` moves one density or a
+block of them through a schedule, one sparse matmat per step.
 """
 
 from __future__ import annotations
@@ -46,34 +47,21 @@ class GridDensity:
     def mass(self) -> float:
         return float(self.values.mean())
 
-    def copy(self) -> "GridDensity":
-        return GridDensity(self.grid, self.values.copy())
-
     @staticmethod
     def uniform(grid: Grid) -> "GridDensity":
         return GridDensity(grid, np.ones(grid.total_cells))
 
     @staticmethod
-    def indicator(grid: Grid, cells, normalized: bool = False) -> "GridDensity":
-        v = np.zeros(grid.total_cells)
-        v[np.asarray(cells, dtype=np.int64)] = 1.0
-        d = GridDensity(grid, v)
-        return d.normalized() if normalized else d
-
-    @staticmethod
     def from_function(grid: Grid, fn) -> "GridDensity":
         return GridDensity(grid, np.asarray(fn(grid.centers()), dtype=float))
-
-    def normalized(self, floor: float = MASS_FLOOR) -> "GridDensity":
-        m = self.mass
-        if m <= floor:
-            raise TotalEscapeError(f"cannot normalize: mass {m:.3g} at or below floor")
-        return GridDensity(self.grid, self.values / m)
 
 
 def normalize(phi: GridDensity, floor: float = MASS_FLOOR) -> GridDensity:
     """Rescale to unit mass; raises TotalEscapeError at (or below) zero mass."""
-    return phi.normalized(floor)
+    m = phi.mass
+    if m <= floor:
+        raise TotalEscapeError(f"cannot normalize: mass {m:.3g} at or below floor")
+    return GridDensity(phi.grid, phi.values / m)
 
 
 def l1_distance(phi: GridDensity, psi: GridDensity) -> float:
@@ -98,11 +86,6 @@ class UlamOperator:
     matrix: sparse.csr_matrix
     hole_mask: np.ndarray | None = None   # rows zeroed (open operator)
     key: tuple = ()
-
-    def apply(self, phi: GridDensity) -> GridDensity:
-        if phi.grid != self.grid:
-            raise ConfigError("density grid does not match operator grid")
-        return GridDensity(self.grid, self.matrix @ phi.values)
 
     def column_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=0)).ravel()
@@ -316,16 +299,16 @@ class OperatorCache:
 # ---------------------------------------------------------------------------
 # evolution
 
-def apply_operators(phi: GridDensity, operators, keep_all: bool = False):
-    """Apply operators in order; returns the final density, or the whole
-    trajectory [phi_0, ..., phi_m] with keep_all=True."""
-    out = [phi]
-    cur = phi
+def push(operators, V: np.ndarray, grid: Grid):
+    """Yield M_1 V, M_2 M_1 V, ... for one density V of shape (cells,) or
+    a block of them, one per column, shape (cells, k): one sparse matmat
+    per step, each column bit for bit its own matvec.  A yielded block
+    may be rescaled in place; the next step pushes what it holds."""
     for op in operators:
-        cur = op.apply(cur)
-        if keep_all:
-            out.append(cur)
-    return out if keep_all else cur
+        if op.grid != grid:
+            raise ConfigError("density grid does not match operator grid")
+        V = op.matrix @ V
+        yield V
 
 
 def evolve(map_seq, hole_seq, phi0: GridDensity, m: int,
@@ -336,8 +319,9 @@ def evolve(map_seq, hole_seq, phi0: GridDensity, m: int,
         raise ConfigError("m must be >= 1")
     if len(map_seq) < m or (hole_seq is not None and len(hole_seq) < m):
         raise ConfigError("schedules shorter than requested horizon")
-    ops = schedule_operators(map_seq, hole_seq, m, phi0.grid, cache)
-    return apply_operators(phi0, ops, keep_all=True)[1:]
+    grid = phi0.grid
+    ops = schedule_operators(map_seq, hole_seq, m, grid, cache)
+    return [GridDensity(grid, v) for v in push(ops, phi0.values, grid)]
 
 
 def schedule_operators(map_seq, hole_seq, m: int, grid: Grid,

@@ -4,6 +4,8 @@ import pathlib
 import pytest
 
 from opendyn.cli import main
+from opendyn.errors import ConfigError
+from opendyn.experiments import run_local
 
 LOCAL_CFG = {
     "kind": "local",
@@ -113,6 +115,20 @@ def test_usage_and_config_errors(tmp_path):
         "grid": {"dimension": 1, "n": 256},
         "partition": {"level": 2}, "zeta1": 0.9, "zeta2": 1.1})
     assert main(["certify-mixing", badmap]) == 1
+
+
+@pytest.mark.parametrize("key, patch", [
+    ("cuts", {"map": {"kind": "full_branch_1d"}}),
+    ("measure", {"holes": {"kind": "drifting_interval", "center": 0.3}}),
+    ("dimension", {"holes": {"kind": "static",
+                             "hole": {"intervals": [[0.3, 0.4]]}}}),
+], ids=["map_cuts", "drifting_measure", "static_dimension"])
+def test_missing_config_key_is_config_error(tmp_path, key, patch):
+    cfg = dict(LOCAL_CFG, **patch)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        run_local(cfg)
+    assert main(["simulate-local", write(tmp_path, "c.json", cfg),
+                 "--out", str(tmp_path / "out")]) == 1
 
 
 def test_rerun_is_byte_identical(tmp_path):

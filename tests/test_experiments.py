@@ -9,14 +9,17 @@ import pytest
 import opendyn.experiments
 import opendyn.mixing
 import opendyn.seminorm
-from opendyn.errors import ConfigError, ParameterError
-from opendyn.experiments import (FAMILIES, ExperimentConfig, build_density,
-                                 emit_report, fit_exponential, hole_cap,
-                                 hole_schedule, run_global, run_local)
-from opendyn.holes import HoleSequence, hole_from_config
+from opendyn.errors import ConfigError, ParameterError, TotalEscapeError
+from opendyn.experiments import (FAMILIES, ExperimentConfig, _execute,
+                                 build_density, emit_report, fit_exponential,
+                                 hole_cap, hole_schedule, run_global,
+                                 run_local)
+from opendyn.holes import HoleSequence, hole_from_config, interval_hole
 from opendyn.maps import MapSequence, doubling_map
 from opendyn.phase import Grid
-from opendyn.transfer import GridDensity, build_closed, evolve, normalize
+from opendyn.seminorm import SeminormSpec
+from opendyn.transfer import (GridDensity, build_closed, evolve, normalize,
+                              schedule_operators)
 
 
 LOCAL_CFG = {
@@ -178,11 +181,54 @@ def test_closed_unperturbed_run_matches_matrix_power():
     x = g.centers()
     psi = GridDensity(g, 1.0 + 0.3 * (x - 0.5))
     for k, rec in enumerate(res.records, start=1):
-        phi, psi = op.apply(phi), op.apply(psi)
+        phi = GridDensity(g, op.matrix @ phi.values)
+        psi = GridDensity(g, op.matrix @ psi.values)
         want = float(np.abs(normalize(phi).values
                             - normalize(psi).values).mean())
         assert abs(rec["l1_distance"] - want) < 1e-12
         assert abs(rec["mass_phi"] - phi.mass) < 1e-12
+
+
+def test_execute_survives_underflow():
+    # doubling with a static hole [0.3, 0.4): the unnormalized masses fall
+    # below 1e-15 near step 315 and below 1e-19 by step 400
+    g, m = Grid(1, 1024), 400
+    ops = schedule_operators(MapSequence.constant(doubling_map(), m),
+                             HoleSequence.static(interval_hole(0.3, 0.4), m),
+                             m, g)
+    phi0 = GridDensity.uniform(g)
+    psi0 = GridDensity(g, 1.0 + 0.3 * (g.centers() - 0.5))
+    records, _ = _execute(ops, phi0, psi0, SeminormSpec("tv"))
+    assert [r["m"] for r in records] == list(range(1, m + 1))
+    # reference: renormalize every step and carry the log-mass
+    op = ops[0].matrix
+    for key, dens in (("mass_phi", phi0), ("mass_psi", psi0)):
+        v, log_mass = dens.values, 0.0
+        for r in records:
+            v = op @ v
+            log_mass += math.log(v.mean())
+            v = v / v.mean()
+            assert math.isclose(r[key], math.exp(log_mass), rel_tol=1e-12)
+    assert 0.0 < records[-1]["mass_phi"] < 1e-19
+    # the first steps, before any underflow, keep every bit of a plain push
+    phi, psi = phi0, psi0
+    for r in records[:40]:
+        phi = GridDensity(g, op @ phi.values)
+        psi = GridDensity(g, op @ psi.values)
+        assert (r["mass_phi"], r["mass_psi"]) == (phi.mass, psi.mass)
+        assert r["l1_distance"] == float(
+            np.abs(normalize(phi).values - normalize(psi).values).mean())
+
+
+def test_execute_total_escape_names_step():
+    # a hole over every cell centre at step 3 removes all mass
+    g = Grid(1, 64)
+    holes = HoleSequence((None, None, interval_hole(0.0, 0.999), None))
+    ops = schedule_operators(MapSequence.constant(doubling_map(), 4), holes,
+                             4, g)
+    dens = GridDensity.uniform(g)
+    with pytest.raises(TotalEscapeError, match="step 3"):
+        _execute(ops, dens, dens, SeminormSpec("tv"))
 
 
 def test_global_constant_family_reduces_to_local():

@@ -1,14 +1,19 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from opendyn.errors import (ConfigError, DegenerateParametersWarning,
                             ParameterError, PreconditionError)
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import MapSequence, doubling_map, tripling_map
-from opendyn.phase import Grid, dyadic_partition
-from opendyn.seminorm import (LYCertificate, SeminormSpec, cone_member,
+from opendyn.phase import Grid, dyadic_partition, partition_from_labels
+from opendyn.seminorm import (LYCertificate, OscParams, SeminormSpec,
+                              cone_member,
                               conditional_expectation, control_bounds_check,
                               element_expectations, estimate_LY, ly_ensemble,
                               oscillation_seminorm, total_variation,
@@ -17,6 +22,7 @@ from opendyn.transfer import GridDensity, build_closed
 
 
 TV = SeminormSpec.from_config({"kind": "tv"})
+EPS = float(np.finfo(float).eps)
 
 
 def step_density(g, height=1.0):
@@ -97,6 +103,89 @@ def test_seminorm_config_roundtrip():
             assert again.osc.eps0 == sem.osc.eps0
 
 
+def _tv_one(v, g):
+    """Cyclic total variation of one density, from its 1D value array."""
+    if g.dimension == 1:
+        return float(np.abs(np.diff(np.r_[v, v[0]])).sum())
+    w = v.reshape(g.n, g.n)
+    return float((np.abs(w - np.roll(w, 1, axis=0)).sum()
+                  + np.abs(w - np.roll(w, 1, axis=1)).sum()) / g.n)
+
+
+def _osc_one(v, g, p):
+    """Oscillation seminorm of one density, one ndimage filter per scale."""
+    best, eps = -np.inf, g.cell_diameter
+    while eps <= p.eps0 * (1.0 + 1e-12):
+        size = 2 * int(np.floor(eps / g.spacing + 0.5 - 1e-12)) + 1
+        w = v if g.dimension == 1 else v.reshape(g.n, g.n)
+        if g.dimension == 1:
+            osc = ndimage.maximum_filter1d(w, size, mode="wrap") \
+                - ndimage.minimum_filter1d(w, size, mode="wrap")
+        else:
+            osc = ndimage.maximum_filter(w, size=size, mode="wrap") \
+                - ndimage.minimum_filter(w, size=size, mode="wrap")
+        best = max(best, float(osc.mean()) / eps ** p.alpha)
+        eps *= 2.0
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(dimension=st.sampled_from([1, 2]), kind=st.sampled_from(["tv", "osc"]),
+       k=st.integers(1, 5), alpha=st.floats(0.1, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_seminorm_rows_match_single_density(dimension, kind, k, alpha, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 2049)) if dimension == 1 \
+        else int(rng.integers(2, 33))
+    g = Grid(dimension, n)
+    eps0 = g.cell_diameter * float(
+        rng.uniform(1.0, max(1.0, 0.5 / g.cell_diameter)))
+    p = OscParams(alpha, eps0)
+    sem = SeminormSpec(kind, p if kind == "osc" else None)
+    # piecewise-constant rows with random jumps, then random dust
+    V = np.repeat(rng.uniform(0.0, 3.0, (k, 8)), -(-g.total_cells // 8),
+                  axis=1)[:, :g.total_cells]
+    V += rng.uniform(0.0, 1e-3, V.shape)
+    rows = sem.rows(V, g)
+    single = [sem.value(GridDensity(g, v.copy())) for v in V]
+    entry = [total_variation(GridDensity(g, v.copy())) if kind == "tv"
+             else oscillation_seminorm(GridDensity(g, v.copy()), p)
+             for v in V]
+    ref = [_tv_one(v.copy(), g) if kind == "tv" else _osc_one(v.copy(), g, p)
+           for v in V]
+    assert np.array_equal(rows, single)
+    assert np.array_equal(rows, entry)
+    assert np.array_equal(rows, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dimension=st.sampled_from([1, 2]), elements=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_element_sums_match_element_means(dimension, elements, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 513)) if dimension == 1 \
+        else int(rng.integers(4, 17))
+    g = Grid(dimension, n)
+    labels = rng.permutation(np.arange(g.total_cells) % elements)
+    Q = partition_from_labels(g, labels)
+    V = rng.uniform(0.0, 3.0, (g.total_cells, 3))
+    sizes = np.array([cells.size for cells in Q.elements])
+    for j in range(3):
+        phi = GridDensity(g, V[:, j].copy())
+        e = element_expectations(phi, Q)
+        # each element adds its cells left to right, in index order
+        ordered = [sum(phi.values[cells].tolist()) for cells in Q.elements]
+        assert np.array_equal(e, np.array(ordered) / sizes)
+        # and stays within the a-priori bound of recursive summation of
+        # nonnegative terms, size * eps relative, of the exact mean
+        exact = np.array([math.fsum(phi.values[cells]) / cells.size
+                          for cells in Q.elements])
+        assert np.all(np.abs(e - exact) <= sizes * EPS * exact)
+        # a block sums each column exactly as that column alone
+        assert np.array_equal((Q.indicator @ V)[:, j],
+                              Q.indicator @ phi.values)
+
+
 def test_conditional_expectation_dyadic():
     g = Grid(1, 1024)
     Q = dyadic_partition(g, 1)
@@ -171,8 +260,7 @@ def test_control_bounds_degenerate_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rep = control_bounds_check(seq, None, 1, 3, Q, 0.9, 1.1,
-                                   a=100.0, M=0.01, phi=phi, sem=TV,
-                                   check_mixing=False)
+                                   a=100.0, M=0.01, phi=phi, sem=TV)
     assert any(issubclass(w.category, DegenerateParametersWarning)
                for w in caught)
     assert rep.lower_ok   # vacuous: the lower coefficient is negative
@@ -242,5 +330,5 @@ def test_tv_contraction_property_random_pwc():
                          np.diff(np.r_[0, edges, g.n]))
         phi = GridDensity(g, vals)
         tv0 = total_variation(phi)
-        tv1 = total_variation(op.apply(phi))
+        tv1 = total_variation(GridDensity(g, op.matrix @ phi.values))
         assert tv1 <= 0.5 * tv0 + 1e-9

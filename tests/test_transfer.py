@@ -14,10 +14,10 @@ from opendyn.maps import (MapSequence, affine_map, doubling_map,
 from opendyn.mixing import perturb_offsets
 from opendyn.phase import Grid
 from opendyn import transfer
-from opendyn.transfer import (GridDensity, OperatorCache, apply_operators,
-                              build_closed, build_open, escape_mass, evolve,
+from opendyn.transfer import (GridDensity, OperatorCache, build_closed,
+                              build_open, escape_mass, evolve,
                               export_operator_coo, l1_distance, normalize,
-                              schedule_operators)
+                              push, schedule_operators)
 
 
 def random_expanding_map(rng):
@@ -58,8 +58,8 @@ def test_doubling_preserves_uniform():
     g = Grid(1, 1024)
     op = build_closed(doubling_map(), g)
     u = GridDensity.uniform(g)
-    v = op.apply(u)
-    assert np.max(np.abs(v.values - 1.0)) < 1e-12
+    v = op.matrix @ u.values
+    assert np.max(np.abs(v - 1.0)) < 1e-12
 
 
 def test_tripling_and_fullbranch_columns_exact():
@@ -125,8 +125,55 @@ def test_1d_transfer_conserves_or_loses_mass(kind, eps, cut, n, seed, holes):
         assert op.column_sums().max() <= 1.0 + 1e-13
         ops.append(op)
     phi = GridDensity(g, rng.uniform(0.1, 2.0, n))
-    masses = [d.mass for d in apply_operators(phi, ops, keep_all=True)]
+    masses = [phi.mass] + [float(v.mean()) for v in push(ops, phi.values, g)]
     assert all(b <= a * (1.0 + 1e-13) for a, b in zip(masses, masses[1:]))
+
+
+def _random_open_operator(rng, grid):
+    """An open operator on the grid: a random expanding affine map (1D) or
+    integer torus map (2D), with one random interval or rectangle hole."""
+    lo, w = rng.uniform(0.0, 1.0, 2), rng.uniform(0.001, 0.3, 2)
+    hi = (lo + w) % 1.0
+    if grid.dimension == 1:
+        return build_open(random_expanding_map(rng),
+                          interval_hole(lo[0], hi[0]), grid)
+    while True:
+        a, b, c, d = rng.integers(-3, 4, 4)
+        if abs(a * d - b * c) >= 2:
+            break
+    m = matrix_map([[a, b], [c, d]], rng.uniform(-1.0, 2.0, 2),
+                   check_expanding=False)
+    return build_open(m, rect_hole(lo[0], hi[0], lo[1], hi[1]), grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dimension=st.sampled_from([1, 2]), steps=st.integers(1, 4),
+       k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_push_matches_per_column_matvec(dimension, steps, k, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 1025)) if dimension == 1 \
+        else int(rng.choice([4, 8, 16]))
+    g = Grid(dimension, n)
+    ops = [_random_open_operator(rng, g) for _ in range(steps)]
+    V = rng.uniform(0.0, 2.0, (g.total_cells, k))
+    cols = list(V.T.copy())
+    blocks = list(push(ops, V, g))
+    assert len(blocks) == steps
+    for op, block in zip(ops, blocks):
+        cols = [op.matrix @ v for v in cols]
+        assert block.shape == (g.total_cells, k)
+        assert all(np.array_equal(block[:, j], v) for j, v in enumerate(cols))
+    # one density is pushed as a vector, with the same bits
+    for v, block in zip(push(ops, V[:, 0].copy(), g), blocks):
+        assert v.shape == (g.total_cells,)
+        assert np.array_equal(v, block[:, 0])
+
+
+def test_push_rejects_other_grid():
+    g = Grid(1, 64)
+    ops = [build_closed(doubling_map(), Grid(1, 32))]
+    with pytest.raises(ConfigError):
+        next(push(ops, np.ones(64), g))
 
 
 def test_open_rows_zeroed_on_hole():
@@ -224,7 +271,7 @@ def test_2d_diagonal_exact():
     op = build_closed(matrix_map([[2, 0], [0, 3]]), g)
     assert op.column_sum_error() < 1e-12
     u = GridDensity.uniform(g)
-    assert np.max(np.abs(op.apply(u).values - 1.0)) < 1e-12
+    assert np.max(np.abs(op.matrix @ u.values - 1.0)) < 1e-12
 
 
 def test_2d_general_matrix_stochastic():
