@@ -5,16 +5,16 @@ Order matters: the strong-seminorm inequality is estimated first, its
 pass the mixing-window check, and only the surviving tuple is allowed to
 price the contraction constants.
 """
-from opendyn import (MapSequence, SeminormSpec, birkhoff_factor,
+from opendyn import (SeminormSpec, birkhoff_factor, build_closed,
                      certify_mixing, doubling_map, dyadic_partition,
                      estimate_LY, rate_constants, select_parameters)
 from opendyn.phase import Grid
 
 g = Grid(1, 4096)
 TV = SeminormSpec.from_config({"kind": "tv"})
-seq = MapSequence.constant(doubling_map(), 8)
+ops = [build_closed(doubling_map(), g)] * 4
 
-cert = estimate_LY(seq, None, 1, TV, 24, 4, g, seed=11)
+cert = estimate_LY(ops, 1, TV, 24, seed=11)
 print("step 1, strong-seminorm inequality:")
 print("  theta = %s, C = %g (ensemble of %d densities, blocks up to %d)"
       % (cert.theta, cert.C, cert.ensemble["size"], cert.max_k))
@@ -32,7 +32,7 @@ print("  E = %d, ratio range [%.6f, %.6f], iterates checked %d..%d"
       % (mix.E, mix.ratio_min, mix.ratio_max,
          mix.i_checked[0], mix.i_checked[1]))
 
-audit = cp.audit(cert.theta, cert.C, 1, mix.E)
+audit = cp.audit(cert.theta, cert.C, 1)
 print("\nstep 4, audit of the assembled tuple:", audit if audit else "clean")
 
 rc = rate_constants(cp)

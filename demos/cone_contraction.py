@@ -8,26 +8,25 @@ between zeta1 and zeta2 times the input mass.
 """
 import numpy as np
 
-from opendyn import (GridDensity, MapSequence, OperatorCache, SeminormSpec,
-                     cone_member, control_bounds_check, doubling_map,
-                     dyadic_partition, estimate_LY, hilbert_distance_bound,
-                     push, sample_cone_density, schedule_operators,
-                     select_parameters, verify_cone_contraction)
+from opendyn import (GridDensity, SeminormSpec, build_closed, cone_member,
+                     control_bounds_check, doubling_map, dyadic_partition,
+                     estimate_LY, hilbert_distance_bound, push,
+                     sample_cone_density, select_parameters,
+                     verify_cone_contraction)
 from opendyn.phase import Grid
 
 g = Grid(1, 4096)
 TV = SeminormSpec.from_config({"kind": "tv"})
-seq = MapSequence.constant(doubling_map(), 8)
-cert = estimate_LY(seq, None, 1, TV, 24, 4, g, seed=11)
+op = build_closed(doubling_map(), g)
+cert = estimate_LY([op] * 4, 1, TV, 24, seed=11)
 pool = [dyadic_partition(g, L) for L in range(1, 9)]
 cp = select_parameters(0.9, 1.1, cert.theta, cert.C, 1, TV, pool,
                        doubling_map(), sigma=0.5, i_max=16)
 print("selected: T = %d, a = %g, sigma = %g, |Q| = %d"
       % (cp.T, cp.a, cp.sigma, len(cp.Q.elements)))
 
-cache = OperatorCache()
 rng = np.random.default_rng(3)
-block = schedule_operators(seq, None, cp.T, g, cache)
+block = [op] * cp.T
 
 
 def through_block(phi):
@@ -50,15 +49,14 @@ for _ in range(5):
     r1 = after.seminorm_value / (cp.a * after.min_expectation)
     print("%14.4f %14.4f %12s" % (r0, r1, shrunk.ok))
 
-rep = verify_cone_contraction(seq, None, 1, cp, samples=100, seed=4,
-                              theta_LY=cert.theta, C_LY=cert.C, T1=1,
-                              cache=cache)
+rep = verify_cone_contraction(block, cp, samples=100, seed=4,
+                              theta_LY=cert.theta, C_LY=cert.C, T1=1)
 print("\n100-sample sweep: ok = %s, worst contraction ratio %.4f (<= %.2f)"
       % (rep.ok, rep.worst_ratio, cp.sigma))
 
 phi = sample_cone_density(g, cp.Q, cp.a, TV, rng)
-ctrl = control_bounds_check(seq, None, cp.E, cp.T, cp.Q, cp.zeta1, cp.zeta2,
-                            cp.a, cp.M, phi, TV, cache=cache)
+ctrl = control_bounds_check(block, cp.Q, cp.zeta1, cp.zeta2, cp.a, cp.M, phi,
+                            TV)
 print("\nexpectation control on one sample: conditional masses in "
       "[%.4f, %.4f],\nrequired window [%.4f, %.4f]"
       % (ctrl.e_min, ctrl.e_max, ctrl.lower_bound, ctrl.upper_bound))

@@ -9,7 +9,7 @@ shows the contraction a certificate is built from.
 """
 import numpy as np
 
-from opendyn import (GridDensity, MapSequence, SeminormSpec, doubling_map,
+from opendyn import (GridDensity, SeminormSpec, build_closed, doubling_map,
                      estimate_LY, oscillation_seminorm, total_variation)
 from opendyn.phase import Grid
 from opendyn.seminorm import OscParams
@@ -37,10 +37,10 @@ print("\nlinear ramp: TV %.6f vs oscillation(alpha=1) %.6f"
       % (total_variation(ramp),
          oscillation_seminorm(ramp, OscParams(alpha=1.0, eps0=0.25))))
 
-seq = MapSequence.constant(doubling_map(), 8)
+ops = [build_closed(doubling_map(), g)] * 4
 TV = SeminormSpec.from_config({"kind": "tv"})
 OSC = SeminormSpec.from_config({"kind": "osc", "alpha": 1.0, "eps0": 0.25})
 for name, sem in (("tv", TV), ("osc", OSC)):
-    cert = estimate_LY(seq, None, 1, sem, 24, 4, g, seed=11)
+    cert = estimate_LY(ops, 1, sem, 24, seed=11)
     print("doubling block inequality under %-3s: theta = %s, C = %g"
           % (name, cert.theta, cert.C))

@@ -32,6 +32,7 @@ from .seminorm import SeminormSpec, estimate_LY
 from .cone import ConeParams, birkhoff_factor, delta0, rate_constants, \
     select_parameters
 from .mixing import certify_mixing
+from .transfer import schedule_operators
 from . import experiments
 
 
@@ -89,8 +90,9 @@ def _cmd_certify_ly(args) -> int:
     rng = np.random.default_rng(cfg.get("seed", 0))
     holes = experiments.hole_schedule(cfg.get("holes", {"kind": "none"}),
                                       len(seq.maps), grid.dimension, rng)
-    cert = estimate_LY(seq, holes, T1, sem, cfg.get("ensemble_size", 24),
-                       k_max, grid, seed=cfg.get("seed", 0))
+    ops = schedule_operators(seq, holes, k_max * T1, grid)
+    cert = estimate_LY(ops, T1, sem, cfg.get("ensemble_size", 24),
+                       seed=cfg.get("seed", 0))
     _emit(json.loads(cert.to_json()), args.out, "ly_certificate.json")
     print(f"theta = {cert.theta}, C = {cert.C}")
     return 0

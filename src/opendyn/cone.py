@@ -20,7 +20,7 @@ from .errors import (ConfigError, ParameterError, PreconditionError,
                      SelectionError)
 from .phase import Grid, PartitionSpec
 from .seminorm import (SeminormSpec, cone_member, element_expectations)
-from .transfer import GridDensity, push, schedule_operators
+from .transfer import GridDensity, push
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,15 @@ class ConeParams:
         """The recurring combination a * d / M."""
         return self.a * self.d / self.M
 
-    def audit(self, theta_LY: float, C_LY: float, T1: int,
-              E: int | None = None) -> list:
+    def audit(self, theta_LY: float, C_LY: float, T1: int) -> list:
         """Replay the three parameter inequalities; returns failure strings."""
         fails = []
         if not 0.0 < self.sigma < 1.0:
             fails.append("(P1) sigma outside (0,1)")
         if self.T % T1 != 0 or self.T < T1:
             fails.append("(P2) T not a positive multiple of T1")
-        e = E if E is not None else self.E
-        if e is not None and self.T < e:
-            fails.append(f"(P2) T={self.T} below mixing time E={e}")
+        if self.E is not None and self.T < self.E:
+            fails.append(f"(P2) T={self.T} below mixing time E={self.E}")
         lo = self.zeta1 - self.zeta2 * self.adM
         if lo <= 0.0:
             fails.append("(P3) zeta1 - zeta2*a*d/M not positive")
@@ -94,11 +92,13 @@ class RateConstants:
 # ---------------------------------------------------------------------------
 # parameter selection
 
+SELECTION_ROUNDS = 40  # reruns from a grown T before selection gives up
+
+
 def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
                       T1: int, sem: SeminormSpec,
                       partition_family=None, base_map=None,
-                      sigma: float = 0.5, i_max: int = 24,
-                      max_rounds: int = 40) -> ConeParams:
+                      sigma: float = 0.5, i_max: int = 24) -> ConeParams:
     """Ordered selection of (sigma, T, a, Q):
 
     grow T until theta^T/(zeta1/2) < sigma; take the smallest aperture
@@ -127,7 +127,7 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
         if T > 10_000 * T1:
             raise SelectionError("theta_LY too close to 1: T diverges")
 
-    for _ in range(max_rounds):
+    for _ in range(SELECTION_ROUNDS):
         denom = sigma * half - theta_LY ** T
         a = max(C_LY / denom if C_LY > 0.0 else 0.0, 1.0)
         while (a * theta_LY ** T + C_LY) / half > sigma * a:
@@ -263,24 +263,24 @@ class ContractionReport(NamedTuple):
     violations: list
 
 
-def verify_cone_contraction(seq, holes, i: int, cp: ConeParams,
-                            samples: int = 100, seed: int = 0,
-                            theta_LY: float | None = None,
-                            C_LY: float = 0.0, T1: int = 1,
-                            cache=None) -> ContractionReport:
-    """Sampled check that the block of steps i..i+T-1 maps the aperture-a
-    cone into the sigma*a cone.  Reports the worst |L phi|_s/(a minE)
-    ratio; contraction means it stays at or below sigma."""
+def verify_cone_contraction(ops: list, cp: ConeParams, samples: int = 100,
+                            seed: int = 0, theta_LY: float | None = None,
+                            C_LY: float = 0.0,
+                            T1: int = 1) -> ContractionReport:
+    """Sampled check that the block ops, cp.T operators long, maps the
+    aperture-a cone into the sigma*a cone.  Reports the worst
+    |L phi|_s/(a minE) ratio; contraction means it stays at or below sigma."""
     if cp.Q is None or samples < 1:
         raise ConfigError("verify_cone_contraction needs a selected "
                           "partition and samples >= 1")
+    if len(ops) != cp.T:
+        raise ConfigError(f"block of {len(ops)} operators, need T = {cp.T}")
     if theta_LY is not None:
         fails = cp.audit(theta_LY, C_LY, T1)
         if fails:
             raise PreconditionError("; ".join(fails))
     rng = np.random.default_rng(seed)
     grid = cp.Q.grid
-    ops = schedule_operators(seq, holes, i + cp.T - 1, grid, cache)[i - 1:]
     V = np.column_stack([sample_cone_density(grid, cp.Q, cp.a, cp.seminorm,
                                              rng).values
                          for _ in range(samples)])

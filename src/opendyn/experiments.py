@@ -79,25 +79,31 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
+        def num(key, cast, *default):
+            try:
+                return cast(cfg.get(key, *default) if default else cfg[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r} must be a number, "
+                                  f"got {cfg[key]!r}") from exc
+
         try:
             kind = cfg["kind"]
             if kind not in ("local", "global"):
                 raise ConfigError(f"unknown experiment kind {kind!r}")
             g = cfg.get("grid", {})
             grid = Grid(g.get("dimension", 1), g.get("n", 4096))
-            horizon = int(cfg["horizon"])
+            horizon = num("horizon", int)
             if horizon < 2:
                 raise ConfigError("horizon must be at least 2")
-            zeta1 = float(cfg.get("zeta1", 0.8))
-            zeta2 = float(cfg.get("zeta2", 1.2))
             sem = SeminormSpec.from_config(cfg.get("seminorm", {"kind": "tv"}))
             cert = dict(_DEF_CERT)
             cert.update(cfg.get("certificates", {}))
             out = ExperimentConfig(
                 kind=kind, grid=grid, horizon=horizon,
-                seed=int(cfg.get("seed", 0)), zeta1=zeta1, zeta2=zeta2,
-                sigma=float(cfg.get("sigma", 0.5)), T1=int(cfg.get("T1", 1)),
-                seminorm=sem, delta=float(cfg.get("delta", 0.0)),
+                seed=num("seed", int, 0), zeta1=num("zeta1", float, 0.8),
+                zeta2=num("zeta2", float, 1.2), sigma=num("sigma", float, 0.5),
+                T1=num("T1", int, 1), seminorm=sem,
+                delta=num("delta", float, 0.0),
                 holes=cfg.get("holes", {"kind": "none"}),
                 psi=cfg.get("psi", {"kind": "cosine_bump", "amplitude": 0.15}),
                 map_rec=cfg.get("map", {}), family=cfg.get("family", {}),
@@ -209,10 +215,9 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
 
 def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> dict:
     cert = cfg.certificates
-    ly = estimate_LY(
-        MapSequence.constant(base, cert["k_max"] * cfg.T1), None, cfg.T1,
-        cfg.seminorm, cert["ensemble_size"], cert["k_max"], grid,
-        seed=cert["ly_seed"], cache=cache)
+    ly = estimate_LY([cache.get(base, None, grid)] * (cert["k_max"] * cfg.T1),
+                     cfg.T1, cfg.seminorm, cert["ensemble_size"],
+                     seed=cert["ly_seed"])
     pool = dyadic_pool(grid, cert["max_level"])
     cp = select_parameters(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
                            cfg.seminorm, pool, base, cfg.sigma, cert["i_max"])
@@ -221,14 +226,14 @@ def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> dict:
 
 
 def _bump_T_for_blocks(cp: ConeParams, ops: list, cfg: ExperimentConfig,
-                       ly: LYCertificate, E: int) -> ConeParams:
+                       ly: LYCertificate) -> ConeParams:
     """Grow the block length until every open block of the run's
     operators keeps its pair ratios inside the mixing window."""
     for _ in range(8):
         if all(cfg.zeta1 < lo and hi < cfg.zeta2 for lo, hi in (
                 ratio_profile(ops[b * cp.T:(b + 1) * cp.T], cp.Q)[-1]
                 for b in range(cfg.horizon // cp.T))):
-            fails = cp.audit(ly.theta, ly.C, cfg.T1, E)
+            fails = cp.audit(ly.theta, ly.C, cfg.T1)
             if fails:
                 raise CertificateError("; ".join(fails))
             return cp
@@ -316,7 +321,7 @@ def _run(config, kind: str, plan) -> RunResult:
     while (nxt := schedule(cp.T)) != mseq:
         mseq = nxt
         ops = schedule_operators(mseq, hseq, cfg.horizon, grid, cache)
-        cp = _bump_T_for_blocks(cp, ops, cfg, first["ly"], first["mixing"].E)
+        cp = _bump_T_for_blocks(cp, ops, cfg, first["ly"])
     if cfg.horizon < 2 * cp.T:
         raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
     # price every sample at the block length the run uses, then take the
@@ -336,9 +341,7 @@ def _run(config, kind: str, plan) -> RunResult:
     budget = _grid_budget(records, peaks, grid, rate.c_lip)
     fit, bound_ok, fit_ok = _flags_and_fit(records, budget, rate)
 
-    flags = {"ly_certified": True, "params_audit": True,
-             "mixing_certified": True, "cone_audit": True,
-             "bound_dominated": bound_ok, "fit_ok": fit_ok, **own_flags}
+    flags = {"bound_dominated": bound_ok, "fit_ok": fit_ok, **own_flags}
     constants = {"delta0": rate.delta0, "lambda": rate.lam, "c0": rate.c0,
                  "c_lip": rate.c_lip, "a": cp.a, "sigma": cp.sigma, "T": cp.T,
                  "zeta1": cp.zeta1, "zeta2": cp.zeta2, "grid_n": grid.n,

@@ -204,7 +204,7 @@ class StabilityReport:
 
 def stability_check(g: MapSpec, Q: PartitionSpec, zeta1: float, zeta2: float,
                     S: int, delta: float, epsilon: float, samples: int,
-                    seed: int = 0, perturb=None, cache=None) -> StabilityReport:
+                    seed: int = 0, cache=None) -> StabilityReport:
     """Sampled falsification of mixing stability: random length-S
     schedules of delta-perturbations of g with holes of measure at most
     epsilon, each checked for the block pair-ratio window.
@@ -216,12 +216,12 @@ def stability_check(g: MapSpec, Q: PartitionSpec, zeta1: float, zeta2: float,
         raise ParameterError("need 0 < zeta1 < 1 < zeta2")
     if S < 1 or samples < 1:
         raise ConfigError("need S >= 1 and samples >= 1")
-    sampler = perturb if perturb is not None else default_perturbation
     streams = [np.random.default_rng(s) for s in
                np.random.SeedSequence(seed).spawn(samples)]
     violations = []
     for j, rng in enumerate(streams):
-        maps = MapSequence(tuple(sampler(g, delta, rng) for _ in range(S)))
+        maps = MapSequence(tuple(default_perturbation(g, delta, rng)
+                                 for _ in range(S)))
         holes = HoleSequence(tuple(random_hole(g.dimension, epsilon, rng)
                                    for _ in range(S)))
         ops = schedule_operators(maps, holes, S, Q.grid, cache)

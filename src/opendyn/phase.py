@@ -33,6 +33,9 @@ class Grid:
     cells_per_side: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.dimension, self.cells_per_side)):
+            raise ConfigError("grid dimension and n must be integers")
         if self.dimension not in (1, 2):
             raise ConfigError("dimension must be 1 or 2")
         if self.cells_per_side < 2:
@@ -222,7 +225,6 @@ class PartitionSpec:
     grid: Grid
     elements: tuple
     boundary: tuple = field(default=())
-    regularity_bound: float = float("inf")
 
     def __post_init__(self):
         elements = tuple(np.asarray(np.sort(np.asarray(e, dtype=np.int64)))
@@ -263,7 +265,6 @@ class PartitionSpec:
             "grid": {"dimension": self.grid.dimension, "cells_per_side": self.grid.n},
             "elements": [e.tolist() for e in self.elements],
             "boundary": [[_descriptor_to_json(d) for d in b] for b in self.boundary],
-            "regularity_bound": self.regularity_bound,
         })
 
     @staticmethod
@@ -273,7 +274,7 @@ class PartitionSpec:
         elements = tuple(np.asarray(e, dtype=np.int64) for e in rec["elements"])
         boundary = tuple(tuple(_descriptor_from_json(d) for d in b)
                          for b in rec["boundary"])
-        return PartitionSpec(grid, elements, boundary, rec["regularity_bound"])
+        return PartitionSpec(grid, elements, boundary)
 
 
 def diam_lambda(p: PartitionSpec) -> float:
@@ -482,8 +483,7 @@ def _segments_mod1(axis: int, level: float, lo: float, hi: float) -> list:
             SegmentDescriptor(axis, level % 1.0, 0.0, hi - 1.0)]
 
 
-def partition_from_labels(grid: Grid, labels: np.ndarray,
-                          regularity_bound: float = float("inf")) -> PartitionSpec:
+def partition_from_labels(grid: Grid, labels: np.ndarray) -> PartitionSpec:
     """Partition from a per-cell label array, with synthesized descriptors.
 
     1D boundaries become PointDescriptors at label changes; 2D boundaries
@@ -521,4 +521,4 @@ def partition_from_labels(grid: Grid, labels: np.ndarray,
                 for s, e in _runs_1d(hown[:, k]):
                     descs.extend(_segments_mod1(0, k * h, s * h, e * h))
             boundary.append(tuple(descs))
-    return PartitionSpec(grid, elements, tuple(boundary), regularity_bound)
+    return PartitionSpec(grid, elements, tuple(boundary))

@@ -23,7 +23,7 @@ from .errors import (CertificateError, ConfigError, DegenerateParametersWarning,
                      ParameterError, PreconditionError)
 from .mixing import ratio_profile
 from .phase import Grid, PartitionSpec, diam_lambda, metric_diam
-from .transfer import GridDensity, push, schedule_operators
+from .transfer import GridDensity, push
 
 NONNEG_TOL = 1e-12  # float dust allowed below zero after matrix products
 
@@ -193,23 +193,19 @@ class ControlReport(NamedTuple):
     upper_bound: float
 
 
-def control_bounds_check(seq, holes, i: int, T: int, Q: PartitionSpec,
-                         zeta1: float, zeta2: float, a: float, M: float,
-                         phi: GridDensity, sem: SeminormSpec,
-                         cache=None) -> ControlReport:
+def control_bounds_check(ops: list, Q: PartitionSpec, zeta1: float,
+                         zeta2: float, a: float, M: float, phi: GridDensity,
+                         sem: SeminormSpec) -> ControlReport:
     """Two-sided bound on E[L_block phi | Q] for a cone density phi:
 
         (zeta1 - zeta2*(a/M)*d) * mass <= E[...] <= zeta2*(1 + (a/M)*d) * mass
 
     with d the partition diameter in the seminorm's convention.  The
-    block is steps i..i+T-1.  Preconditions: phi in the cone, and the
-    block mixes on Q within (zeta1, zeta2)."""
+    block is the operator list ops.  Preconditions: phi in the cone, and
+    the block mixes on Q within (zeta1, zeta2)."""
     check = cone_member(phi, a, Q, sem)
     if not check.ok:
         raise PreconditionError(f"phi not in the cone: margin {check.margin:.3g}")
-    if T < 1:
-        raise ConfigError("block length must be >= 1")
-    ops = schedule_operators(seq, holes, i + T - 1, phi.grid, cache)[i - 1:]
     rmin, rmax = ratio_profile(ops, Q)[-1]
     if not (zeta1 < rmin and rmax < zeta2):
         raise PreconditionError(
@@ -263,6 +259,8 @@ ENSEMBLE_KINDS = ("constant", "step", "blocks")
 def ly_ensemble(grid: Grid, size: int, seed: int) -> list:
     """Deterministic density ensemble with a spread of seminorm values:
     constants, two-level steps, and random piecewise-constant profiles."""
+    if size < 1:
+        raise ConfigError("ensemble size must be >= 1")
     rng = np.random.default_rng(seed)
     members = []
     total = grid.total_cells
@@ -296,13 +294,10 @@ def _c_lattice_value(c_needed: float) -> float:
     return 1e-12 * 2.0 ** t
 
 
-def _ly_replay(seq, holes, T1: int, k_max: int, sem: SeminormSpec,
-               members: list, grid: Grid, cache=None) -> tuple:
+def _ly_replay(ops: list, T1: int, sem: SeminormSpec, members: list) -> tuple:
     """(s0, mass0, svals): each member's seminorm and mass, and its
-    seminorm after k*T1 steps of the schedule in column k-1."""
-    if len(seq) < k_max * T1:
-        raise ConfigError("map sequence shorter than k_max * T1")
-    ops = schedule_operators(seq, holes, k_max * T1, grid, cache)
+    seminorm after k*T1 operators of ops in column k-1."""
+    grid = ops[0].grid
     W = np.array([phi.values for phi in members])
     svals = np.column_stack([
         sem.rows(np.ascontiguousarray(V.T), grid)
@@ -316,20 +311,22 @@ def _ly_excess(s0, mass0, svals, T1: int, theta: float, C: float) -> np.ndarray:
     return svals - (np.outer(s0, theta ** kpow) + C * mass0[:, None])
 
 
-def estimate_LY(seq, holes, T1: int, sem: SeminormSpec, ensemble_size: int,
-                k_max: int, grid: Grid, seed: int = 0,
-                cache=None) -> LYCertificate:
+def estimate_LY(ops: list, T1: int, sem: SeminormSpec, ensemble_size: int,
+                seed: int = 0) -> LYCertificate:
     """Smallest lattice (theta, C) making the block inequality hold for
-    every ensemble member and every k <= k_max.
+    every ensemble member after every k*T1 operators of ops, k >= 1.
 
     Selection minimizes the additive constant first, then takes the
     smallest theta achieving it (the frontier point closest to a pure
     power bound).  Raises CertificateError with a witness if no theta
     below 1 admits a finite constant.
     """
-    s0, mass0, svals = _ly_replay(seq, holes, T1, k_max, sem,
-                                  ly_ensemble(grid, ensemble_size, seed),
-                                  grid, cache)
+    if T1 < 1 or not ops or len(ops) % T1:
+        raise ConfigError(
+            f"{len(ops)} operators are not a positive multiple of T1 = {T1}")
+    grid = ops[0].grid
+    s0, mass0, svals = _ly_replay(ops, T1, sem,
+                                  ly_ensemble(grid, ensemble_size, seed))
     # the C each lattice theta needs: the worst excess per unit mass
     c_needed = np.array([max(0.0, float(
         (_ly_excess(s0, mass0, svals, T1, theta, 0.0) / mass0[:, None]).max()))
@@ -353,18 +350,21 @@ def estimate_LY(seq, holes, T1: int, sem: SeminormSpec, ensemble_size: int,
     return LYCertificate(
         T1, theta, C, sem.to_config(),
         {"size": ensemble_size, "seed": seed, "dimension": grid.dimension,
-         "n": grid.n, "kinds": list(ENSEMBLE_KINDS)}, k_max)
+         "n": grid.n, "kinds": list(ENSEMBLE_KINDS)}, len(ops) // T1)
 
 
-def verify_ly(cert: LYCertificate, seq, holes, grid: Grid,
-              seed: int | None = None, cache=None):
-    """Replay a certificate on its stored ensemble (or a fresh seed).
-    Returns (ok, violations) where violations list (member, k, excess)."""
+def verify_ly(cert: LYCertificate, ops: list, seed: int | None = None):
+    """Replay a certificate through exactly its max_k * T1 operators on its
+    stored ensemble (or a fresh seed).  Returns (ok, violations) where
+    violations list (member, k, excess)."""
+    if not ops or len(ops) != cert.max_k * cert.T1:
+        raise ConfigError(f"the certificate covers {cert.max_k * cert.T1} "
+                          f"operators, got {len(ops)}")
     use_seed = cert.ensemble["seed"] if seed is None else seed
-    members = ly_ensemble(grid, cert.ensemble["size"], use_seed)
-    s0, mass0, svals = _ly_replay(seq, holes, cert.T1, cert.max_k,
+    members = ly_ensemble(ops[0].grid, cert.ensemble["size"], use_seed)
+    s0, mass0, svals = _ly_replay(ops, cert.T1,
                                   SeminormSpec.from_config(cert.seminorm),
-                                  members, grid, cache)
+                                  members)
     excess = _ly_excess(s0, mass0, svals, cert.T1, cert.theta, cert.C)
     violations = [(int(j), int(k) + 1, float(excess[j, k]))
                   for j, k in np.argwhere(excess > 1e-9)]

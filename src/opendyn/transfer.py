@@ -85,7 +85,6 @@ class UlamOperator:
     grid: Grid
     matrix: sparse.csr_matrix
     hole_mask: np.ndarray | None = None   # rows zeroed (open operator)
-    key: tuple = ()
 
     def column_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=0)).ravel()
@@ -241,7 +240,7 @@ def build_closed(mapspec: MapSpec, grid: Grid) -> UlamOperator:
         M = _build_1d(mapspec, grid)
     else:
         M = _build_2d(mapspec, grid)
-    return UlamOperator(grid, M, None, ("closed", mapspec.content_key(), grid.n))
+    return UlamOperator(grid, M)
 
 
 def build_open(mapspec: MapSpec, hole, grid: Grid) -> UlamOperator:
@@ -260,23 +259,16 @@ def _open(closed: UlamOperator, hole) -> UlamOperator:
     grid = closed.grid
     mask = hole.contains(grid.centers())
     D = sparse.diags((~mask).astype(float))
-    key = ("open", closed.key[1], _hole_key(hole), grid.n)
-    return UlamOperator(grid, (D @ closed.matrix).tocsr(), mask, key)
-
-
-def _hole_key(hole) -> tuple:
-    if hole is None:
-        return ()
-    return (hole.dimension, hole.intervals, hole.rects, hole.disks)
+    return UlamOperator(grid, (D @ closed.matrix).tocsr(), mask)
 
 
 class OperatorCache:
     """Content-addressed cache so repeated schedule steps assemble once.
 
-    An open operator whose closed operator is already stored is masked
-    from it instead of reassembled.  Closed operators are stored only
-    when asked for, so a long open schedule does not also keep the
-    closed parent of every step."""
+    Holes are frozen dataclasses, so they key by value.  An open operator
+    whose closed operator is already stored is masked from it instead of
+    reassembled.  Closed operators are stored only when asked for, so a
+    long open schedule does not keep the closed parent of every step."""
 
     def __init__(self):
         self._store = {}
@@ -285,8 +277,8 @@ class OperatorCache:
         return len(self._store)
 
     def get(self, mapspec: MapSpec, hole, grid: Grid) -> UlamOperator:
-        closed_key = (mapspec.content_key(), grid.dimension, grid.n, ())
-        key = closed_key[:3] + (_hole_key(hole),)
+        closed_key = (mapspec.content_key(), grid.dimension, grid.n, None)
+        key = closed_key[:3] + (hole,)
         op = self._store.get(key)
         if op is None:
             closed = self._store.get(closed_key)

@@ -20,8 +20,8 @@ from opendyn.mixing import find_mixing_time, mixing_ratios, random_hole
 from opendyn.phase import Grid, dyadic_partition
 from opendyn.seminorm import (SeminormSpec, control_bounds_check,
                               estimate_LY, total_variation)
-from opendyn.transfer import (GridDensity, OperatorCache, build_closed,
-                              build_open, escape_mass, evolve)
+from opendyn.transfer import (GridDensity, build_closed, build_open,
+                              escape_mass, evolve)
 
 TV = SeminormSpec.from_config({"kind": "tv"})
 
@@ -60,12 +60,12 @@ def random_expanding_map(rng):
 
 def certified_doubling_setup(n=4096):
     g = Grid(1, n)
-    seq = MapSequence.constant(doubling_map(), 8)
-    cert = estimate_LY(seq, None, 1, TV, 16, 4, g, seed=11)
+    op = build_closed(doubling_map(), g)
+    cert = estimate_LY([op] * 4, 1, TV, 16, seed=11)
     pool = [dyadic_partition(g, L) for L in range(1, 9)]
     cp = select_parameters(0.9, 1.1, cert.theta, cert.C, 1, TV, pool,
                            doubling_map(), 0.5, 16)
-    return g, seq, cert, cp
+    return g, [op] * cp.T, cert, cp
 
 
 def test_01_exact_dyadic_survivor_oracle(capsys):
@@ -135,22 +135,20 @@ def test_04_lasota_yorke_contraction(capsys):
         tv1 = total_variation(GridDensity(g, op.matrix @ phi.values))
         if tv1 > 0.5 * tv0 * (1.0 + 1e-12) + 1e-15:
             violations += 1
-    seq = MapSequence.constant(doubling_map(), 8)
-    cert = estimate_LY(seq, None, 1, TV, 24, 4, g, seed=11)
+    cert = estimate_LY([op] * 4, 1, TV, 24, seed=11)
     ok = (violations == 0 and cert.theta <= 0.5 + 1e-9 and cert.C <= 1e-9)
     _verdict(capsys, 4, "TV halves under the doubling operator, LY certified",
              ok, f"theta {cert.theta}, C {cert.C:.2e}")
 
 
 def test_05_control_bounds_on_certified_block(capsys):
-    g, seq, cert, cp = certified_doubling_setup()
-    cache = OperatorCache()
+    g, block, cert, cp = certified_doubling_setup()
     rng = np.random.default_rng(21)
     violations = 0
     for _ in range(100):
         phi = sample_cone_density(g, cp.Q, cp.a, TV, rng)
-        rep = control_bounds_check(seq, None, cp.E, cp.T, cp.Q, 0.9, 1.1,
-                                   cp.a, cp.M, phi, TV, cache=cache)
+        rep = control_bounds_check(block, cp.Q, 0.9, 1.1, cp.a, cp.M, phi,
+                                   TV)
         if not (rep.lower_ok and rep.upper_ok):
             violations += 1
     _verdict(capsys, 5, "two-sided expectation control on 100 cone samples",
@@ -158,8 +156,8 @@ def test_05_control_bounds_on_certified_block(capsys):
 
 
 def test_06_cone_contraction_with_selected_params(capsys):
-    g, seq, cert, cp = certified_doubling_setup()
-    rep = verify_cone_contraction(seq, None, 1, cp, samples=100, seed=4,
+    g, block, cert, cp = certified_doubling_setup()
+    rep = verify_cone_contraction(block, cp, samples=100, seed=4,
                                   theta_LY=cert.theta, C_LY=cert.C, T1=1)
     ok = rep.ok and rep.violations == [] and rep.worst_ratio <= cp.sigma
     _verdict(capsys, 6, "block image lies in the sigma*a cone, 100 samples",

@@ -131,6 +131,26 @@ def test_missing_config_key_is_config_error(tmp_path, key, patch):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("patch", [
+    {"grid": {"dimension": 1, "n": 512.0}},
+    {"certificates": {"stability_samples": 2, "ensemble_size": 0}},
+    {"horizon": "x"},
+], ids=["float_grid_n", "empty_ensemble", "text_horizon"])
+def test_bad_value_is_config_error(tmp_path, capsys, patch):
+    cfg = write(tmp_path, "c.json", dict(LOCAL_CFG, **patch))
+    assert main(["simulate-local", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error")
+
+
+def test_certify_ly_short_schedule_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "ly.json", {
+        "maps": [{"kind": "full_branch_1d", "cuts": [0.5]}] * 3,
+        "grid": {"dimension": 1, "n": 256}, "T1": 1, "k_max": 4,
+        "ensemble_size": 4, "seminorm": {"kind": "tv"}})
+    assert main(["certify-ly", cfg]) == 1
+    assert capsys.readouterr().err.startswith("configuration error")
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = write(tmp_path, "local.json", LOCAL_CFG)
     assert main(["simulate-local", cfg, "--out", str(tmp_path / "a")]) == 0

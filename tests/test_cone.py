@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -8,10 +10,10 @@ from opendyn.cone import (ConeParams, birkhoff_factor, c_lip, delta0,
                           verify_cone_contraction)
 from opendyn.errors import (ConfigError, ParameterError, PreconditionError,
                             SelectionError)
-from opendyn.maps import MapSequence, doubling_map
+from opendyn.maps import doubling_map
 from opendyn.phase import Grid, dyadic_partition
 from opendyn.seminorm import SeminormSpec, cone_member, estimate_LY
-from opendyn.transfer import GridDensity
+from opendyn.transfer import GridDensity, build_closed
 
 TV = SeminormSpec.from_config({"kind": "tv"})
 
@@ -43,17 +45,17 @@ def test_cone_params_validation():
 
 def test_audit_flags_each_inequality():
     cp = ConeParams(a=1.0, sigma=0.5, T=2, zeta1=0.9, zeta2=1.1, seminorm=TV,
-                    d=0.25, M=1.0)
+                    d=0.25, M=1.0, E=4)
     # T below the mixing time
-    fails = cp.audit(theta_LY=0.5, C_LY=0.0, T1=1, E=4)
+    fails = cp.audit(theta_LY=0.5, C_LY=0.0, T1=1)
     assert any("mixing time" in f for f in fails)
     # contraction inequality violated for theta close to 1
-    fails2 = cp.audit(theta_LY=0.99, C_LY=1.0, T1=1, E=1)
+    fails2 = dataclasses.replace(cp, E=1).audit(theta_LY=0.99, C_LY=1.0, T1=1)
     assert any("sigma*a" in f for f in fails2)
     # degenerate lower coefficient
     cp3 = ConeParams(a=10.0, sigma=0.5, T=2, zeta1=0.9, zeta2=1.1, seminorm=TV,
-                     d=0.25, M=1.0)
-    fails3 = cp3.audit(theta_LY=0.5, C_LY=0.0, T1=1, E=1)
+                     d=0.25, M=1.0, E=1)
+    fails3 = cp3.audit(theta_LY=0.5, C_LY=0.0, T1=1)
     assert any("not positive" in f for f in fails3)
 
 
@@ -81,7 +83,7 @@ def test_select_parameters_certified_doubling_fixpoint():
     assert len(cp.Q.elements) == 16
     assert abs(cp.d - 0.0625) < 1e-15
     assert cp.E == 4
-    assert cp.audit(0.5, 1.0, 1, cp.E) == []
+    assert cp.audit(0.5, 1.0, 1) == []
 
 
 def test_select_parameters_tiny_C_uses_floor_aperture():
@@ -197,23 +199,27 @@ def test_sample_cone_density_membership():
 
 def test_verify_cone_contraction_certified():
     g = Grid(1, 4096)
-    seq = MapSequence.constant(doubling_map(), 8)
-    cert = estimate_LY(seq, None, 1, TV, 16, 4, g, seed=11)
+    op = build_closed(doubling_map(), g)
+    cert = estimate_LY([op] * 4, 1, TV, 16, seed=11)
     pool = [dyadic_partition(g, L) for L in range(1, 9)]
     cp = select_parameters(0.9, 1.1, cert.theta, cert.C, 1, TV, pool,
                            doubling_map(), 0.5, 16)
-    rep = verify_cone_contraction(seq, None, 1, cp, samples=30, seed=4,
+    rep = verify_cone_contraction([op] * cp.T, cp, samples=30, seed=4,
                                   theta_LY=cert.theta, C_LY=cert.C, T1=1)
     assert rep.ok
     assert rep.worst_ratio <= cp.sigma
     assert rep.violations == []
+    # the block is exactly cp.T operators
+    for n_ops in (cp.T - 1, cp.T + 1):
+        with pytest.raises(ConfigError):
+            verify_cone_contraction([op] * n_ops, cp, samples=3, seed=4)
 
 
 def test_verify_cone_contraction_rejects_bad_params():
     g = Grid(1, 2048)
-    seq = MapSequence.constant(doubling_map(), 4)
+    ops = [build_closed(doubling_map(), g)] * 2
     bad = ConeParams(a=10.0, sigma=0.5, T=2, zeta1=0.9, zeta2=1.1, seminorm=TV,
                      Q=dyadic_partition(g, 2), d=0.25, M=1.0)
     with pytest.raises(PreconditionError):
-        verify_cone_contraction(seq, None, 1, bad, samples=5, seed=0,
+        verify_cone_contraction(ops, bad, samples=5, seed=0,
                                 theta_LY=0.5, C_LY=1.0, T1=1)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from opendyn import mixing
 from opendyn.errors import CertificateError, ConfigError, ParameterError
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import (MapSequence, beta_map, doubling_map,
@@ -38,7 +39,7 @@ def test_mixing_time_matches_level():
 def test_mixing_time_tripling():
     g = Grid(1, 2187)
     labels = (np.arange(2187) // 729).astype(np.int64)
-    Q = partition_from_labels(g, labels, regularity_bound=1.0)
+    Q = partition_from_labels(g, labels)
     E = find_mixing_time(tripling_map(), Q, 0.9, 1.1, 10)
     assert E == 1
 
@@ -155,17 +156,17 @@ def test_zero_measure_element_rejected():
     g = Grid(1, 64)
     labels = np.zeros(64, dtype=np.int64)
     labels[32:] = 1
-    Q = partition_from_labels(g, labels, regularity_bound=1.0)
+    Q = partition_from_labels(g, labels)
     # elements must have positive measure for ratio normalization;
     # build an empty element by filtering the label set
     with pytest.raises(ConfigError):
-        bad = partition_from_labels(g, labels, regularity_bound=1.0)
+        bad = partition_from_labels(g, labels)
         object.__setattr__(bad, "elements",
                            bad.elements + (np.array([], dtype=np.int64),))
         mixing_ratios(doubling_map(), bad, 1)
 
 
-def test_stability_check_2d_with_delta():
+def test_stability_check_2d_with_delta(monkeypatch):
     g = Grid(2, 16)
     Q = dyadic_partition(g, 2)
     base = matrix_map([[3, 1], [1, 2]], (0.1, 0.2))
@@ -175,8 +176,10 @@ def test_stability_check_2d_with_delta():
         drawn.append(default_perturbation(m, delta, rng))
         return drawn[-1]
 
-    rep = stability_check(base, Q, 0.5, 2.0, S=3, delta=0.01, epsilon=0.01,
-                          samples=4, seed=5, perturb=recording)
+    with monkeypatch.context() as mp:
+        mp.setattr(mixing, "default_perturbation", recording)
+        rep = stability_check(base, Q, 0.5, 2.0, S=3, delta=0.01,
+                              epsilon=0.01, samples=4, seed=5)
     assert rep.ok and rep.samples == 4
     assert len(drawn) == 12
     for m in drawn:

@@ -94,13 +94,12 @@ def test_partition_json_roundtrip():
     Q2 = PartitionSpec.from_json(Q.to_json())
     assert Q2.grid == Q.grid
     assert [list(e) for e in Q2.elements] == [list(e) for e in Q.elements]
-    assert Q2.regularity_bound == Q.regularity_bound
 
 
 def test_partition_from_labels_matches_dyadic():
     g = Grid(1, 256)
     labels = (np.arange(256) // 64).astype(np.int64)
-    Q = partition_from_labels(g, labels, regularity_bound=1.0)
+    Q = partition_from_labels(g, labels)
     assert len(Q.elements) == 4
     assert abs(diam_lambda(Q) - 0.25) < 1e-15
 
@@ -117,7 +116,7 @@ def test_partition_complexity_from_labels():
     labels = np.zeros(256, dtype=np.int64)
     labels[64:128] = 1
     labels[192:] = 2
-    Q = partition_from_labels(g, labels, regularity_bound=4.0)
+    Q = partition_from_labels(g, labels)
     assert partition_complexity(Q) >= 1
 
 

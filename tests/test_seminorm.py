@@ -18,7 +18,7 @@ from opendyn.seminorm import (LYCertificate, OscParams, SeminormSpec,
                               element_expectations, estimate_LY, ly_ensemble,
                               oscillation_seminorm, total_variation,
                               verify_ly)
-from opendyn.transfer import GridDensity, build_closed
+from opendyn.transfer import GridDensity, build_closed, schedule_operators
 
 
 TV = SeminormSpec.from_config({"kind": "tv"})
@@ -220,12 +220,12 @@ def test_control_bounds_certified_block():
     # zeta2*a*d/M = 0.55 < zeta1 keeps the lower bound informative
     g = Grid(1, 2048)
     Q = dyadic_partition(g, 3)
-    seq = MapSequence.constant(doubling_map(), 3)
+    ops = [build_closed(doubling_map(), g)] * 3
     rng = np.random.default_rng(5)
     for _ in range(10):
         heights = rng.uniform(0.9, 1.1, 8)
         phi = GridDensity(g, np.repeat(heights, 256))
-        rep = control_bounds_check(seq, None, 1, 3, Q, 0.9, 1.1,
+        rep = control_bounds_check(ops, Q, 0.9, 1.1,
                                    a=4.0, M=1.0, phi=phi, sem=TV)
         assert rep.lower_ok and rep.upper_ok
         assert rep.lower_bound <= rep.e_min <= rep.e_max <= rep.upper_bound
@@ -234,33 +234,33 @@ def test_control_bounds_certified_block():
 def test_control_bounds_cone_precondition():
     g = Grid(1, 2048)
     Q = dyadic_partition(g, 2)
-    seq = MapSequence.constant(doubling_map(), 3)
+    ops = [build_closed(doubling_map(), g)] * 3
     spike = GridDensity.from_function(g, lambda x: 1.0 + 50.0 * (x < 0.01))
     with pytest.raises(PreconditionError):
-        control_bounds_check(seq, None, 1, 3, Q, 0.9, 1.1, a=1.0, M=1.0,
-                             phi=spike, sem=TV)
+        control_bounds_check(ops, Q, 0.9, 1.1, a=1.0, M=1.0, phi=spike,
+                             sem=TV)
 
 
 def test_control_bounds_mixing_precondition():
     g = Grid(1, 2048)
     Q = dyadic_partition(g, 4)
-    seq = MapSequence.constant(doubling_map(), 1)
+    ops = [build_closed(doubling_map(), g)]
     phi = GridDensity.uniform(g)
     # one doubling step cannot mix 16 arcs into a (0.9, 1.1) window
     with pytest.raises(PreconditionError):
-        control_bounds_check(seq, None, 1, 1, Q, 0.9, 1.1, a=50.0, M=1.0,
-                             phi=phi, sem=TV)
+        control_bounds_check(ops, Q, 0.9, 1.1, a=50.0, M=1.0, phi=phi,
+                             sem=TV)
 
 
 def test_control_bounds_degenerate_warning():
     g = Grid(1, 2048)
     Q = dyadic_partition(g, 2)
-    seq = MapSequence.constant(doubling_map(), 3)
+    ops = [build_closed(doubling_map(), g)] * 3
     phi = GridDensity.uniform(g)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rep = control_bounds_check(seq, None, 1, 3, Q, 0.9, 1.1,
-                                   a=100.0, M=0.01, phi=phi, sem=TV)
+        rep = control_bounds_check(ops, Q, 0.9, 1.1, a=100.0, M=0.01,
+                                   phi=phi, sem=TV)
     assert any(issubclass(w.category, DegenerateParametersWarning)
                for w in caught)
     assert rep.lower_ok   # vacuous: the lower coefficient is negative
@@ -277,20 +277,20 @@ def test_ly_ensemble_deterministic():
 
 def test_estimate_ly_doubling():
     g = Grid(1, 4096)
-    seq = MapSequence.constant(doubling_map(), 4)
-    cert = estimate_LY(seq, None, 1, TV, 24, 4, g, seed=11)
+    ops = [build_closed(doubling_map(), g)] * 4
+    cert = estimate_LY(ops, 1, TV, 24, seed=11)
     assert 0.0 < cert.theta < 1.0
     assert cert.C > 0.0
     assert cert.theta <= 0.5 + 1e-9
     assert cert.C <= 1e-9
-    ok, violations = verify_ly(cert, seq, None, g)
+    ok, violations = verify_ly(cert, ops)
     assert ok and violations == []
 
 
 def test_estimate_ly_tripling_tighter():
     g = Grid(1, 2187)
-    seq = MapSequence.constant(tripling_map(), 4)
-    cert = estimate_LY(seq, None, 1, TV, 16, 4, g, seed=2)
+    cert = estimate_LY([build_closed(tripling_map(), g)] * 4, 1, TV, 16,
+                       seed=2)
     # TV contracts by 1/3 per step: theta lands on the lattice just above,
     # C snaps to the power-of-two lattice over 1e-12
     assert cert.theta <= 1.0 / 3 + 0.01
@@ -301,16 +301,48 @@ def test_estimate_ly_open_schedule():
     g = Grid(1, 4096)
     seq = MapSequence.constant(doubling_map(), 4)
     holes = HoleSequence.static(interval_hole(0.3, 0.32), 4)
-    cert = estimate_LY(seq, holes, 1, TV, 24, 4, g, seed=11)
+    ops = schedule_operators(seq, holes, 4, g)
+    cert = estimate_LY(ops, 1, TV, 24, seed=11)
     assert 0.0 < cert.theta < 1.0 and cert.C > 0.0
-    ok, violations = verify_ly(cert, seq, holes, g)
+    ok, violations = verify_ly(cert, ops)
     assert ok and violations == []
+
+
+def test_ly_certificate_covers_exactly_its_operators():
+    # the closed-doubling certificate holds on the closed operators it
+    # was estimated on, and the same (theta, C) fails on the open steps
+    g = Grid(1, 4096)
+    closed = [build_closed(doubling_map(), g)] * 4
+    cert = estimate_LY(closed, 1, TV, 24, seed=11)
+    assert (cert.theta, cert.C, cert.max_k) == (0.5, 1e-12, 4)
+    assert verify_ly(cert, closed) == (True, [])
+    holes = HoleSequence.static(interval_hole(0.3, 0.32), 4)
+    opened = schedule_operators(MapSequence.constant(doubling_map(), 4),
+                                holes, 4, g)
+    ok, violations = verify_ly(cert, opened)
+    assert not ok and len(violations) == 92
+    assert max(v[2] for v in violations) == pytest.approx(9.95, abs=0.01)
+
+
+def test_ly_operator_list_length_is_checked():
+    g = Grid(1, 512)
+    op = build_closed(doubling_map(), g)
+    for ops, T1 in (([], 1), ([op] * 3, 2), ([op] * 2, 0)):
+        with pytest.raises(ConfigError):
+            estimate_LY(ops, T1, TV, 4, seed=0)
+    cert = estimate_LY([op] * 4, 2, TV, 4, seed=0)
+    assert (cert.T1, cert.max_k) == (2, 2)
+    for n_ops in (0, 3, 5):
+        with pytest.raises(ConfigError):
+            verify_ly(cert, [op] * n_ops)
+    with pytest.raises(ConfigError):
+        ly_ensemble(g, 0, seed=0)
 
 
 def test_ly_certificate_json_roundtrip():
     g = Grid(1, 1024)
-    seq = MapSequence.constant(doubling_map(), 4)
-    cert = estimate_LY(seq, None, 1, TV, 8, 4, g, seed=1)
+    cert = estimate_LY([build_closed(doubling_map(), g)] * 4, 1, TV, 8,
+                       seed=1)
     again = LYCertificate.from_json(cert.to_json())
     assert again.theta == cert.theta
     assert again.C == cert.C
