@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (BoundaryError, CertificateError, ConfigError,
                      ParameterError, PreconditionError, SelectionError,
                      TotalEscapeError)
-from .phase import Grid, dyadic_partition, dyadic_pool
+from .phase import Grid, config_integer, dyadic_partition, dyadic_pool
 from .maps import MapSequence, map_from_config
 from .seminorm import SeminormSpec, estimate_LY
 from .cone import ConeParams, birkhoff_factor, delta0, rate_constants, \
@@ -69,9 +69,10 @@ def _cmd_certify_mixing(args) -> int:
     cfg = _load_config(args.config)
     grid = _grid_from(cfg.get("grid", {}))
     mapspec = map_from_config(cfg["map"])
-    Q = dyadic_partition(grid, cfg.get("partition", {}).get("level", 4))
+    Q = dyadic_partition(grid, config_integer(cfg.get("partition", {}),
+                                              "level", 4))
     cert = certify_mixing(mapspec, Q, cfg["zeta1"], cfg["zeta2"],
-                          cfg.get("i_max", 24))
+                          config_integer(cfg, "i_max", 24))
     _emit(json.loads(cert.to_json()), args.out, "mixing_certificate.json")
     print(f"mixing time E = {cert.E}")
     return 0
@@ -80,19 +81,20 @@ def _cmd_certify_mixing(args) -> int:
 def _cmd_certify_ly(args) -> int:
     cfg = _load_config(args.config)
     grid = _grid_from(cfg.get("grid", {}))
-    T1 = int(cfg.get("T1", 1))
-    k_max = int(cfg.get("k_max", 4))
+    T1 = config_integer(cfg, "T1", 1)
+    k_max = config_integer(cfg, "k_max", 4)
+    seed = config_integer(cfg, "seed", 0)
     sem = SeminormSpec.from_config(cfg.get("seminorm", {"kind": "tv"}))
     if "maps" in cfg:
         seq = MapSequence(tuple(map_from_config(r) for r in cfg["maps"]))
     else:
         seq = MapSequence.constant(map_from_config(cfg["map"]), k_max * T1)
-    rng = np.random.default_rng(cfg.get("seed", 0))
+    rng = np.random.default_rng(seed)
     holes = experiments.hole_schedule(cfg.get("holes", {"kind": "none"}),
                                       len(seq.maps), grid.dimension, rng)
     ops = schedule_operators(seq, holes, k_max * T1, grid)
-    cert = estimate_LY(ops, T1, sem, cfg.get("ensemble_size", 24),
-                       seed=cfg.get("seed", 0))
+    cert = estimate_LY(ops, T1, sem, config_integer(cfg, "ensemble_size", 24),
+                       seed=seed)
     _emit(json.loads(cert.to_json()), args.out, "ly_certificate.json")
     print(f"theta = {cert.theta}, C = {cert.C}")
     return 0
@@ -105,10 +107,11 @@ def _cmd_select_params(args) -> int:
     if "map" in cfg:
         grid = _grid_from(cfg.get("grid", {}))
         base = map_from_config(cfg["map"])
-        pool = dyadic_pool(grid, cfg.get("max_level", 8))
+        pool = dyadic_pool(grid, config_integer(cfg, "max_level", 8))
     cp = select_parameters(cfg["zeta1"], cfg["zeta2"], cfg["theta"],
-                           cfg["C"], cfg.get("T1", 1), sem, pool, base,
-                           cfg.get("sigma", 0.5), cfg.get("i_max", 24))
+                           cfg["C"], config_integer(cfg, "T1", 1), sem, pool,
+                           base, cfg.get("sigma", 0.5),
+                           config_integer(cfg, "i_max", 24))
     _emit(cp.to_config(), args.out, "cone_params.json")
     print(f"a = {cp.a}, T = {cp.T}, d = {cp.d}, E = {cp.E}")
     return 0

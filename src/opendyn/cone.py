@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +19,9 @@ import numpy as np
 from .errors import (ConfigError, ParameterError, PreconditionError,
                      SelectionError)
 from .phase import Grid, PartitionSpec
+from .mixing import MixingCertificate, closed_certificate
 from .seminorm import (SeminormSpec, cone_member, element_expectations)
-from .transfer import GridDensity, push
+from .transfer import GridDensity, build_closed, push
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,8 @@ class ConeParams:
     Q is None in analytic mode (no partition selected yet); then `d`
     records the largest admissible partition diameter instead of the
     selected one.  E is the certified mixing time of the reference map
-    on Q when one was computed.
+    on Q when one was computed, and `mixing` the certificate selection
+    computed it in.
     """
 
     a: float
@@ -43,6 +45,8 @@ class ConeParams:
     d: float = 0.0
     M: float = 1.0
     E: int | None = None
+    mixing: MixingCertificate | None = field(default=None, compare=False,
+                                             repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
@@ -109,7 +113,9 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
     the larger T until it stabilizes.
 
     With partition_family=None the procedure stops after the aperture
-    step and reports the admissible-diameter bound in `d`.
+    step and reports the admissible-diameter bound in `d`.  With a base
+    map the result carries the base map's mixing certificate on Q
+    (`mixing`); each picked partition's window is computed once.
     """
     if not 0.0 < theta_LY < 1.0:
         raise ParameterError("theta_LY must lie in (0, 1)")
@@ -121,6 +127,7 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
         raise ParameterError("sigma must lie in (0, 1)")
 
     half = zeta1 / 2.0
+    closed, windows = None, {}    # base map operator; certificate per pick
     T = T1
     while theta_LY ** T / half >= sigma:
         T += T1
@@ -142,28 +149,34 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
             return ConeParams(a, sigma, T, zeta1, zeta2, sem, None, d_max, 1.0)
 
         chosen = None
-        for Q in partition_family:
+        for idx, Q in enumerate(partition_family):
             d, M = sem.diam(Q), sem.M(Q)
             if zeta2 * a * d / M <= half:
-                chosen = (Q, d, M)
+                chosen = (idx, Q, d, M)
                 break
         if chosen is None:
             raise SelectionError(
                 f"partition family exhausted: need zeta2*a*d/M <= {half:.4g} "
                 f"with a = {a:.4g}")
-        Q, d, M = chosen
+        idx, Q, d, M = chosen
 
-        E = None
+        mix = None
         if base_map is not None:
-            from .mixing import find_mixing_time
-            E = find_mixing_time(base_map, Q, zeta1, zeta2, i_max)
-            if E is None:
+            # a partition picked again in a later round keeps its window
+            if idx not in windows:
+                if closed is None or closed.grid != Q.grid:
+                    closed = build_closed(base_map, Q.grid)
+                windows[idx] = closed_certificate(closed, Q, zeta1, zeta2,
+                                                  i_max)
+            mix = windows[idx]
+            if mix is None:
                 raise SelectionError(
                     f"base map shows no mixing time on the selected partition "
                     f"within i_max = {i_max}")
-        if E is None or T >= E:
-            return ConeParams(a, sigma, T, zeta1, zeta2, sem, Q, d, M, E)
-        T = T1 * math.ceil(E / T1)
+        if mix is None or T >= mix.E:
+            return ConeParams(a, sigma, T, zeta1, zeta2, sem, Q, d, M,
+                              None if mix is None else mix.E, mix)
+        T = T1 * math.ceil(mix.E / T1)
     raise SelectionError("parameter selection did not stabilize")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (CertificateError, ConfigError, ParameterError,
                      TotalEscapeError)
-from .phase import Grid, dyadic_pool
+from .phase import Grid, config_integer, dyadic_pool
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
                    map_from_config, perturbation_distance)
 from .holes import HoleSequence, HoleSpec, hole_from_config
@@ -28,8 +28,8 @@ from .transfer import (MASS_FLOOR, GridDensity, OperatorCache, normalize,
                        push, schedule_operators)
 from .seminorm import LYCertificate, SeminormSpec, cone_member, estimate_LY
 from .cone import ConeParams, RateConstants, rate_constants, select_parameters
-from .mixing import (certify_mixing, default_perturbation, random_hole,
-                     ratio_profile, stability_check)
+from .mixing import (default_perturbation, random_hole, ratio_profile,
+                     stability_check)
 
 FIT_FLOOR = 1e-14
 
@@ -79,9 +79,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        def num(key, cast, *default):
+        def num(key, *default):
             try:
-                return cast(cfg.get(key, *default) if default else cfg[key])
+                return float(cfg.get(key, *default) if default else cfg[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key!r} must be a number, "
                                   f"got {cfg[key]!r}") from exc
@@ -92,18 +92,19 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown experiment kind {kind!r}")
             g = cfg.get("grid", {})
             grid = Grid(g.get("dimension", 1), g.get("n", 4096))
-            horizon = num("horizon", int)
+            horizon = config_integer(cfg, "horizon")
             if horizon < 2:
                 raise ConfigError("horizon must be at least 2")
             sem = SeminormSpec.from_config(cfg.get("seminorm", {"kind": "tv"}))
             cert = dict(_DEF_CERT)
             cert.update(cfg.get("certificates", {}))
+            cert.update((key, config_integer(cert, key)) for key in _DEF_CERT)
             out = ExperimentConfig(
                 kind=kind, grid=grid, horizon=horizon,
-                seed=num("seed", int, 0), zeta1=num("zeta1", float, 0.8),
-                zeta2=num("zeta2", float, 1.2), sigma=num("sigma", float, 0.5),
-                T1=num("T1", int, 1), seminorm=sem,
-                delta=num("delta", float, 0.0),
+                seed=config_integer(cfg, "seed", 0),
+                zeta1=num("zeta1", 0.8), zeta2=num("zeta2", 1.2),
+                sigma=num("sigma", 0.5), T1=config_integer(cfg, "T1", 1),
+                seminorm=sem, delta=num("delta", 0.0),
                 holes=cfg.get("holes", {"kind": "none"}),
                 psi=cfg.get("psi", {"kind": "cosine_bump", "amplitude": 0.15}),
                 map_rec=cfg.get("map", {}), family=cfg.get("family", {}),
@@ -221,8 +222,7 @@ def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> dict:
     pool = dyadic_pool(grid, cert["max_level"])
     cp = select_parameters(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
                            cfg.seminorm, pool, base, cfg.sigma, cert["i_max"])
-    mix = certify_mixing(base, cp.Q, cfg.zeta1, cfg.zeta2, cert["i_max"])
-    return {"ly": ly, "cp": cp, "mixing": mix}
+    return {"ly": ly, "cp": cp, "mixing": cp.mixing}
 
 
 def _bump_T_for_blocks(cp: ConeParams, ops: list, cfg: ExperimentConfig,

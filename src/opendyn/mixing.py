@@ -19,7 +19,7 @@ from .maps import (Branch1D, MapSpec, MapSequence, full_branch_map,
                    matrix_map, perturbation_distance)
 from .holes import HoleSpec, HoleSequence
 from .phase import PartitionSpec
-from .transfer import build_closed, push, schedule_operators
+from .transfer import UlamOperator, build_closed, push, schedule_operators
 
 
 def ratio_profile(operators, Q: PartitionSpec) -> np.ndarray:
@@ -44,20 +44,6 @@ def ratio_profile(operators, Q: PartitionSpec) -> np.ndarray:
     return out
 
 
-def _closed_window(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
-                   zeta2: float, i_max: int) -> tuple:
-    """(E, profile): the ratio profile of the closed map over steps
-    1..i_max, and the first step after the last one whose ratios leave
-    (zeta1, zeta2), or None when the profile ends outside the window."""
-    if not (0.0 < zeta1 < 1.0 < zeta2):
-        raise ParameterError("need 0 < zeta1 < 1 < zeta2")
-    profile = ratio_profile([build_closed(mapspec, Q.grid)] * i_max, Q)
-    ok = (zeta1 < profile[:, 0]) & (profile[:, 1] < zeta2)
-    bad = np.flatnonzero(~ok)
-    E = int(bad.max()) + 2 if bad.size else 1
-    return (E if E <= i_max else None), profile
-
-
 def mixing_ratios(mapspec: MapSpec, Q: PartitionSpec, i: int = 1) -> tuple:
     """Extremes of the pair ratio of the closed map at time i."""
     if i < 1:
@@ -70,7 +56,9 @@ def find_mixing_time(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
                      zeta2: float, i_max: int = 24):
     """Smallest E <= i_max with all pair ratios inside (zeta1, zeta2) for
     every E <= i <= i_max, or None when the window never stabilizes."""
-    return _closed_window(mapspec, Q, zeta1, zeta2, i_max)[0]
+    cert = closed_certificate(build_closed(mapspec, Q.grid), Q, zeta1, zeta2,
+                              i_max)
+    return None if cert is None else cert.E
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +90,31 @@ class MixingCertificate:
                                  tuple(rec["i_checked"]))
 
 
-def certify_mixing(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
-                   zeta2: float, i_max: int = 24) -> MixingCertificate:
-    E, profile = _closed_window(mapspec, Q, zeta1, zeta2, i_max)
-    if E is None:
-        raise CertificateError(
-            f"no mixing time within i_max = {i_max} for ({zeta1}, {zeta2})")
+def closed_certificate(closed: UlamOperator, Q: PartitionSpec, zeta1: float,
+                       zeta2: float, i_max: int = 24):
+    """The mixing certificate of a closed operator on Q, or None when the
+    ratio profile over steps 1..i_max ends outside (zeta1, zeta2).  E is
+    the first step after the last one whose ratios leave the window."""
+    if not (0.0 < zeta1 < 1.0 < zeta2):
+        raise ParameterError("need 0 < zeta1 < 1 < zeta2")
+    profile = ratio_profile([closed] * i_max, Q)
+    ok = (zeta1 < profile[:, 0]) & (profile[:, 1] < zeta2)
+    bad = np.flatnonzero(~ok)
+    E = int(bad.max()) + 2 if bad.size else 1
+    if E > i_max:
+        return None
     rmin, rmax = profile[E - 1].tolist()
     return MixingCertificate(zeta1, zeta2, Q, E, rmin, rmax, (1, i_max))
+
+
+def certify_mixing(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
+                   zeta2: float, i_max: int = 24) -> MixingCertificate:
+    cert = closed_certificate(build_closed(mapspec, Q.grid), Q, zeta1, zeta2,
+                              i_max)
+    if cert is None:
+        raise CertificateError(
+            f"no mixing time within i_max = {i_max} for ({zeta1}, {zeta2})")
+    return cert
 
 
 # ---------------------------------------------------------------------------

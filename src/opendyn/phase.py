@@ -25,6 +25,23 @@ POINT_TOL = 1e-9  # merge tolerance for boundary-point coincidence
 # ---------------------------------------------------------------------------
 # grid
 
+def is_integer(value) -> bool:
+    """The integer rule of configurations: Python and numpy integers pass,
+    bool (an int subclass), floats and strings do not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def config_integer(rec: dict, key: str, *default) -> int:
+    """rec[key] (or the default when given and the key is absent) as an
+    int; ConfigError naming the key when it breaks the integer rule.
+    KeyError when the key is absent and no default is given."""
+    value = rec.get(key, *default) if default else rec[key]
+    if not is_integer(value):
+        raise ConfigError(f"config key {key!r} must be an integer, "
+                          f"got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on T^1 or T^2 with `cells_per_side` cells per axis."""
@@ -33,8 +50,7 @@ class Grid:
     cells_per_side: int
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.dimension, self.cells_per_side)):
+        if not all(map(is_integer, (self.dimension, self.cells_per_side))):
             raise ConfigError("grid dimension and n must be integers")
         if self.dimension not in (1, 2):
             raise ConfigError("dimension must be 1 or 2")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (CertificateError, ConfigError, DegenerateParametersWarning,
                      ParameterError, PreconditionError)
@@ -63,6 +62,8 @@ class OscParams:
 
 def _osc_rows(V: np.ndarray, grid: Grid, p: OscParams) -> tuple:
     """(ladder scales eps, eps^(-alpha) * mean oscillation: rows x scales)."""
+    # imported here: ndimage pulls in scipy.special, and only osc needs it
+    from scipy import ndimage
     h, diam = grid.spacing, grid.cell_diameter
     if p.eps0 < diam - 1e-12:
         raise ConfigError("eps0 below one cell diameter")

@@ -135,11 +135,40 @@ def test_missing_config_key_is_config_error(tmp_path, key, patch):
     {"grid": {"dimension": 1, "n": 512.0}},
     {"certificates": {"stability_samples": 2, "ensemble_size": 0}},
     {"horizon": "x"},
-], ids=["float_grid_n", "empty_ensemble", "text_horizon"])
+    {"certificates": {"stability_samples": 2, "k_max": 4.0}},
+    {"certificates": {"stability_samples": 2, "i_max": 16.0}},
+    {"certificates": {"stability_samples": 2, "ensemble_size": "24"}},
+    {"certificates": {"stability_samples": True}},
+    {"T1": 1.0},
+], ids=["float_grid_n", "empty_ensemble", "text_horizon", "float_k_max",
+        "float_i_max", "text_ensemble_size", "bool_stability_samples",
+        "float_T1"])
 def test_bad_value_is_config_error(tmp_path, capsys, patch):
     cfg = write(tmp_path, "c.json", dict(LOCAL_CFG, **patch))
     assert main(["simulate-local", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("configuration error")
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
+                    "grid": {"dimension": 1, "n": 256}, "k_max": 4.7}, "k_max"),
+    ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
+                    "grid": {"dimension": 1, "n": 256},
+                    "ensemble_size": "4"}, "ensemble_size"),
+    ("certify-mixing", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
+                        "grid": {"dimension": 1, "n": 256}, "zeta1": 0.9,
+                        "zeta2": 1.1, "i_max": 12.0}, "i_max"),
+    ("select-params", {"zeta1": 0.9, "zeta2": 1.1, "theta": 0.5, "C": 1.0,
+                       "map": {"kind": "full_branch_1d", "cuts": [0.5]},
+                       "grid": {"dimension": 1, "n": 256},
+                       "max_level": 8.0}, "max_level"),
+], ids=["certify_ly_k_max", "certify_ly_ensemble", "mixing_i_max",
+        "select_max_level"])
+def test_subcommand_integer_keys(tmp_path, capsys, command, cfg, key):
+    # a float or text count is refused by name, not truncated or crashed on
+    assert main([command, write(tmp_path, "c.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and f"'{key}'" in err
 
 
 def test_certify_ly_short_schedule_is_config_error(tmp_path, capsys):

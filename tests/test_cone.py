@@ -11,6 +11,7 @@ from opendyn.cone import (ConeParams, birkhoff_factor, c_lip, delta0,
 from opendyn.errors import (ConfigError, ParameterError, PreconditionError,
                             SelectionError)
 from opendyn.maps import doubling_map
+from opendyn.mixing import certify_mixing
 from opendyn.phase import Grid, dyadic_partition
 from opendyn.seminorm import SeminormSpec, cone_member, estimate_LY
 from opendyn.transfer import GridDensity, build_closed
@@ -84,6 +85,9 @@ def test_select_parameters_certified_doubling_fixpoint():
     assert abs(cp.d - 0.0625) < 1e-15
     assert cp.E == 4
     assert cp.audit(0.5, 1.0, 1) == []
+    # the certificate selection computed E in is the one certify_mixing gives
+    assert cp.mixing.to_json() == certify_mixing(doubling_map(), cp.Q, 0.9,
+                                                 1.1, 16).to_json()
 
 
 def test_select_parameters_tiny_C_uses_floor_aperture():

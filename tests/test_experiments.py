@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import opendyn.cone
 import opendyn.experiments
 import opendyn.mixing
 import opendyn.seminorm
@@ -333,6 +334,23 @@ def test_run_builds_its_operators_once(monkeypatch):
         monkeypatch.setattr(mod, "schedule_operators", counting)
     assert run_local(LOCAL_CFG).passed
     assert calls == [LOCAL_CFG["horizon"]]
+
+
+def test_certify_computes_each_mixing_window_once(monkeypatch):
+    # selection and the reported mixing certificate share one window per
+    # certified sample
+    calls = []
+    real = opendyn.mixing.closed_certificate
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    for mod in (opendyn.cone, opendyn.mixing):
+        monkeypatch.setattr(mod, "closed_certificate", counting)
+    res = run_local(LOCAL_CFG)
+    assert len(calls) == 1
+    assert res.certificates["mixing"]["E"] == res.certificates["cone_params"]["E"]
 
 
 def test_family_registry_slopes():

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -23,6 +27,18 @@ from opendyn.transfer import GridDensity, build_closed, schedule_operators
 
 TV = SeminormSpec.from_config({"kind": "tv"})
 EPS = float(np.finfo(float).eps)
+
+
+def test_import_leaves_ndimage_unloaded():
+    # only the osc seminorm needs scipy.ndimage (and the scipy.special it
+    # pulls in), so importing the package and its CLI must not load it
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, opendyn, opendyn.cli; "
+            "sys.exit('scipy.ndimage' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0
 
 
 def step_density(g, height=1.0):

@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -342,6 +344,145 @@ def test_cache_collapses_identical_steps():
     holes2 = HoleSequence.static(interval_hole(0.3, 0.32), 6)
     evolve(seq, holes2, GridDensity.uniform(g), 6, cache=cache)
     assert len(cache) == 2
+
+
+def _reference_1d(mapspec, n):
+    """COO assembly of the 1D Ulam matrix in which each preimage slice
+    takes its row from its midpoint, as the row formula did before rows
+    became slice indices, but with the midpoint in exact rational
+    arithmetic: a slice a few ulps wide at an image end (a quadratic
+    branch whose image starts at -1.1e-16) has a float midpoint that
+    rounds onto the cell edge or across 1.0."""
+    rows, cols, vals = [], [], []
+    for b in mapspec.branches:
+        d0, d1 = b.lo, b.hi
+        ya, yb = float(b.value(d0)), float(b.value(d1))
+        inc = ya <= yb
+        y0, y1 = (ya, yb) if inc else (yb, ya)
+        k0, k1 = int(math.floor(y0 * n)), int(math.ceil(y1 * n))
+        Y = np.arange(k0, k1 + 1) * (1.0 / n)
+        Y[0], Y[-1] = y0, y1
+        X = np.clip(np.asarray(b.inverse(Y), dtype=float), d0, d1)
+        X[0], X[-1] = (d0, d1) if inc else (d1, d0)
+        X *= n
+        tgt = np.array([math.floor((Fraction(p) + Fraction(q)) * n / 2) % n
+                        for p, q in zip(Y[:-1], Y[1:])], dtype=np.int64)
+        Xl, Xr = np.minimum(X[:-1], X[1:]), np.maximum(X[:-1], X[1:])
+        keep = Xr > Xl
+        Xl, Xr, tgt = Xl[keep], Xr[keep], tgt[keep]
+        i0 = np.clip(np.floor(Xl + 1e-15).astype(np.int64), 0, n - 1)
+        split = np.minimum(Xr, i0 + 1.0)
+        spill = Xr > split
+        rows += [tgt, tgt[spill]]
+        cols += [i0, np.clip(i0[spill] + 1, 0, n - 1)]
+        vals += [split - Xl, Xr[spill] - split[spill]]
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+
+
+def _same_csr(a, b) -> bool:
+    return all(getattr(a, k).tobytes() == getattr(b, k).tobytes()
+               for k in ("indptr", "indices", "data"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["affine", "quadratic", "quadratic_jitter"]),
+       eps=st.floats(-0.8, 0.8), cut=st.floats(0.35, 0.65),
+       n=st.integers(2, 4096), seed=st.integers(0, 2 ** 32 - 1))
+# the second branch's image starts at -1.1e-16: its first slice lies in
+# the last cell, where a float midpoint wraps to row 0
+@example(kind="quadratic", eps=-0.36834125797780753,
+         cut=0.44656081732278263, n=16, seed=0)
+def test_1d_assembly_matches_midpoint_reference(kind, eps, cut, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "affine":
+        m = random_expanding_map(rng)
+    elif kind == "quadratic":
+        m = quadratic_full_branch(eps, cut)
+    else:
+        m = perturb_offsets(quadratic_full_branch(eps, cut), 0.1, rng)
+    assert _same_csr(build_closed(m, Grid(1, n)).matrix, _reference_1d(m, n))
+
+
+def _count_pools(monkeypatch):
+    pools = []
+    real = transfer.ThreadPoolExecutor
+
+    def counting(workers):
+        pools.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(transfer, "ThreadPoolExecutor", counting)
+    return pools
+
+
+def test_pooled_schedule_matches_build_open(monkeypatch):
+    # more workers than cores and a short switch interval, so threads
+    # interleave inside the builds
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(transfer, "_usable_cpus", lambda: 8)
+    g = Grid(1, transfer.POOL_MIN_CELLS)
+    rng = np.random.default_rng(5)
+    maps = [random_expanding_map(rng) for _ in range(6)]
+    holes = [interval_hole(lo, (lo + 0.01) % 1.0) for lo in rng.uniform(0, 1, 6)]
+    # one repeated step: the distinct missing pairs are built once
+    mseq = MapSequence(tuple(maps) + (maps[2],))
+    hseq = HoleSequence(tuple(holes) + (holes[2],))
+    cache = OperatorCache()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ops = schedule_operators(mseq, hseq, 7, g, cache)
+    finally:
+        sys.setswitchinterval(switch)
+    assert pools == [6] and len(cache) == 6 and ops[6] is ops[2]
+    for m, h, op in zip(mseq.maps, hseq.holes, ops):
+        ref = build_open(m, h, g)
+        masked = sparse.diags((~h.contains(g.centers())).astype(float)) \
+            @ build_closed(m, g).matrix
+        assert _same_csr(op.matrix, ref.matrix)
+        assert _same_csr(op.matrix, masked)
+        assert np.array_equal(op.hole_mask, ref.hole_mask)
+        # open rows keep the descending column order the masking product
+        # leaves; matvec sums run in that order
+        M = op.matrix
+        starts = M.indptr[:-1][np.diff(M.indptr) > 1]
+        assert (M.indices[starts] > M.indices[starts + 1]).all()
+
+
+@pytest.mark.parametrize("cpus, n, pooled", [
+    (1, 2 ** 15, False), (2, 2 ** 14 - 1, False), (2, 2 ** 14, True)])
+def test_assembly_pool_gate(monkeypatch, cpus, n, pooled):
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+    g = Grid(1, n)
+    steps = [(doubling_map(), interval_hole(0.1, 0.2)),
+             (tripling_map(), interval_hole(0.1, 0.2))]
+    OperatorCache().get_many(steps, g)
+    assert pools == ([2] if pooled else [])
+    # one missing operator is built inline whatever the grid
+    OperatorCache().get_many(steps[:1], g)
+    assert len(pools) == int(pooled)
+
+
+def test_pooled_build_error_surfaces_unchanged(monkeypatch):
+    monkeypatch.setattr(transfer, "_usable_cpus", lambda: 2)
+    err = ConfigError("bad step")
+    real = transfer.build_open
+
+    def failing(mapspec, hole, grid):
+        if mapspec == tripling_map():
+            raise err
+        return real(mapspec, hole, grid)
+
+    monkeypatch.setattr(transfer, "build_open", failing)
+    cache = OperatorCache()
+    hole = interval_hole(0.1, 0.2)
+    with pytest.raises(ConfigError) as info:
+        cache.get_many([(doubling_map(), hole), (tripling_map(), hole)],
+                       Grid(1, transfer.POOL_MIN_CELLS))
+    assert info.value is err and len(cache) == 0
 
 
 @pytest.mark.parametrize("mapspec, grid, hole", [
