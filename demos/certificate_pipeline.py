@@ -20,8 +20,8 @@ print("  theta = %s, C = %g (ensemble of %d densities, blocks up to %d)"
       % (cert.theta, cert.C, cert.ensemble["size"], cert.max_k))
 
 pool = [dyadic_partition(g, L) for L in range(1, 9)]
-cp = select_parameters(0.9, 1.1, cert.theta, cert.C, 1, TV, pool,
-                       doubling_map(), sigma=0.5, i_max=16)
+cp = select_parameters(0.9, 1.1, cert.theta, cert.C, 1, TV, pool, ops[0],
+                       sigma=0.5, i_max=16)
 print("\nstep 2, parameter selection against the dyadic pool:")
 print("  T = %d, aperture a = %.15g, |Q| = %d arcs, diameter bound %.4g"
       % (cp.T, cp.a, len(cp.Q.elements), cp.d))

@@ -20,8 +20,8 @@ TV = SeminormSpec.from_config({"kind": "tv"})
 op = build_closed(doubling_map(), g)
 cert = estimate_LY([op] * 4, 1, TV, 24, seed=11)
 pool = [dyadic_partition(g, L) for L in range(1, 9)]
-cp = select_parameters(0.9, 1.1, cert.theta, cert.C, 1, TV, pool,
-                       doubling_map(), sigma=0.5, i_max=16)
+cp = select_parameters(0.9, 1.1, cert.theta, cert.C, 1, TV, pool, op,
+                       sigma=0.5, i_max=16)
 print("selected: T = %d, a = %g, sigma = %g, |Q| = %d"
       % (cp.T, cp.a, cp.sigma, len(cp.Q.elements)))
 

@@ -22,8 +22,8 @@ from .holes import (HoleSequence, HoleSpec, disk_hole, hole_from_config,
                     interval_hole, rect_hole, survivor_indicator,
                     survivor_measure, union_hole)
 from .transfer import (GridDensity, OperatorCache, UlamOperator, build_closed,
-                       build_open, escape_mass, evolve, export_operator_coo,
-                       l1_distance, normalize, push, schedule_operators)
+                       build_open, escape_mass, evolve, l1_distance,
+                       normalize, push, schedule_operators)
 from .seminorm import (ControlReport, LYCertificate, OscParams, SeminormSpec,
                        cone_member, conditional_expectation,
                        control_bounds_check, element_expectations,

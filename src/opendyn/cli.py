@@ -32,7 +32,7 @@ from .seminorm import SeminormSpec, estimate_LY
 from .cone import ConeParams, birkhoff_factor, delta0, rate_constants, \
     select_parameters
 from .mixing import certify_mixing
-from .transfer import schedule_operators
+from .transfer import build_closed, schedule_operators
 from . import experiments
 
 
@@ -106,7 +106,7 @@ def _cmd_select_params(args) -> int:
     pool = base = None
     if "map" in cfg:
         grid = _grid_from(cfg.get("grid", {}))
-        base = map_from_config(cfg["map"])
+        base = build_closed(map_from_config(cfg["map"]), grid)
         pool = dyadic_pool(grid, config_integer(cfg, "max_level", 8))
     cp = select_parameters(cfg["zeta1"], cfg["zeta2"], cfg["theta"],
                            cfg["C"], config_integer(cfg, "T1", 1), sem, pool,

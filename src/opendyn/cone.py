@@ -21,7 +21,7 @@ from .errors import (ConfigError, ParameterError, PreconditionError,
 from .phase import Grid, PartitionSpec
 from .mixing import MixingCertificate, closed_certificate
 from .seminorm import (SeminormSpec, cone_member, element_expectations)
-from .transfer import GridDensity, build_closed, push
+from .transfer import GridDensity, UlamOperator, push
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,8 @@ SELECTION_ROUNDS = 40  # reruns from a grown T before selection gives up
 
 def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
                       T1: int, sem: SeminormSpec,
-                      partition_family=None, base_map=None,
+                      partition_family=None,
+                      base: UlamOperator | None = None,
                       sigma: float = 0.5, i_max: int = 24) -> ConeParams:
     """Ordered selection of (sigma, T, a, Q):
 
@@ -113,9 +114,10 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
     the larger T until it stabilizes.
 
     With partition_family=None the procedure stops after the aperture
-    step and reports the admissible-diameter bound in `d`.  With a base
-    map the result carries the base map's mixing certificate on Q
-    (`mixing`); each picked partition's window is computed once.
+    step and reports the admissible-diameter bound in `d`.  With the
+    closed operator of the base map, on the grid of the family, the
+    result carries its mixing certificate on Q (`mixing`); each picked
+    partition's window is computed once.
     """
     if not 0.0 < theta_LY < 1.0:
         raise ParameterError("theta_LY must lie in (0, 1)")
@@ -127,7 +129,7 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
         raise ParameterError("sigma must lie in (0, 1)")
 
     half = zeta1 / 2.0
-    closed, windows = None, {}    # base map operator; certificate per pick
+    windows = {}                  # mixing certificate per picked partition
     T = T1
     while theta_LY ** T / half >= sigma:
         T += T1
@@ -161,12 +163,13 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
         idx, Q, d, M = chosen
 
         mix = None
-        if base_map is not None:
+        if base is not None:
+            if base.grid != Q.grid:
+                raise ConfigError("base operator and partition live on "
+                                  "different grids")
             # a partition picked again in a later round keeps its window
             if idx not in windows:
-                if closed is None or closed.grid != Q.grid:
-                    closed = build_closed(base_map, Q.grid)
-                windows[idx] = closed_certificate(closed, Q, zeta1, zeta2,
+                windows[idx] = closed_certificate(base, Q, zeta1, zeta2,
                                                   i_max)
             mix = windows[idx]
             if mix is None:

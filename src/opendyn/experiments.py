@@ -216,12 +216,13 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
 
 def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> dict:
     cert = cfg.certificates
-    ly = estimate_LY([cache.get(base, None, grid)] * (cert["k_max"] * cfg.T1),
-                     cfg.T1, cfg.seminorm, cert["ensemble_size"],
-                     seed=cert["ly_seed"])
+    closed = cache.get(base, None, grid)
+    ly = estimate_LY([closed] * (cert["k_max"] * cfg.T1), cfg.T1,
+                     cfg.seminorm, cert["ensemble_size"], seed=cert["ly_seed"])
     pool = dyadic_pool(grid, cert["max_level"])
     cp = select_parameters(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
-                           cfg.seminorm, pool, base, cfg.sigma, cert["i_max"])
+                           cfg.seminorm, pool, closed, cfg.sigma,
+                           cert["i_max"])
     return {"ly": ly, "cp": cp, "mixing": cp.mixing}
 
 

@@ -79,13 +79,21 @@ class Grid:
         return self.spacing * (2.0 ** 0.5 if self.dimension == 2 else 1.0)
 
     def centers(self) -> np.ndarray:
-        """Cell centers, shape (total,) in 1D and (total, 2) in 2D."""
+        """Cell centers, shape (total,) in 1D and (total, 2) in 2D.  One
+        read-only array per grid, computed on first use."""
+        return self._centers
+
+    @cached_property
+    def _centers(self) -> np.ndarray:
         n, h = self.n, self.spacing
         mid = (np.arange(n) + 0.5) * h
         if self.dimension == 1:
-            return mid
-        gx, gy = np.meshgrid(mid, mid, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+            out = mid
+        else:
+            gx, gy = np.meshgrid(mid, mid, indexing="ij")
+            out = np.column_stack([gx.ravel(), gy.ravel()])
+        out.flags.writeable = False
+        return out
 
     def cell_corners(self, cells: np.ndarray) -> np.ndarray:
         """Corner points of the given cells: (k, 2) in 1D, (k, 4, 2) in 2D."""

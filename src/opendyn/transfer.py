@@ -5,9 +5,12 @@ exact interval overlap in 1D (branch inverses are closed-form).  In 2D
 the integer matrix moves every cell image by whole cells, so the image
 of one cell is clipped against the grid once and the resulting stencil
 is tiled over all columns.  Closed-map columns sum to 1 up to float
-rounding only.  Open operators zero the rows of hole cells, with hole
-membership sampled at cell centers; the masking product leaves each
-open row's columns in descending order, and matvec sums run in it.
+rounding only.  Open operators have empty rows at hole cells, with hole
+membership sampled at cell centers.  A 1D operator, closed or open, is
+written straight into its CSR arrays with no closed parent; a 2D open
+operator masks its closed one.  Either way closed rows list their
+columns in ascending order and open rows in descending order, and
+matvec sums run in that order.
 `OperatorCache.get_many` assembles a schedule's distinct missing
 operators together: on a grid of at least POOL_MIN_CELLS = 2^14 cells,
 with two or more of them and two or more usable CPUs, on a thread pool
@@ -107,22 +110,30 @@ class UlamOperator:
 
 
 # ---------------------------------------------------------------------------
-# 1D assembly by exact interval overlap
+# 1D assembly by exact interval overlap, written straight into CSR arrays
 
-def _branch_entries(branch, n: int, index_dtype):
-    """COO entries contributed by one monotone branch.
+def _image_rows(branch, n: int) -> tuple:
+    """(y0, y1, k0, k1, increasing): the unwrapped image [y0, y1] of the
+    branch meets the grid rows k0..k1-1, taken mod n."""
+    ya, yb = float(branch.value(branch.lo)), float(branch.value(branch.hi))
+    increasing = ya <= yb
+    y0, y1 = (ya, yb) if increasing else (yb, ya)
+    return y0, y1, int(math.floor(y0 * n)), int(math.ceil(y1 * n)), increasing
+
+
+def _branch_slices(branch, n: int, image: tuple, i0, keep, main, spill,
+                   spilled) -> None:
+    """Fill the slice table of one monotone branch, one slice per row.
 
     Grid-edge preimages are computed with the closed-form inverse; each
     preimage slice is shorter than a cell (backward contraction), so it
-    meets at most two source cells.  Temporaries are updated in place
-    and indices come out in the matrix's own index type, so each build
-    allocates few fresh arrays.
+    meets at most two source cells.  Slice j lies in target row
+    (k0 + j) mod n; it puts `main[j]` into source cell `i0[j]` and, where
+    `spill[j]`, `spilled[j]` into cell i0[j] + 1.  A slice of zero width
+    (`keep[j]` false) has no entry.
     """
     d0, d1 = branch.lo, branch.hi
-    ya, yb = float(branch.value(d0)), float(branch.value(d1))
-    increasing = ya <= yb
-    y0, y1 = (ya, yb) if increasing else (yb, ya)
-    k0, k1 = int(math.floor(y0 * n)), int(math.ceil(y1 * n))
+    y0, y1, k0, k1, increasing = image
     Y = np.arange(k0, k1 + 1, dtype=float)
     Y *= 1.0 / n
     Y[0], Y[-1] = y0, y1
@@ -134,41 +145,138 @@ def _branch_entries(branch, n: int, index_dtype):
     # in cell units every piece is a difference of nearby coordinates,
     # exact in floating point, so the pieces of a column sum to one cell
     X *= n
-    # slice j runs from Y[j] to Y[j + 1] inside grid cell k0 + j
-    tgt = np.arange(k0, k1, dtype=index_dtype)
-    tgt %= n
     Xl = np.minimum(X[:-1], X[1:])
-    Xr = np.maximum(X[:-1], X[1:])
-    keep = Xr > Xl
-    if not keep.all():
-        Xl, Xr, tgt = Xl[keep], Xr[keep], tgt[keep]
-    # slice [Xl, Xr] covers source cell i0 up to `split`, the rest spills
-    # into cell i0 + 1
-    i0 = np.floor(Xl + 1e-15).astype(index_dtype)
-    np.clip(i0, 0, n - 1, out=i0)
-    split = i0 + 1.0
+    Xr = np.maximum(X[:-1], X[1:], out=Y[:-1])
+    np.greater(Xr, Xl, out=keep)
+    # slice [Xl, Xr] covers source cell i0 up to the split, the rest
+    # spills into cell i0 + 1 (never past the last cell, as Xr <= n)
+    cell = np.add(Xl, 1e-15, out=X[:-1])
+    np.floor(cell, out=cell)
+    np.minimum(cell, n - 1, out=cell)   # Xl >= 0: only the top needs a clip
+    i0[:] = cell
+    split = np.add(cell, 1.0, out=main)
     np.minimum(Xr, split, out=split)
-    spill = Xr > split
-    i1 = i0[spill]
-    i1 += 1
-    np.clip(i1, 0, n - 1, out=i1)
-    Xr -= split
-    return [tgt, tgt[spill]], [i0, i1], [split - Xl, Xr[spill]]
+    np.greater(Xr, split, out=spill)
+    np.subtract(Xr, split, out=spilled)
+    split -= Xl
 
 
-def _build_1d(mapspec: MapSpec, grid: Grid) -> sparse.csr_matrix:
+def _row_runs(k0: int, lo: int, hi: int, n: int) -> list:
+    """(j0, j1, r0) for each run of table slots j0..j1-1, out of a branch's
+    slots lo..hi-1 (slot lo holds the slice in row k0 mod n), whose
+    target rows are the consecutive rows r0..r0 + j1 - j0 - 1."""
+    runs, j = [], lo
+    while j < hi:
+        r0 = (k0 + j - lo) % n
+        j1 = min(hi, j + n - r0)
+        runs.append((j, j1, r0))
+        j = j1
+    return runs
+
+
+def _build_1d(mapspec: MapSpec, grid: Grid,
+              mask: np.ndarray | None = None) -> sparse.csr_matrix:
+    """The Ulam matrix written straight into its CSR arrays; with a hole
+    mask, the open matrix, whose hole rows are empty.
+
+    Branch domains tile [0, 1) in order and share their endpoints, so
+    along a row the columns never decrease from one branch to the next,
+    and within a branch they rise with the slice index when the branch
+    increases and fall when it decreases.  A first pass visits each
+    branch's runs of rows in that column order and ranks every piece
+    among the distinct columns of its row: a piece in the column its row
+    received last shares that slot.  Row counts and ranks are slice
+    arithmetic on the runs.  The counts give indptr; a second pass puts
+    each piece at its row start plus its rank, so closed rows ascend, or
+    at its row end minus its rank, so open rows descend.  Pieces that
+    share a slot are summed in assembly order: branch by branch, a
+    branch's main pieces before its spills, each in slice order.
+    Zero-width slices and hole rows write to a dump slot past nnz.
+
+    The slices of all branches share one table, so a build allocates a
+    few large arrays rather than a set per branch.
+    """
     n = grid.n
-    # the index type the sparse matrix keeps, so no index array is copied
-    index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    rows, cols, vals = [], [], []
-    for b in mapspec.branches:
-        r, c, v = _branch_entries(b, n, index_dtype)
-        rows.extend(r)
-        cols.extend(c)
-        vals.extend(v)
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+    images = [_image_rows(b, n) for b in mapspec.branches]
+    bounds = np.cumsum([0] + [k1 - k0 for _, _, k0, k1, _ in images])
+    total = int(bounds[-1])
+    # the index type scipy keeps (at most two pieces per slice), so no
+    # index array is copied
+    index_dtype = np.int32 if 2 * max(total, n) <= np.iinfo(np.int32).max \
+        else np.int64
+    i0 = np.empty(total, dtype=index_dtype)
+    keep, spill, merged = np.empty((3, total), dtype=bool)
+    main, spilled = np.empty((2, total))
+    # each piece's rank in its row, then its slot; intp, which numpy
+    # indexes fastest
+    at = np.empty(total, dtype=np.intp)
+    count = np.zeros(n, dtype=index_dtype)
+    last = np.full(n, -1, dtype=index_dtype)        # column written last
+    parts, runs = [], []
+    for b, image, lo, hi in zip(mapspec.branches, images, bounds, bounds[1:]):
+        part = slice(lo, hi)
+        _branch_slices(b, n, image, i0[part], keep[part], main[part],
+                       spill[part], spilled[part])
+        _, _, k0, _, increasing = image
+        branch_runs = _row_runs(k0, lo, hi, n)
+        parts.append(part)
+        runs += branch_runs
+        for j0, j1, r0 in branch_runs if increasing else branch_runs[::-1]:
+            j, r = slice(j0, j1), slice(r0, r0 + j1 - j0)
+            cnt = count[r]
+            shared = np.equal(last[r], i0[j], out=merged[j])
+            shared &= keep[j]
+            np.subtract(cnt, shared, out=at[j])
+            cnt += keep[j]
+            cnt -= shared
+            cnt += spill[j]
+            np.copyto(last[r], i0[j] + spill[j], where=keep[j])
+    if mask is not None:
+        count[mask] = 0
+    indptr = np.zeros(n + 1, dtype=index_dtype)
+    np.cumsum(count, out=indptr[1:])
+    nnz = int(indptr[-1])
+    dead = ~keep
+    for j0, j1, r0 in runs:
+        j, r = slice(j0, j1), slice(r0, r0 + j1 - j0)
+        if mask is None:
+            at[j] += indptr[r]
+        else:
+            np.subtract(indptr[r0 + 1:r0 + 1 + j1 - j0], at[j], out=at[j])
+            dead[j] |= mask[r]
+    if mask is None:
+        to_spill = at + 1
+    else:
+        at -= 1
+        to_spill = at - 1
+    to_spill[dead | ~spill] = nnz
+    at[dead] = nnz
+    indices = np.empty(nnz + 1, dtype=index_dtype)
+    indices[at] = i0
+    i0 += 1
+    indices[to_spill] = i0
+    data = np.empty(nnz + 1)
+    data[at] = main
+    data[to_spill] = spilled
+    if merged.any():
+        # a slot that several pieces share holds the last one written:
+        # sum its pieces again, in assembly order (np.add.at adds in
+        # array order)
+        multi = np.zeros(nnz + 1, dtype=bool)
+        multi[at[merged]] = True
+        multi[nnz] = False
+        slots, pieces = [], []
+        for part in parts:
+            for where, value in ((at[part], main[part]),
+                                 (to_spill[part], spilled[part])):
+                pick = multi[where]
+                slots.append(where[pick])
+                pieces.append(value[pick])
+        slots = np.concatenate(slots)
+        data[slots] = 0.0
+        np.add.at(data, slots, np.concatenate(pieces))
+    return sparse.csr_matrix((data[:nnz], indices[:nnz], indptr),
+                             shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +376,20 @@ def build_open(mapspec: MapSpec, hole, grid: Grid) -> UlamOperator:
     """Open operator: closed matrix with hole-cell rows zeroed.
 
     Hole membership is sampled at cell centers, matching the survivor
-    indicator convention.
+    indicator convention.  A 1D open matrix is written directly, with no
+    closed parent; a 2D one masks the closed matrix.
     """
-    return _open(build_closed(mapspec, grid), hole)
+    if hole is None or grid.dimension != 1:
+        return _open(build_closed(mapspec, grid), hole)
+    if mapspec.dimension != 1:
+        raise ConfigError("map and grid dimensions differ")
+    mask = hole.contains(grid.centers())
+    return UlamOperator(grid, _build_1d(mapspec, grid, mask), mask)
 
 
 def _open(closed: UlamOperator, hole) -> UlamOperator:
-    """The closed operator with the rows of hole cells zeroed."""
+    """The closed operator with the rows of hole cells zeroed, each open
+    row's columns in descending order, as a direct 1D write leaves them."""
     if hole is None:
         return closed
     grid = closed.grid
@@ -284,8 +399,10 @@ def _open(closed: UlamOperator, hole) -> UlamOperator:
 
 
 # Below this many cells a pool saves nothing.  On a 2-vCPU VM, 40 open
-# 1D builds on two threads ran 0.67-1.20x as fast as inline at 1,024 to
-# 8,192 cells, 1.00-1.47x at 16,384 and 1.78x at 32,768; 2D builds ran
+# 1D builds (slopes_2_to_3 maps, 1% holes, written directly at ~7 ms a
+# build on 32,768 cells) on two threads ran 0.59-0.66x as fast as inline
+# at 4,096 cells, 0.88-1.11x at 8,192, 1.30-1.46x at 16,384, 1.79-1.84x
+# at 32,768 and 1.92-2.21x at 65,536 (three runs each); 2D builds ran
 # 0.97x at 16,384 cells and 1.66x at 65,536.
 POOL_MIN_CELLS = 2 ** 14
 
@@ -390,15 +507,3 @@ def schedule_operators(map_seq, hole_seq, m: int, grid: Grid,
     return cache.get_many(
         [(map_seq.at(i), hole_seq.at(i) if hole_seq is not None else None)
          for i in range(1, m + 1)], grid)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def export_operator_coo(op: UlamOperator, path: str) -> None:
-    """Plain-text COO dump: header line `n nnz`, then `row col value`."""
-    coo = op.matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"{op.matrix.shape[0]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

@@ -64,7 +64,7 @@ def certified_doubling_setup(n=4096):
     cert = estimate_LY([op] * 4, 1, TV, 16, seed=11)
     pool = [dyadic_partition(g, L) for L in range(1, 9)]
     cp = select_parameters(0.9, 1.1, cert.theta, cert.C, 1, TV, pool,
-                           doubling_map(), 0.5, 16)
+                           op, 0.5, 16)
     return g, [op] * cp.T, cert, cp
 
 

@@ -77,8 +77,8 @@ def test_select_parameters_certified_doubling_fixpoint():
     # settles at a = 5.16..., 16 arcs, E = 4 <= 5
     g = Grid(1, 4096)
     pool = [dyadic_partition(g, L) for L in range(1, 9)]
-    cp = select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV, pool, doubling_map(),
-                           0.5, 16)
+    cp = select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV, pool,
+                           build_closed(doubling_map(), g), 0.5, 16)
     assert cp.T == 5
     assert abs(cp.a - 5.161290322580645) < 1e-12
     assert len(cp.Q.elements) == 16
@@ -93,8 +93,8 @@ def test_select_parameters_certified_doubling_fixpoint():
 def test_select_parameters_tiny_C_uses_floor_aperture():
     g = Grid(1, 4096)
     pool = [dyadic_partition(g, L) for L in range(1, 9)]
-    cp = select_parameters(0.9, 1.1, 0.5, 1e-12, 1, TV, pool, doubling_map(),
-                           0.5, 16)
+    cp = select_parameters(0.9, 1.1, 0.5, 1e-12, 1, TV, pool,
+                           build_closed(doubling_map(), g), 0.5, 16)
     assert cp.a == 1.0
     assert cp.T == 3
     assert cp.E == 2
@@ -105,11 +105,17 @@ def test_select_parameters_input_validation():
         select_parameters(0.9, 1.1, 1.5, 1.0, 1, TV)
     with pytest.raises(ParameterError):
         select_parameters(0.0, 1.1, 0.5, 1.0, 1, TV)
+    g = Grid(1, 4096)
+    base = build_closed(doubling_map(), g)
     with pytest.raises(SelectionError):
         # pool has only partitions too coarse for the required diameter
-        g = Grid(1, 4096)
         select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
-                          [dyadic_partition(g, 1)], doubling_map(), 0.5, 16)
+                          [dyadic_partition(g, 1)], base, 0.5, 16)
+    with pytest.raises(ConfigError):
+        # the base operator must live on the grid of the partitions
+        select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
+                          [dyadic_partition(Grid(1, 2048), L)
+                           for L in range(1, 9)], base, 0.5, 16)
 
 
 def test_constants_worked_oracle():
@@ -207,7 +213,7 @@ def test_verify_cone_contraction_certified():
     cert = estimate_LY([op] * 4, 1, TV, 16, seed=11)
     pool = [dyadic_partition(g, L) for L in range(1, 9)]
     cp = select_parameters(0.9, 1.1, cert.theta, cert.C, 1, TV, pool,
-                           doubling_map(), 0.5, 16)
+                           op, 0.5, 16)
     rep = verify_cone_contraction([op] * cp.T, cp, samples=30, seed=4,
                                   theta_LY=cert.theta, C_LY=cert.C, T1=1)
     assert rep.ok

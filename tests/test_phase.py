@@ -33,6 +33,17 @@ def test_grid_geometry_2d():
     assert abs(c[64, 0] - c[0, 0] - 1.0 / 64) < 1e-15
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_grid_centers_computed_once_read_only(dimension):
+    g = Grid(dimension, 16)
+    c = g.centers()
+    assert g.centers() is c and not c.flags.writeable
+    # the cached array is no field: equality and hashing are unchanged
+    assert Grid(dimension, 16) == g and hash(Grid(dimension, 16)) == hash(g)
+    with pytest.raises(ValueError):
+        c[0] = 0.0
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         Grid(3, 16)

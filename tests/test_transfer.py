@@ -10,16 +10,15 @@ from scipy import sparse
 
 from opendyn.errors import ConfigError, TotalEscapeError
 from opendyn.holes import HoleSequence, interval_hole, rect_hole
-from opendyn.maps import (MapSequence, affine_map, doubling_map,
+from opendyn.maps import (MapSequence, affine_map, beta_map, doubling_map,
                           full_branch_map, matrix_map, quadratic_full_branch,
                           tripling_map)
 from opendyn.mixing import perturb_offsets
 from opendyn.phase import Grid
 from opendyn import transfer
 from opendyn.transfer import (GridDensity, OperatorCache, build_closed,
-                              build_open, escape_mass, evolve,
-                              export_operator_coo, l1_distance, normalize,
-                              push, schedule_operators)
+                              build_open, escape_mass, evolve, l1_distance,
+                              normalize, push, schedule_operators)
 
 
 def random_expanding_map(rng):
@@ -347,12 +346,12 @@ def test_cache_collapses_identical_steps():
 
 
 def _reference_1d(mapspec, n):
-    """COO assembly of the 1D Ulam matrix in which each preimage slice
-    takes its row from its midpoint, as the row formula did before rows
-    became slice indices, but with the midpoint in exact rational
-    arithmetic: a slice a few ulps wide at an image end (a quadratic
-    branch whose image starts at -1.1e-16) has a float midpoint that
-    rounds onto the cell edge or across 1.0."""
+    """COO assembly of the 1D Ulam matrix, converted and summed by scipy,
+    in which each preimage slice takes its row from its midpoint, as the
+    row formula did before rows became slice indices, but with the
+    midpoint in exact rational arithmetic: a slice a few ulps wide at an
+    image end (a quadratic branch whose image starts at -1.1e-16) has a
+    float midpoint that rounds onto the cell edge or across 1.0."""
     rows, cols, vals = [], [], []
     for b in mapspec.branches:
         d0, d1 = b.lo, b.hi
@@ -386,23 +385,58 @@ def _same_csr(a, b) -> bool:
                for k in ("indptr", "indices", "data"))
 
 
-@settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["affine", "quadratic", "quadratic_jitter"]),
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["affine", "quadratic", "quadratic_jitter",
+                             "beta", "beta_reversed"]),
        eps=st.floats(-0.8, 0.8), cut=st.floats(0.35, 0.65),
-       n=st.integers(2, 4096), seed=st.integers(0, 2 ** 32 - 1))
+       beta=st.floats(1.1, 6.0), n=st.integers(2, 4096),
+       seed=st.integers(0, 2 ** 32 - 1),
+       holes=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.floats(0.0, 0.3)),
+                      min_size=1, max_size=3))
 # the second branch's image starts at -1.1e-16: its first slice lies in
 # the last cell, where a float midpoint wraps to row 0
 @example(kind="quadratic", eps=-0.36834125797780753,
-         cut=0.44656081732278263, n=16, seed=0)
-def test_1d_assembly_matches_midpoint_reference(kind, eps, cut, n, seed):
+         cut=0.44656081732278263, beta=2.0, n=16, seed=0, holes=[(0.3, 0.1)])
+# five branches on two cells: entries (0, 0) and (0, 1) each sum three
+# pieces
+@example(kind="beta", eps=0.0, cut=0.5, beta=4.015, n=2, seed=0,
+         holes=[(0.9, 0.05)])
+# decreasing branches whose three pieces in one cell sum to other bits
+# in any order but assembly order
+@example(kind="beta_reversed", eps=0.23550321851880018, cut=0.5,
+         beta=4.386059631998789, n=2, seed=0, holes=[(0.9, 0.05)])
+# a hole between two cell centres leaves every row open
+@example(kind="affine", eps=0.0, cut=0.5, beta=2.0, n=16, seed=3,
+         holes=[(0.1, 0.01)])
+def test_1d_assembly_matches_midpoint_reference(kind, eps, cut, beta, n,
+                                                seed, holes):
+    # closed operators equal the reference COO assembly byte for byte;
+    # open ones equal its product with the hole mask, which leaves the
+    # columns of each open row in descending order
     rng = np.random.default_rng(seed)
     if kind == "affine":
         m = random_expanding_map(rng)
     elif kind == "quadratic":
         m = quadratic_full_branch(eps, cut)
-    else:
+    elif kind == "quadratic_jitter":
         m = perturb_offsets(quadratic_full_branch(eps, cut), 0.1, rng)
-    assert _same_csr(build_closed(m, Grid(1, n)).matrix, _reference_1d(m, n))
+    else:
+        m = beta_map(beta)
+    if kind == "beta_reversed":
+        # x -> eps - beta x: decreasing branches, full ones wrap a row
+        m = affine_map(list(m.cuts), [-beta] * len(m.branches),
+                       [eps + k + 1.0 for k in range(len(m.branches))])
+    g = Grid(1, n)
+    ref = _reference_1d(m, n)
+    assert _same_csr(build_closed(m, g).matrix, ref)
+    for lo, w in holes:
+        hole = interval_hole(lo, (lo + w) % 1.0)
+        mask = hole.contains(g.centers())
+        op = build_open(m, hole, g)
+        assert np.array_equal(op.hole_mask, mask)
+        assert _same_csr(op.matrix,
+                         sparse.diags((~mask).astype(float)) @ ref)
 
 
 def _count_pools(monkeypatch):
@@ -508,25 +542,11 @@ def test_cache_masks_stored_closed_operator(monkeypatch, mapspec, grid, hole):
     assert np.array_equal(op.matrix.indptr, ref.matrix.indptr)
     assert np.array_equal(op.matrix.indices, ref.matrix.indices)
     assert np.array_equal(op.matrix.data, ref.matrix.data)
-    # an open operator alone does not bring its closed parent into the cache
+    # an open operator alone does not bring its closed parent into the
+    # cache; a 1D one is written without building that parent at all
     fresh = OperatorCache()
     fresh.get(mapspec, hole, grid)
-    assert len(fresh) == 1 and len(calls) == 1
-
-
-def test_export_coo_roundtrip(tmp_path):
-    g = Grid(1, 16)
-    op = build_closed(doubling_map(), g)
-    path = tmp_path / "op.txt"
-    export_operator_coo(op, str(path))
-    lines = path.read_text().strip().splitlines()
-    n, nnz = map(int, lines[0].split())
-    assert n == 16 and nnz == len(lines) - 1
-    rebuilt = np.zeros((n, n))
-    for ln in lines[1:]:
-        r, c, v = ln.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert np.max(np.abs(rebuilt - op.matrix.toarray())) == 0.0
+    assert len(fresh) == 1 and len(calls) == int(grid.dimension == 2)
 
 
 def test_density_validation():
