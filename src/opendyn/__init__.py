@@ -8,27 +8,23 @@ contraction rates, and reproducible experiment runs.
 
 from .errors import (BoundaryError, CertificateError, ConfigError,
                      DegenerateParametersWarning, ParameterError,
-                     PreconditionError, ResolutionWarning, SelectionError,
-                     TotalEscapeError)
+                     PreconditionError, SelectionError, TotalEscapeError)
 from .phase import (Grid, PartitionSpec, diam_lambda, dyadic_partition,
-                    hausdorff_distance, metric_diam, partition_complexity,
-                    partition_from_labels, torus_delta)
+                    metric_diam, partition_from_labels, torus_delta)
 from .maps import (Branch1D, MapSequence, MapSpec, affine_map, balance_check,
-                   beta_map, complexity_sequence, doubling_map,
-                   dynamical_partition, full_branch_map, map_from_config,
+                   beta_map, doubling_map, full_branch_map, map_from_config,
                    matrix_map, perturbation_distance, quadratic_full_branch,
                    tripling_map, unit_ball_volume)
 from .holes import (HoleSequence, HoleSpec, disk_hole, hole_from_config,
                     interval_hole, rect_hole, survivor_indicator,
-                    survivor_measure, union_hole)
+                    survivor_measure)
 from .transfer import (GridDensity, OperatorCache, UlamOperator, build_closed,
                        build_open, escape_mass, evolve, l1_distance,
                        normalize, push, schedule_operators)
 from .seminorm import (ControlReport, LYCertificate, OscParams, SeminormSpec,
-                       cone_member, conditional_expectation,
-                       control_bounds_check, element_expectations,
-                       estimate_LY, ly_ensemble, oscillation_seminorm,
-                       total_variation, verify_ly)
+                       cone_member, control_bounds_check,
+                       element_expectations, estimate_LY, ly_ensemble,
+                       oscillation_seminorm, total_variation, verify_ly)
 from .cone import (ConeParams, RateConstants, birkhoff_factor, c_lip, delta0,
                    hilbert_distance_bound, rate_constants,
                    sample_cone_density, select_parameters,

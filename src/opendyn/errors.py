@@ -29,9 +29,5 @@ class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
-class ResolutionWarning(UserWarning):
-    """The grid is too coarse to separate structures it is asked to resolve."""
-
-
 class DegenerateParametersWarning(UserWarning):
     """A certified bound holds only trivially for the supplied parameters."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (CertificateError, ConfigError, ParameterError,
                      TotalEscapeError)
-from .phase import Grid, config_integer, dyadic_pool
+from .phase import Grid, config_integer, config_number, dyadic_pool
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
                    map_from_config, perturbation_distance)
 from .holes import HoleSequence, HoleSpec, hole_from_config
@@ -79,13 +79,6 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        def num(key, *default):
-            try:
-                return float(cfg.get(key, *default) if default else cfg[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r} must be a number, "
-                                  f"got {cfg[key]!r}") from exc
-
         try:
             kind = cfg["kind"]
             if kind not in ("local", "global"):
@@ -102,9 +95,11 @@ class ExperimentConfig:
             out = ExperimentConfig(
                 kind=kind, grid=grid, horizon=horizon,
                 seed=config_integer(cfg, "seed", 0),
-                zeta1=num("zeta1", 0.8), zeta2=num("zeta2", 1.2),
-                sigma=num("sigma", 0.5), T1=config_integer(cfg, "T1", 1),
-                seminorm=sem, delta=num("delta", 0.0),
+                zeta1=config_number(cfg, "zeta1", 0.8),
+                zeta2=config_number(cfg, "zeta2", 1.2),
+                sigma=config_number(cfg, "sigma", 0.5),
+                T1=config_integer(cfg, "T1", 1), seminorm=sem,
+                delta=config_number(cfg, "delta", 0.0),
                 holes=cfg.get("holes", {"kind": "none"}),
                 psi=cfg.get("psi", {"kind": "cosine_bump", "amplitude": 0.15}),
                 map_rec=cfg.get("map", {}), family=cfg.get("family", {}),
@@ -145,9 +140,9 @@ def hole_schedule(rec: dict, m: int, dimension: int, rng) -> HoleSequence:
         if kind == "static":
             seq = HoleSequence.static(hole_from_config(rec["hole"]), m)
         elif kind == "drifting_interval":
-            w = float(rec["measure"])
-            c0 = float(rec.get("center", 0.3))
-            v = float(rec.get("velocity", 0.137))
+            w = config_number(rec, "measure")
+            c0 = config_number(rec, "center", 0.3)
+            v = config_number(rec, "velocity", 0.137)
             holes = []
             for k in range(m):
                 c = (c0 + k * v) % 1.0
@@ -155,7 +150,7 @@ def hole_schedule(rec: dict, m: int, dimension: int, rng) -> HoleSequence:
                                                      (c + w / 2) % 1.0),)))
             seq = HoleSequence(tuple(holes))
         elif kind == "random_intervals":
-            eps = float(rec["epsilon"])
+            eps = config_number(rec, "epsilon")
             seq = HoleSequence(tuple(random_hole(dimension, eps, rng)
                                      for _ in range(m)))
         else:
@@ -174,7 +169,7 @@ def hole_cap(rec: dict) -> float:
     measure or epsilon, else the static hole's measure, else 0 (no holes)."""
     for key in ("epsilon_cap", "measure", "epsilon"):
         if key in rec:
-            return float(rec[key])
+            return config_number(rec, key)
     if rec.get("kind") == "static":
         return hole_from_config(rec["hole"]).measure()
     return 0.0
@@ -185,8 +180,8 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
     if kind == "uniform":
         return GridDensity.uniform(grid)
     if kind == "cosine_bump":
-        amp = float(rec.get("amplitude", 0.5))
-        phase = float(rec.get("phase", 0.0))
+        amp = config_number(rec, "amplitude", 0.5)
+        phase = config_number(rec, "phase", 0.0)
         x = grid.centers()
         if grid.dimension == 1:
             v = 1.0 + amp * np.cos(2.0 * np.pi * (x - phase))
@@ -197,13 +192,16 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
     if kind == "sawtooth":
         # eigenfunction of the doubling transfer operator (eigenvalue 1/2):
         # useful when a pure cosine would be annihilated in one step
-        amp = float(rec.get("amplitude", 0.3))
+        amp = config_number(rec, "amplitude", 0.3)
         x = grid.centers()
         if grid.dimension != 1:
             raise ConfigError("sawtooth density is one-dimensional")
         return GridDensity(grid, 1.0 + amp * (x - 0.5))
     if kind == "blocks":
-        nb = int(rec.get("blocks", 16))
+        nb = config_integer(rec, "blocks", 16)
+        if not 1 <= nb <= grid.total_cells:
+            raise ConfigError("config key 'blocks' must lie in "
+                              f"1..{grid.total_cells}, got {nb}")
         heights = rng.uniform(0.25, 2.0, nb)
         v = np.repeat(heights, grid.total_cells // nb)
         v = np.r_[v, np.full(grid.total_cells - v.size, heights[-1])]
@@ -414,19 +412,21 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
     if name not in FAMILIES:
         raise ConfigError(f"unknown family {name!r}")
     family = FAMILIES[name]
-    u0 = float(fam_rec.get("u_start", 0.0))
-    u1 = float(fam_rec.get("u_end", 1.0))
-    n_samples = max(int(fam_rec.get("cert_samples", 5)), 2)
+    u0 = config_number(fam_rec, "u_start", 0.0)
+    u1 = config_number(fam_rec, "u_end", 1.0)
+    n_samples = max(config_integer(fam_rec, "cert_samples", 5), 2)
+    step_rec = fam_rec.get("step", "auto")
+    if step_rec != "auto":
+        step_rec = config_number(fam_rec, "step")
     sample_us = [float(s) for s in np.linspace(u0, u1, n_samples)]
     samples = [_certify(family(s), cfg.grid, cfg, cache) for s in sample_us]
     xis = [_stability_radius(family, s, u0, u1, cfg.delta) for s in sample_us]
-    step_rec = fam_rec.get("step", "auto")
 
     def speed(T: int) -> tuple:
         """(speed limit, step) at block length T: a block of T steps moves
         the parameter by at most half the smallest certified radius."""
         limit = min(xis) / (2.0 * T)
-        step = limit if step_rec == "auto" else float(step_rec)
+        step = limit if step_rec == "auto" else step_rec
         if u1 > u0 and step > limit + 1e-15:
             raise ConfigError(
                 f"parameter step {step:.4g} exceeds the speed limit "

@@ -9,7 +9,6 @@ in the i-th hole.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -111,10 +110,6 @@ class HoleSpec:
 
 def interval_hole(lo: float, hi: float) -> HoleSpec:
     return HoleSpec(1, intervals=((lo, hi),))
-
-
-def union_hole(intervals: Sequence) -> HoleSpec:
-    return HoleSpec(1, intervals=tuple(tuple(t) for t in intervals))
 
 
 def rect_hole(x0: float, x1: float, y0: float, y1: float) -> HoleSpec:

@@ -9,15 +9,13 @@ and monotone quadratic in 1D, integer-matrix affine on the 2-torus.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundaryError, ConfigError, ParameterError, ResolutionWarning
-from .phase import (Grid, PartitionSpec, _max_incidence,
-                    partition_from_labels, torus_delta)
+from .errors import BoundaryError, ConfigError, ParameterError
+from .phase import torus_delta
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +208,6 @@ class MapSpec:
                 d[mask] = b.deriv(xv[mask])
         return d if np.ndim(x) else float(d)
 
-    def locate_element(self, x) -> np.ndarray:
-        """Index of the continuity-partition element containing each point."""
-        if self.dimension == 1:
-            return self.branch_index(x)
-        A = np.asarray(self.matrix, dtype=float)
-        xv = np.atleast_2d(np.asarray(x, dtype=float)) % 1.0
-        img = xv @ A.T + np.asarray(self.offset)
-        k = np.floor(img + 1e-12).astype(np.int64)
-        lo = k.min(axis=0)
-        span = k.max(axis=0) - lo + 1
-        return (k[:, 0] - lo[0]) * span[1] + (k[:, 1] - lo[1])
-
     def to_config(self) -> dict:
         if self.dimension == 1:
             return {"kind": self.kind,
@@ -347,85 +333,6 @@ class MapSequence:
     @staticmethod
     def constant(m: MapSpec, length: int) -> "MapSequence":
         return MapSequence((m,) * length)
-
-
-# ---------------------------------------------------------------------------
-# itinerary structure
-
-def _raw_itineraries(seq: MapSequence, m: int, points: np.ndarray) -> np.ndarray:
-    cols = []
-    x = np.array(points, dtype=float, copy=True)
-    for step in range(1, m + 1):
-        f = seq.at(step)
-        cols.append(f.locate_element(x))
-        x = f.evaluate(x)
-    return np.stack(cols, axis=1)
-
-
-def dynamical_partition(seq: MapSequence, m: int, grid: Grid) -> PartitionSpec:
-    """Joint continuity partition of the m-step composition.
-
-    Cells are labeled by the itinerary of continuity-partition elements
-    visited by their center orbit.  Off-center probe points detect
-    itinerary classes too thin to own any cell center; those trigger a
-    ResolutionWarning rather than being silently merged.
-    """
-    if m < 1:
-        raise ConfigError("m must be >= 1")
-    centers = grid.centers()
-    raw = _raw_itineraries(seq, m, centers)
-    _, labels = np.unique(raw, axis=0, return_inverse=True)
-    h = grid.spacing
-    if grid.dimension == 1:
-        probes = [centers - 0.25 * h, centers + 0.25 * h]
-    else:
-        probes = [centers + np.array(d) * 0.25 * h
-                  for d in ((-1, -1), (-1, 1), (1, -1), (1, 1))]
-    raw_probe = np.unique(np.concatenate(
-        [_raw_itineraries(seq, m, p % 1.0) for p in probes]), axis=0)
-    missing = _rows_difference(raw_probe, np.unique(raw, axis=0))
-    if missing:
-        warnings.warn(f"{missing} itinerary class(es) thinner than the grid",
-                      ResolutionWarning)
-    return partition_from_labels(grid, labels)
-
-
-def _rows_difference(a: np.ndarray, b: np.ndarray) -> int:
-    sa = {tuple(r) for r in a}
-    sb = {tuple(r) for r in b}
-    return len(sa - sb)
-
-
-def complexity_sequence(seq: MapSequence, holes, m: int, grid: Grid) -> list:
-    """Boundary complexity of the survivor-restricted itinerary partition,
-    for each horizon k = 1..m.
-
-    Holes contribute their preimage boundaries through the escaped-cell
-    mask, evaluated at grid resolution.
-    """
-    centers = grid.centers()
-    out = []
-    alive = np.ones(grid.total_cells, dtype=bool)
-    x = np.array(centers, copy=True)
-    raw = []
-    for k in range(1, m + 1):
-        f = seq.at(k)
-        raw.append(f.locate_element(x))
-        x = f.evaluate(x)
-        hk = holes.at(k) if holes is not None else None
-        if hk is not None:
-            alive &= ~hk.contains(x)
-        stacked = np.stack(raw, axis=1)
-        _, labels = np.unique(stacked, axis=0, return_inverse=True)
-        merged = np.where(alive, labels, -1)
-        if (merged == -1).all():
-            out.append(0)
-            continue
-        part = partition_from_labels(grid, merged)
-        keep = [k2 for k2, u in enumerate(np.unique(merged)) if u != -1]
-        out.append(_max_incidence(
-            [d for k2 in keep for d in part.boundary[k2]]))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -145,15 +145,7 @@ class SeminormSpec:
 
 
 # ---------------------------------------------------------------------------
-# conditional expectation and the cone
-
-def conditional_expectation(phi: GridDensity, Q: PartitionSpec) -> GridDensity:
-    """Element-wise average of phi (cells have equal measure), as a
-    piecewise-constant density.  Mass is preserved exactly."""
-    if Q.grid != phi.grid:
-        raise ConfigError("partition and density grids differ")
-    return GridDensity(phi.grid, element_expectations(phi, Q)[Q.labels()])
-
+# element averages and the cone
 
 def element_expectations(phi: GridDensity, Q: PartitionSpec) -> np.ndarray:
     """Average of phi over each element of Q."""

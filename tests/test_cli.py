@@ -149,6 +149,39 @@ def test_bad_value_is_config_error(tmp_path, capsys, patch):
     assert capsys.readouterr().err.startswith("configuration error")
 
 
+GLOBAL_CFG = dict(LOCAL_CFG, kind="global", family={
+    "name": "slopes_2_to_3", "u_start": 0.0, "u_end": 1.0, "step": "auto",
+    "cert_samples": 2})
+
+
+def _family(**patch):
+    return {"family": dict(GLOBAL_CFG["family"], **patch)}
+
+
+@pytest.mark.parametrize("base, key, patch", [
+    (LOCAL_CFG, "measure", {"holes": dict(LOCAL_CFG["holes"], measure="x")}),
+    (LOCAL_CFG, "amplitude", {"psi": {"kind": "cosine_bump",
+                                      "amplitude": "x"}}),
+    (LOCAL_CFG, "blocks", {"psi": {"kind": "blocks", "blocks": 0}}),
+    # more blocks than the 512 cells would leave every block empty
+    (LOCAL_CFG, "blocks", {"psi": {"kind": "blocks", "blocks": 10000}}),
+    (GLOBAL_CFG, "u_start", _family(u_start="x")),
+    (GLOBAL_CFG, "cert_samples", _family(cert_samples="x")),
+    (GLOBAL_CFG, "cert_samples", _family(cert_samples=3.7)),
+    (GLOBAL_CFG, "step", _family(step="x")),
+], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
+        "blocks_over_cells", "text_u_start", "text_cert_samples",
+        "float_cert_samples", "text_step"])
+def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
+    # local and global runs refuse a bad value by name, with no traceback
+    # and no later failure that hides the cause
+    cfg = write(tmp_path, "c.json", dict(base, **patch))
+    command = f"simulate-{base['kind']}"
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and f"'{key}'" in err
+
+
 @pytest.mark.parametrize("command, cfg, key", [
     ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
                     "grid": {"dimension": 1, "n": 256}, "k_max": 4.7}, "k_max"),

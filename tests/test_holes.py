@@ -4,7 +4,7 @@ import pytest
 from opendyn.errors import ConfigError
 from opendyn.holes import (HoleSequence, HoleSpec, disk_hole, hole_from_config,
                            interval_hole, rect_hole, survivor_indicator,
-                           survivor_measure, union_hole)
+                           survivor_measure)
 from opendyn.maps import MapSequence, doubling_map, matrix_map
 from opendyn.phase import Grid
 
@@ -23,8 +23,8 @@ def test_wrapping_interval():
     assert abs(h.measure() - 0.2) < 1e-15
 
 
-def test_union_hole_merges_overlaps():
-    h = union_hole([(0.1, 0.3), (0.25, 0.4), (0.7, 0.8)])
+def test_hole_spec_merges_overlaps():
+    h = HoleSpec(1, intervals=((0.1, 0.3), (0.25, 0.4), (0.7, 0.8)))
     assert abs(h.measure() - 0.4) < 1e-15
     x = np.array([0.35, 0.65, 0.75])
     assert list(h.contains(x)) == [True, False, True]
@@ -60,7 +60,7 @@ def test_disk_hole():
 
 
 def test_hole_config_roundtrip():
-    for h in (interval_hole(0.2, 0.4), union_hole([(0.0, 0.1), (0.5, 0.6)]),
+    for h in (interval_hole(0.2, 0.4), HoleSpec(1, intervals=((0.0, 0.1), (0.5, 0.6))),
               rect_hole(0.1, 0.2, 0.3, 0.4), disk_hole(0.5, 0.5, 0.2)):
         h2 = hole_from_config(h.to_config())
         assert h2 == h

@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 
 from opendyn import maps
 from opendyn.errors import BoundaryError, ConfigError, ParameterError
-from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import (Branch1D, MapSequence, MapSpec, affine_map,
-                          balance_check, beta_map, complexity_sequence,
-                          doubling_map, dynamical_partition, full_branch_map,
-                          map_from_config, matrix_map, perturbation_distance,
-                          quadratic_full_branch, tripling_map,
-                          unit_ball_volume)
+                          balance_check, beta_map, doubling_map,
+                          full_branch_map, map_from_config, matrix_map,
+                          perturbation_distance, quadratic_full_branch,
+                          tripling_map, unit_ball_volume)
 from opendyn.mixing import perturb_full_branch, perturb_offsets
-from opendyn.phase import Grid, torus_delta
+from opendyn.phase import torus_delta
 
 GOLDEN_MEAN_SQ = (3.0 + np.sqrt(5.0)) / 2.0   # largest singular value factor
 
@@ -296,24 +294,6 @@ def test_quadratic_size_is_dense_supremum(q, a, length, alpha):
     slack = 1e-12 + 4.0 * np.finfo(float).eps * np.abs(dq).max() \
         / (length / 100.0) ** alpha
     assert ref - slack <= got <= ref + np.abs(dq).max() * length / 4000 + slack
-
-
-def test_dynamical_partition_doubling():
-    g = Grid(1, 512)
-    seq = MapSequence.constant(doubling_map(), 3)
-    for m, want in ((1, 2), (2, 4), (3, 8)):
-        P = dynamical_partition(seq, m, g)
-        assert len(P.elements) == want
-
-
-def test_complexity_sequence_doubling_half_hole():
-    g = Grid(1, 1024)
-    seq = MapSequence.constant(doubling_map(), 4)
-    holes = HoleSequence.static(interval_hole(0.0, 0.5), 4)
-    ks = complexity_sequence(seq, holes, 4, g)
-    assert len(ks) == 4
-    # survivor is a single arc at every depth here
-    assert all(1 <= k <= 2 for k in ks)
 
 
 def test_expanding_sequence_bound_multiplies():

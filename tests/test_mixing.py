@@ -73,6 +73,28 @@ def test_certify_mixing_roundtrip():
         certify_mixing(doubling_map(), Q, 0.999, 1.001, 2)
 
 
+def test_certificate_json_with_boundary_key_loads():
+    # written before partitions dropped their boundary descriptors
+    old = (
+        '{"zeta1": 0.8, "zeta2": 1.2, "partition": {"grid": {"dimension": 1, '
+        '"cells_per_side": 8}, "elements": [[0, 1], [2, 3], [4, 5], [6, 7]], '
+        '"boundary": [[{"kind": "point", "x": 0.0}, {"kind": "point", "x": '
+        '0.25}], [{"kind": "point", "x": 0.25}, {"kind": "point", "x": 0.5}], '
+        '[{"kind": "point", "x": 0.5}, {"kind": "point", "x": 0.75}], '
+        '[{"kind": "point", "x": 0.75}, {"kind": "point", "x": 0.0}]]}, '
+        '"E": 2, "ratio_min": 1.0, "ratio_max": 1.0, "i_checked": [1, 8]}')
+    cert = MixingCertificate.from_json(old)
+    Q = dyadic_partition(Grid(1, 8), 2)
+    assert (cert.zeta1, cert.zeta2, cert.E) == (0.8, 1.2, 2)
+    assert (cert.ratio_min, cert.ratio_max, cert.i_checked) == (1.0, 1.0, (1, 8))
+    assert cert.partition.grid == Q.grid
+    assert [e.tolist() for e in cert.partition.elements] == \
+        [e.tolist() for e in Q.elements]
+    text = cert.to_json()
+    assert "boundary" not in text
+    assert MixingCertificate.from_json(text).to_json() == text
+
+
 def test_block_ratios_with_small_hole():
     g = Grid(1, 2048)
     Q = dyadic_partition(g, 2)

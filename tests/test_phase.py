@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from opendyn.errors import ConfigError
-from opendyn.phase import (Grid, PartitionSpec, SegmentDescriptor, diam_lambda,
-                           dyadic_partition, hausdorff_distance, metric_diam,
-                           partition_complexity, partition_from_labels,
-                           torus_delta)
+from opendyn.phase import (Grid, PartitionSpec, diam_lambda, dyadic_partition,
+                           metric_diam, partition_from_labels, torus_delta)
 
 
 def test_grid_geometry_1d():
@@ -107,41 +105,70 @@ def test_partition_json_roundtrip():
     assert [list(e) for e in Q2.elements] == [list(e) for e in Q.elements]
 
 
+# written before partitions dropped their boundary descriptors: files
+# that still carry the "boundary" key load to the same elements
+OLD_PARTITION_1D = (
+    '{"grid": {"dimension": 1, "cells_per_side": 8}, "elements": [[0, 1], '
+    '[2, 3], [4, 5], [6, 7]], "boundary": [[{"kind": "point", "x": 0.0}, '
+    '{"kind": "point", "x": 0.25}], [{"kind": "point", "x": 0.25}, '
+    '{"kind": "point", "x": 0.5}], [{"kind": "point", "x": 0.5}, '
+    '{"kind": "point", "x": 0.75}], [{"kind": "point", "x": 0.75}, '
+    '{"kind": "point", "x": 0.0}]]}')
+OLD_PARTITION_2D = (
+    '{"grid": {"dimension": 2, "cells_per_side": 4}, "elements": [[0, '
+    '1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]], '
+    '"boundary": [[{"kind": "segment", "axis": 0, "level": 0.0, "lo": '
+    '0.0, "hi": 0.5}, {"kind": "segment", "axis": 0, "level": 0.5, '
+    '"lo": 0.0, "hi": 0.5}, {"kind": "segment", "axis": 1, "level": '
+    '0.0, "lo": 0.0, "hi": 0.5}, {"kind": "segment", "axis": 1, '
+    '"level": 0.5, "lo": 0.0, "hi": 0.5}], [{"kind": "segment", '
+    '"axis": 0, "level": 0.5, "lo": 0.0, "hi": 0.5}, {"kind": '
+    '"segment", "axis": 0, "level": 0.0, "lo": 0.0, "hi": 0.5}, '
+    '{"kind": "segment", "axis": 1, "level": 0.0, "lo": 0.5, "hi": '
+    '1.0}, {"kind": "segment", "axis": 1, "level": 0.5, "lo": 0.5, '
+    '"hi": 1.0}], [{"kind": "segment", "axis": 0, "level": 0.0, "lo": '
+    '0.5, "hi": 1.0}, {"kind": "segment", "axis": 0, "level": 0.5, '
+    '"lo": 0.5, "hi": 1.0}, {"kind": "segment", "axis": 1, "level": '
+    '0.5, "lo": 0.0, "hi": 0.5}, {"kind": "segment", "axis": 1, '
+    '"level": 0.0, "lo": 0.0, "hi": 0.5}], [{"kind": "segment", '
+    '"axis": 0, "level": 0.5, "lo": 0.5, "hi": 1.0}, {"kind": '
+    '"segment", "axis": 0, "level": 0.0, "lo": 0.5, "hi": 1.0}, '
+    '{"kind": "segment", "axis": 1, "level": 0.5, "lo": 0.5, "hi": '
+    '1.0}, {"kind": "segment", "axis": 1, "level": 0.0, "lo": 0.5, '
+    '"hi": 1.0}]]}')
+
+
+def test_partition_json_with_boundary_key_loads():
+    for text, grid, level in ((OLD_PARTITION_1D, Grid(1, 8), 2),
+                              (OLD_PARTITION_2D, Grid(2, 4), 1)):
+        Q = PartitionSpec.from_json(text)
+        ref = dyadic_partition(grid, level)
+        assert Q.grid == grid
+        assert [e.tolist() for e in Q.elements] == \
+            [e.tolist() for e in ref.elements]
+        assert "boundary" not in Q.to_json()
+
+
 def test_partition_from_labels_matches_dyadic():
+    # labels numbered in the dyadic element order give the same elements,
+    # and so do labels that relabel them by any increasing map
+    for dim, n in ((1, 256), (2, 16)):
+        g = Grid(dim, n)
+        for level in (0, 1, 2, 3):
+            Q = dyadic_partition(g, level)
+            labels = Q.labels()
+            for lab in (labels, 10 * labels - 7):
+                P = partition_from_labels(g, lab)
+                assert P.grid == g
+                assert len(P.elements) == len(Q.elements) == 2 ** (dim * level)
+                for a, b in zip(P.elements, Q.elements):
+                    assert a.dtype == b.dtype == np.int64
+                    assert np.array_equal(a, b)
+                assert diam_lambda(P) == diam_lambda(Q) == 2.0 ** (-dim * level)
     g = Grid(1, 256)
-    labels = (np.arange(256) // 64).astype(np.int64)
-    Q = partition_from_labels(g, labels)
-    assert len(Q.elements) == 4
-    assert abs(diam_lambda(Q) - 0.25) < 1e-15
-
-
-def test_partition_complexity_dyadic():
-    g = Grid(1, 256)
-    Q = dyadic_partition(g, 2)
-    # each cut point ends one arc and starts the next: 2 incident pieces
-    assert partition_complexity(Q) == 2
-
-
-def test_partition_complexity_from_labels():
-    g = Grid(1, 256)
-    labels = np.zeros(256, dtype=np.int64)
-    labels[64:128] = 1
-    labels[192:] = 2
-    Q = partition_from_labels(g, labels)
-    assert partition_complexity(Q) >= 1
-
-
-def test_hausdorff_distance_intervals():
-    d = hausdorff_distance(("interval", 0.0, 0.25), ("interval", 0.125, 0.375))
-    assert abs(d - 0.125) < 2e-3
-    assert hausdorff_distance(("interval", 0.1, 0.2), ("interval", 0.1, 0.2)) < 1e-3
-
-
-def test_hausdorff_distance_cells_vs_analytic():
-    g = Grid(1, 512)
-    cells = np.arange(0, 128)   # [0, 0.25)
-    d = hausdorff_distance(cells, ("interval", 0.0, 0.25), grid=g)
-    assert d < 2.0 / 512
+    Q = partition_from_labels(g, np.arange(256) // 64)
+    assert [(e[0], e[-1]) for e in Q.elements] == \
+        [(0, 63), (64, 127), (128, 191), (192, 255)]
 
 
 def test_metric_diam_caps_at_torus_diameter():

@@ -17,8 +17,7 @@ from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import MapSequence, doubling_map, tripling_map
 from opendyn.phase import Grid, dyadic_partition, partition_from_labels
 from opendyn.seminorm import (LYCertificate, OscParams, SeminormSpec,
-                              cone_member,
-                              conditional_expectation, control_bounds_check,
+                              cone_member, control_bounds_check,
                               element_expectations, estimate_LY, ly_ensemble,
                               oscillation_seminorm, total_variation,
                               verify_ly)
@@ -200,17 +199,6 @@ def test_element_sums_match_element_means(dimension, elements, seed):
         # a block sums each column exactly as that column alone
         assert np.array_equal((Q.indicator @ V)[:, j],
                               Q.indicator @ phi.values)
-
-
-def test_conditional_expectation_dyadic():
-    g = Grid(1, 1024)
-    Q = dyadic_partition(g, 1)
-    phi = step_density(g, height=2.0)   # 2 on [0,1/2), 0 on [1/2,1)
-    e = element_expectations(phi, Q)
-    assert np.allclose(e, [2.0, 0.0], atol=1e-12)
-    ce = conditional_expectation(phi, Q)
-    assert abs(ce.values[:512].mean() - 2.0) < 1e-12
-    assert abs(ce.mass - phi.mass) < 1e-12
 
 
 def test_cone_member_margin():
