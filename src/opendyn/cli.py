@@ -26,7 +26,8 @@ import numpy as np
 from .errors import (BoundaryError, CertificateError, ConfigError,
                      ParameterError, PreconditionError, SelectionError,
                      TotalEscapeError)
-from .phase import Grid, config_integer, dyadic_partition, dyadic_pool
+from .phase import (Grid, config_integer, config_record, dyadic_partition,
+                    dyadic_pool)
 from .maps import MapSequence, map_from_config
 from .seminorm import SeminormSpec, estimate_LY
 from .cone import ConeParams, birkhoff_factor, delta0, rate_constants, \
@@ -50,7 +51,8 @@ def _emit(obj: dict, out_dir, name: str) -> None:
             fh.write(text + "\n")
 
 
-def _grid_from(rec: dict) -> Grid:
+def _grid_from(cfg: dict) -> Grid:
+    rec = config_record(cfg, "grid", {})
     return Grid(rec.get("dimension", 1), rec.get("n", 4096))
 
 
@@ -67,7 +69,7 @@ def _cmd_simulate(args, runner) -> int:
 
 def _cmd_certify_mixing(args) -> int:
     cfg = _load_config(args.config)
-    grid = _grid_from(cfg.get("grid", {}))
+    grid = _grid_from(cfg)
     mapspec = map_from_config(cfg["map"])
     Q = dyadic_partition(grid, config_integer(cfg.get("partition", {}),
                                               "level", 4))
@@ -80,18 +82,20 @@ def _cmd_certify_mixing(args) -> int:
 
 def _cmd_certify_ly(args) -> int:
     cfg = _load_config(args.config)
-    grid = _grid_from(cfg.get("grid", {}))
+    grid = _grid_from(cfg)
     T1 = config_integer(cfg, "T1", 1)
     k_max = config_integer(cfg, "k_max", 4)
     seed = config_integer(cfg, "seed", 0)
-    sem = SeminormSpec.from_config(cfg.get("seminorm", {"kind": "tv"}))
+    sem = SeminormSpec.from_config(
+        config_record(cfg, "seminorm", {"kind": "tv"}))
     if "maps" in cfg:
         seq = MapSequence(tuple(map_from_config(r) for r in cfg["maps"]))
     else:
         seq = MapSequence.constant(map_from_config(cfg["map"]), k_max * T1)
     rng = np.random.default_rng(seed)
-    holes = experiments.hole_schedule(cfg.get("holes", {"kind": "none"}),
-                                      len(seq.maps), grid.dimension, rng)
+    holes = experiments.hole_schedule(
+        config_record(cfg, "holes", {"kind": "none"}), len(seq.maps),
+        grid.dimension, rng)
     ops = schedule_operators(seq, holes, k_max * T1, grid)
     cert = estimate_LY(ops, T1, sem, config_integer(cfg, "ensemble_size", 24),
                        seed=seed)
@@ -102,10 +106,11 @@ def _cmd_certify_ly(args) -> int:
 
 def _cmd_select_params(args) -> int:
     cfg = _load_config(args.config)
-    sem = SeminormSpec.from_config(cfg.get("seminorm", {"kind": "tv"}))
+    sem = SeminormSpec.from_config(
+        config_record(cfg, "seminorm", {"kind": "tv"}))
     pool = base = None
     if "map" in cfg:
-        grid = _grid_from(cfg.get("grid", {}))
+        grid = _grid_from(cfg)
         base = build_closed(map_from_config(cfg["map"]), grid)
         pool = dyadic_pool(grid, config_integer(cfg, "max_level", 8))
     cp = select_parameters(cfg["zeta1"], cfg["zeta2"], cfg["theta"],
@@ -118,7 +123,8 @@ def _cmd_select_params(args) -> int:
 
 
 def _cone_params_from(rec: dict) -> ConeParams:
-    sem = SeminormSpec.from_config(rec.get("seminorm", {"kind": "tv"}))
+    sem = SeminormSpec.from_config(
+        config_record(rec, "seminorm", {"kind": "tv"}))
     return ConeParams(a=rec["a"], sigma=rec.get("sigma", 0.5), T=rec["T"],
                       zeta1=rec["zeta1"], zeta2=rec["zeta2"], seminorm=sem,
                       d=rec.get("d", 0.0), M=rec.get("M", 1.0),

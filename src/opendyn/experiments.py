@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import (CertificateError, ConfigError, ParameterError,
                      TotalEscapeError)
-from .phase import Grid, config_integer, config_number, dyadic_pool
+from .phase import (Grid, config_integer, config_number, config_record,
+                    dyadic_pool)
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
                    map_from_config, perturbation_distance)
 from .holes import HoleSequence, HoleSpec, hole_from_config
@@ -83,14 +84,15 @@ class ExperimentConfig:
             kind = cfg["kind"]
             if kind not in ("local", "global"):
                 raise ConfigError(f"unknown experiment kind {kind!r}")
-            g = cfg.get("grid", {})
+            g = config_record(cfg, "grid", {})
             grid = Grid(g.get("dimension", 1), g.get("n", 4096))
             horizon = config_integer(cfg, "horizon")
             if horizon < 2:
                 raise ConfigError("horizon must be at least 2")
-            sem = SeminormSpec.from_config(cfg.get("seminorm", {"kind": "tv"}))
+            sem = SeminormSpec.from_config(
+                config_record(cfg, "seminorm", {"kind": "tv"}))
             cert = dict(_DEF_CERT)
-            cert.update(cfg.get("certificates", {}))
+            cert.update(config_record(cfg, "certificates", {}))
             cert.update((key, config_integer(cert, key)) for key in _DEF_CERT)
             out = ExperimentConfig(
                 kind=kind, grid=grid, horizon=horizon,
@@ -100,9 +102,11 @@ class ExperimentConfig:
                 sigma=config_number(cfg, "sigma", 0.5),
                 T1=config_integer(cfg, "T1", 1), seminorm=sem,
                 delta=config_number(cfg, "delta", 0.0),
-                holes=cfg.get("holes", {"kind": "none"}),
-                psi=cfg.get("psi", {"kind": "cosine_bump", "amplitude": 0.15}),
-                map_rec=cfg.get("map", {}), family=cfg.get("family", {}),
+                holes=config_record(cfg, "holes", {"kind": "none"}),
+                psi=config_record(cfg, "psi", {"kind": "cosine_bump",
+                                               "amplitude": 0.15}),
+                map_rec=config_record(cfg, "map", {}),
+                family=config_record(cfg, "family", {}),
                 certificates=cert, raw=cfg)
             if kind == "local" and not out.map_rec:
                 raise ConfigError("local run needs a 'map' entry")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .phase import Grid, torus_delta
+from .phase import Grid, config_numbers, torus_delta
 
 
 def _normalize_intervals(intervals) -> tuple:
@@ -123,12 +123,14 @@ def disk_hole(cx: float, cy: float, r: float) -> HoleSpec:
 def hole_from_config(rec: dict):
     if rec is None:
         return None
+    if not isinstance(rec, dict):
+        raise ConfigError(f"a 'hole' record must be an object, got {rec!r}")
     if "dimension" not in rec:
         raise ConfigError("hole config missing key 'dimension'")
     return HoleSpec(rec["dimension"],
-                    intervals=tuple(tuple(t) for t in rec.get("intervals", ())),
-                    rects=tuple(tuple(t) for t in rec.get("rects", ())),
-                    disks=tuple(tuple(t) for t in rec.get("disks", ())))
+                    intervals=config_numbers(rec, "intervals", (), width=2),
+                    rects=config_numbers(rec, "rects", (), width=4),
+                    disks=config_numbers(rec, "disks", (), width=3))
 
 
 @dataclass(frozen=True)

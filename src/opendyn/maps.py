@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundaryError, ConfigError, ParameterError
-from .phase import torus_delta
+from .phase import config_number, config_numbers, torus_delta
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +282,8 @@ def matrix_map(matrix, offset=(0.0, 0.0), check_expanding: bool = True) -> MapSp
 
 
 def map_from_config(rec: dict) -> MapSpec:
+    if not isinstance(rec, dict):
+        raise ConfigError(f"a 'map' record must be an object, got {rec!r}")
     try:
         kind = rec["kind"]
         if kind in ("affine_1d", "quadratic_1d"):
@@ -290,9 +292,9 @@ def map_from_config(rec: dict) -> MapSpec:
             return MapSpec(1, kind, branches,
                            check_expanding=rec.get("check_expanding", True))
         if kind == "full_branch_1d":
-            return full_branch_map(rec["cuts"])
+            return full_branch_map(config_numbers(rec, "cuts"))
         if kind == "beta_1d":
-            return beta_map(rec["beta"])
+            return beta_map(config_number(rec, "beta"))
         if kind == "affine_2d":
             return matrix_map(rec["matrix"], rec.get("offset", (0.0, 0.0)),
                               rec.get("check_expanding", True))

@@ -50,6 +50,41 @@ def config_number(rec: dict, key: str, *default) -> float:
                           f"got {value!r}") from exc
 
 
+def config_numbers(rec: dict, key: str, *default, width=None) -> tuple:
+    """rec[key] (or the default when given and the key is absent) as a
+    tuple of floats or, with a `width`, as a tuple of rows of `width`
+    floats each; ConfigError naming the key when it has another shape or
+    float() refuses an entry.  KeyError when the key is absent and no
+    default is given."""
+    value = rec.get(key, *default) if default else rec[key]
+
+    def entries(v, size=None) -> tuple:
+        if not isinstance(v, (list, tuple)) or size not in (None, len(v)):
+            raise TypeError(f"{v!r} is not a list of length {size}")
+        return tuple(v)
+
+    try:
+        if width is None:
+            return tuple(map(float, entries(value)))
+        return tuple(tuple(map(float, entries(row, width)))
+                     for row in entries(value))
+    except (TypeError, ValueError) as exc:
+        what = f"lists of {width} numbers" if width else "numbers"
+        raise ConfigError(f"config key {key!r} must be a list of {what}, "
+                          f"got {value!r}") from exc
+
+
+def config_record(rec: dict, key: str, *default) -> dict:
+    """rec[key] (or the default when given and the key is absent);
+    ConfigError naming the key when it is not a JSON object.  KeyError
+    when the key is absent and no default is given."""
+    value = rec.get(key, *default) if default else rec[key]
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be an object, "
+                          f"got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on T^1 or T^2 with `cells_per_side` cells per axis."""

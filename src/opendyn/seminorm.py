@@ -21,7 +21,8 @@ import numpy as np
 from .errors import (CertificateError, ConfigError, DegenerateParametersWarning,
                      ParameterError, PreconditionError)
 from .mixing import ratio_profile
-from .phase import Grid, PartitionSpec, diam_lambda, metric_diam
+from .phase import (Grid, PartitionSpec, config_number, diam_lambda,
+                    metric_diam)
 from .transfer import GridDensity, push
 
 NONNEG_TOL = 1e-12  # float dust allowed below zero after matrix products
@@ -141,7 +142,8 @@ class SeminormSpec:
     def from_config(rec: dict) -> "SeminormSpec":
         if rec["kind"] == "tv":
             return SeminormSpec("tv")
-        return SeminormSpec("osc", OscParams(rec["alpha"], rec["eps0"]))
+        return SeminormSpec("osc", OscParams(config_number(rec, "alpha"),
+                                             config_number(rec, "eps0")))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ of one cell is clipped against the grid once and the resulting stencil
 is tiled over all columns.  Closed-map columns sum to 1 up to float
 rounding only.  Open operators have empty rows at hole cells, with hole
 membership sampled at cell centers.  A 1D operator, closed or open, is
-written straight into its CSR arrays with no closed parent; a 2D open
-operator masks its closed one.  Either way closed rows list their
-columns in ascending order and open rows in descending order, and
-matvec sums run in that order.
+written straight into its CSR arrays with no closed parent.  A 2D open
+operator, and any open operator whose closed parent is cached, is the
+closed one with its hole rows filtered out of the CSR arrays.  Either
+way closed rows list their columns in ascending order and open rows in
+descending order, and matvec sums run in that order.
 `OperatorCache.get_many` assembles a schedule's distinct missing
 operators together: on a grid of at least POOL_MIN_CELLS = 2^14 cells,
 with two or more of them and two or more usable CPUs, on a thread pool
@@ -249,8 +250,8 @@ def _build_1d(mapspec: MapSpec, grid: Grid,
     else:
         at -= 1
         to_spill = at - 1
-    to_spill[dead | ~spill] = nnz
-    at[dead] = nnz
+    np.copyto(to_spill, nnz, where=dead | ~spill)
+    np.copyto(at, nnz, where=dead)
     indices = np.empty(nnz + 1, dtype=index_dtype)
     indices[at] = i0
     i0 += 1
@@ -377,25 +378,51 @@ def build_open(mapspec: MapSpec, hole, grid: Grid) -> UlamOperator:
 
     Hole membership is sampled at cell centers, matching the survivor
     indicator convention.  A 1D open matrix is written directly, with no
-    closed parent; a 2D one masks the closed matrix.
+    closed parent; a 2D one drops the hole rows of the closed matrix.
     """
     if hole is None or grid.dimension != 1:
         return _open(build_closed(mapspec, grid), hole)
     if mapspec.dimension != 1:
         raise ConfigError("map and grid dimensions differ")
-    mask = hole.contains(grid.centers())
+    mask = _hole_rows(hole, grid)
     return UlamOperator(grid, _build_1d(mapspec, grid, mask), mask)
 
 
+def _hole_rows(hole, grid: Grid) -> np.ndarray:
+    """The cells whose center lies in the hole, for both open paths."""
+    if hole.dimension != grid.dimension:
+        raise ConfigError("hole and grid dimensions differ")
+    return hole.contains(grid.centers())
+
+
 def _open(closed: UlamOperator, hole) -> UlamOperator:
-    """The closed operator with the rows of hole cells zeroed, each open
-    row's columns in descending order, as a direct 1D write leaves them."""
+    """The closed operator with the rows of hole cells emptied, built
+    from the closed CSR arrays: each open row is its closed row read
+    last to first, with one gather.
+
+    Open rows list their columns in descending order, as a direct 1D
+    write leaves them, so an operator is the same bytes whether it was
+    written directly or opened from a cached closed parent, and its
+    matvec sums run in the same order.  Every stored entry of an open row
+    is kept: closed operators store no zeros (every 1D piece and every
+    2D stencil weight is positive), so this equals the product of the
+    closed matrix with the 0/1 diagonal of open rows.
+    """
     if hole is None:
         return closed
-    grid = closed.grid
-    mask = hole.contains(grid.centers())
-    D = sparse.diags((~mask).astype(float))
-    return UlamOperator(grid, (D @ closed.matrix).tocsr(), mask)
+    grid, M = closed.grid, closed.matrix
+    mask = _hole_rows(hole, grid)
+    counts = np.diff(M.indptr)
+    counts[mask] = 0
+    indptr = np.zeros_like(M.indptr)
+    np.cumsum(counts, out=indptr[1:])
+    # position p of open row i, which starts at indptr[i], reads closed
+    # slot M.indptr[i + 1] - 1 - (p - indptr[i])
+    src = np.repeat(np.add(M.indptr[1:], indptr[:-1], dtype=np.intp) - 1,
+                    counts)
+    src -= np.arange(src.size)
+    return UlamOperator(grid, sparse.csr_matrix(
+        (M.data[src], M.indices[src], indptr), shape=M.shape), mask)
 
 
 # Below this many cells a pool saves nothing.  On a 2-vCPU VM, 40 open
@@ -434,9 +461,10 @@ class OperatorCache:
     """Content-addressed cache so repeated schedule steps assemble once.
 
     Holes are frozen dataclasses, so they key by value.  An open operator
-    whose closed operator is already stored is masked from it instead of
-    reassembled.  Closed operators are stored only when asked for, so a
-    long open schedule does not keep the closed parent of every step."""
+    whose closed operator is already stored is opened from it (`_open`)
+    instead of reassembled.  Closed operators are stored only when asked
+    for, so a long open schedule does not keep the closed parent of every
+    step."""
 
     def __init__(self):
         self._store = {}
@@ -455,7 +483,7 @@ class OperatorCache:
         """The operator of every (map, hole) step, in order.  The distinct
         missing pairs are assembled together (`_assemble`) and stored in
         schedule order; an open one whose closed parent was stored before
-        the call is masked from it."""
+        the call is opened from it."""
         keys = [self._key(mapspec, hole, grid) for mapspec, hole in steps]
         missing = {}
         for key, step in zip(keys, steps):

@@ -158,6 +158,11 @@ def _family(**patch):
     return {"family": dict(GLOBAL_CFG["family"], **patch)}
 
 
+def _static(**hole):
+    return {"holes": {"kind": "static",
+                      "hole": dict({"dimension": 1}, **hole)}}
+
+
 @pytest.mark.parametrize("base, key, patch", [
     (LOCAL_CFG, "measure", {"holes": dict(LOCAL_CFG["holes"], measure="x")}),
     (LOCAL_CFG, "amplitude", {"psi": {"kind": "cosine_bump",
@@ -169,9 +174,25 @@ def _family(**patch):
     (GLOBAL_CFG, "cert_samples", _family(cert_samples="x")),
     (GLOBAL_CFG, "cert_samples", _family(cert_samples=3.7)),
     (GLOBAL_CFG, "step", _family(step="x")),
+    (LOCAL_CFG, "cuts", {"map": {"kind": "full_branch_1d", "cuts": ["x"]}}),
+    (LOCAL_CFG, "beta", {"map": {"kind": "beta_1d", "beta": "x"}}),
+    (LOCAL_CFG, "alpha", {"seminorm": {"kind": "osc", "alpha": "x",
+                                       "eps0": 0.1}}),
+    (LOCAL_CFG, "grid", {"grid": [1, 512]}),
+    (LOCAL_CFG, "holes", {"holes": [LOCAL_CFG["holes"]]}),
+    (LOCAL_CFG, "intervals", _static(intervals=[["x", 0.4]])),
+    (LOCAL_CFG, "cuts", {"map": {"kind": "full_branch_1d", "cuts": [[0.5]]}}),
+    (LOCAL_CFG, "intervals", _static(intervals=[0.1, 0.4])),
+    (LOCAL_CFG, "intervals", _static(intervals=[[0.1, 0.2, 0.3]])),
+    (LOCAL_CFG, "disks", _static(dimension=2, disks=[[0.5, 0.5]])),
+    (LOCAL_CFG, "hole", {"holes": {"kind": "static", "hole": [1, 0.1, 0.2]}}),
+    (LOCAL_CFG, "map", {"map": ["full_branch_1d", [0.5]]}),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
-        "float_cert_samples", "text_step"])
+        "float_cert_samples", "text_step", "text_cut", "text_beta",
+        "text_osc_alpha", "list_grid", "list_holes", "text_interval",
+        "nested_cuts", "flat_intervals", "three_end_interval",
+        "two_number_disk", "list_hole", "list_map"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     # local and global runs refuse a bad value by name, with no traceback
     # and no later failure that hides the cause
@@ -195,10 +216,20 @@ def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
                        "map": {"kind": "full_branch_1d", "cuts": [0.5]},
                        "grid": {"dimension": 1, "n": 256},
                        "max_level": 8.0}, "max_level"),
+    ("certify-mixing", {"map": ["full_branch_1d", [0.5]]}, "map"),
+    ("select-params", {"zeta1": 0.9, "zeta2": 1.1, "theta": 0.5, "C": 1.0,
+                       "map": ["full_branch_1d", [0.5]]}, "map"),
+    ("certify-ly", {"map": ["full_branch_1d", [0.5]]}, "map"),
+    ("certify-ly", {"maps": [["full_branch_1d", [0.5]]] * 4}, "map"),
+    ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
+                    "holes": ["static"]}, "holes"),
 ], ids=["certify_ly_k_max", "certify_ly_ensemble", "mixing_i_max",
-        "select_max_level"])
+        "select_max_level", "mixing_list_map", "select_list_map",
+        "certify_ly_list_map", "certify_ly_list_maps_entry",
+        "certify_ly_list_holes"])
 def test_subcommand_integer_keys(tmp_path, capsys, command, cfg, key):
-    # a float or text count is refused by name, not truncated or crashed on
+    # a float or text count, or a list where a record belongs, is refused
+    # by name, not truncated or crashed on
     assert main([command, write(tmp_path, "c.json", cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and f"'{key}'" in err

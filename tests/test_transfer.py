@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from opendyn.errors import ConfigError, TotalEscapeError
-from opendyn.holes import HoleSequence, interval_hole, rect_hole
+from opendyn.holes import HoleSequence, disk_hole, interval_hole, rect_hole
 from opendyn.maps import (MapSequence, affine_map, beta_map, doubling_map,
                           full_branch_map, matrix_map, quadratic_full_branch,
                           tripling_map)
@@ -380,9 +380,33 @@ def _reference_1d(mapspec, n):
         shape=(n, n)).tocsr()
 
 
+def _map_1d(kind, eps, cut, beta, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "affine":
+        m = random_expanding_map(rng)
+    elif kind == "quadratic":
+        m = quadratic_full_branch(eps, cut)
+    elif kind == "quadratic_jitter":
+        m = perturb_offsets(quadratic_full_branch(eps, cut), 0.1, rng)
+    else:
+        m = beta_map(beta)
+    if kind == "beta_reversed":
+        # x -> eps - beta x: decreasing branches, full ones wrap a row
+        m = affine_map(list(m.cuts), [-beta] * len(m.branches),
+                       [eps + k + 1.0 for k in range(len(m.branches))])
+    return m
+
+
 def _same_csr(a, b) -> bool:
     return all(getattr(a, k).tobytes() == getattr(b, k).tobytes()
                for k in ("indptr", "indices", "data"))
+
+
+def _masked(closed, mask):
+    """The reference opening: the closed matrix times the 0/1 diagonal of
+    open rows.  scipy's product drops the hole rows and lists each open
+    row's columns last to first."""
+    return sparse.diags((~mask).astype(float)) @ closed
 
 
 @settings(max_examples=60, deadline=None)
@@ -414,19 +438,7 @@ def test_1d_assembly_matches_midpoint_reference(kind, eps, cut, beta, n,
     # closed operators equal the reference COO assembly byte for byte;
     # open ones equal its product with the hole mask, which leaves the
     # columns of each open row in descending order
-    rng = np.random.default_rng(seed)
-    if kind == "affine":
-        m = random_expanding_map(rng)
-    elif kind == "quadratic":
-        m = quadratic_full_branch(eps, cut)
-    elif kind == "quadratic_jitter":
-        m = perturb_offsets(quadratic_full_branch(eps, cut), 0.1, rng)
-    else:
-        m = beta_map(beta)
-    if kind == "beta_reversed":
-        # x -> eps - beta x: decreasing branches, full ones wrap a row
-        m = affine_map(list(m.cuts), [-beta] * len(m.branches),
-                       [eps + k + 1.0 for k in range(len(m.branches))])
+    m = _map_1d(kind, eps, cut, beta, seed)
     g = Grid(1, n)
     ref = _reference_1d(m, n)
     assert _same_csr(build_closed(m, g).matrix, ref)
@@ -435,8 +447,89 @@ def test_1d_assembly_matches_midpoint_reference(kind, eps, cut, beta, n,
         mask = hole.contains(g.centers())
         op = build_open(m, hole, g)
         assert np.array_equal(op.hole_mask, mask)
-        assert _same_csr(op.matrix,
-                         sparse.diags((~mask).astype(float)) @ ref)
+        assert _same_csr(op.matrix, _masked(ref, mask))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimension=st.sampled_from([1, 2]),
+       kind=st.sampled_from(["affine", "quadratic", "beta", "beta_reversed"]),
+       eps=st.floats(-0.8, 0.8), cut=st.floats(0.35, 0.65),
+       beta=st.floats(1.1, 6.0), n1=st.integers(2, 4096),
+       matrix=st.sampled_from([((3, 1), (1, 2)), ((3, 0), (0, 3)),
+                               ((2, 0), (0, 2))]),
+       offset=st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                        st.floats(0.0, 1.0, exclude_max=True)),
+       n2=st.integers(4, 64), seed=st.integers(0, 2 ** 32 - 1),
+       hole=st.tuples(st.sampled_from(["rect", "disk"]),
+                      st.floats(0.0, 1.0, exclude_max=True),
+                      st.floats(0.0, 1.0, exclude_max=True),
+                      st.floats(0.01, 0.45), st.floats(0.01, 0.45)))
+# a rect that wraps both axes
+@example(dimension=2, kind="affine", eps=0.0, cut=0.5, beta=2.0, n1=2,
+         matrix=((3, 1), (1, 2)), offset=(0.1, 0.2), n2=16, seed=0,
+         hole=("rect", 0.8, 0.9, 0.3, 0.2))
+# a disk centred on a cell corner
+@example(dimension=2, kind="affine", eps=0.0, cut=0.5, beta=2.0, n1=2,
+         matrix=((2, 0), (0, 2)), offset=(0.0, 0.0), n2=8, seed=0,
+         hole=("disk", 0.5, 0.5, 0.3, 0.01))
+# a 1D arc through 0 over decreasing branches (the shape is 2D only)
+@example(dimension=1, kind="beta_reversed", eps=0.2, cut=0.5, beta=4.4,
+         n1=2, matrix=((2, 0), (0, 2)), offset=(0.0, 0.0), n2=4, seed=0,
+         hole=("rect", 0.9, 0.0, 0.2, 0.01))
+def test_open_filters_rows_like_masking_product(dimension, kind, eps, cut,
+                                                beta, n1, matrix, offset, n2,
+                                                seed, hole):
+    # opening a closed operator is byte for byte its product with the
+    # diagonal of open rows, index and value types included; that holds
+    # because closed operators store no zeros
+    shape, a, b, w, h = hole
+    if dimension == 1:
+        m, g = _map_1d(kind, eps, cut, beta, seed), Grid(1, n1)
+        spec = interval_hole(a, (a + w) % 1.0)
+    else:
+        m, g = matrix_map(matrix, offset), Grid(2, n2)
+        spec = rect_hole(a, (a + w) % 1.0, b, (b + h) % 1.0) \
+            if shape == "rect" else disk_hole(a, b, w)
+    closed = build_closed(m, g)
+    assert (closed.matrix.data > 0.0).all()
+    mask = spec.contains(g.centers())
+    op = transfer._open(closed, spec)
+    ref = _masked(closed.matrix, mask)
+    assert np.array_equal(op.hole_mask, mask)
+    for key in ("indptr", "indices", "data"):
+        got, want = getattr(op.matrix, key), getattr(ref, key)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, lo, hi, cells", [
+    # both ends exactly on cell centres: the first is in, the last is out
+    (4, 0.125, 0.375, [0]),
+    # an arc that wraps through 0
+    (8, 0.8, 0.2, [0, 1, 6, 7]),
+    # an arc between two centres holds no cell
+    (16, 0.1, 0.11, []),
+    # an arc that ends at 1.0 keeps its last cell
+    (8, 0.8, 1.0, [6, 7]),
+], ids=["ends_on_centres", "wrapping", "between_centres", "ends_at_one"])
+def test_hole_rows_at_arc_ends(n, lo, hi, cells):
+    # the direct 1D write and the opening of a closed parent empty the
+    # same rows: the cells whose centre lies in the half-open arc
+    g, m, hole = Grid(1, n), doubling_map(), interval_hole(lo, hi)
+    want = np.isin(np.arange(n), cells)
+    assert np.array_equal(transfer._hole_rows(hole, g), want)
+    for op in (build_open(m, hole, g),
+               transfer._open(build_closed(m, g), hole)):
+        assert np.array_equal(op.hole_mask, want)
+        assert np.array_equal(np.diff(op.matrix.indptr) == 0, want)
+
+
+def test_hole_rows_refuse_other_dimension():
+    with pytest.raises(ConfigError):
+        transfer._hole_rows(rect_hole(0.1, 0.2, 0.1, 0.2), Grid(1, 16))
+    with pytest.raises(ConfigError):
+        build_open(matrix_map([[2, 0], [0, 2]]), interval_hole(0.1, 0.2),
+                   Grid(2, 8))
 
 
 def _count_pools(monkeypatch):
@@ -473,8 +566,7 @@ def test_pooled_schedule_matches_build_open(monkeypatch):
     assert pools == [6] and len(cache) == 6 and ops[6] is ops[2]
     for m, h, op in zip(mseq.maps, hseq.holes, ops):
         ref = build_open(m, h, g)
-        masked = sparse.diags((~h.contains(g.centers())).astype(float)) \
-            @ build_closed(m, g).matrix
+        masked = _masked(build_closed(m, g).matrix, h.contains(g.centers()))
         assert _same_csr(op.matrix, ref.matrix)
         assert _same_csr(op.matrix, masked)
         assert np.array_equal(op.hole_mask, ref.hole_mask)
@@ -483,6 +575,35 @@ def test_pooled_schedule_matches_build_open(monkeypatch):
         M = op.matrix
         starts = M.indptr[:-1][np.diff(M.indptr) > 1]
         assert (M.indices[starts] > M.indices[starts + 1]).all()
+
+
+def test_pooled_2d_openings_of_cached_parent_match_inline(monkeypatch):
+    # on 128 x 128 cells, with the closed parent cached, every step is
+    # opened from it: on the pool and inline to the same bytes
+    g = Grid(2, 128)
+    assert g.total_cells >= transfer.POOL_MIN_CELLS
+    m = matrix_map([[3, 1], [1, 2]], (0.1, 0.2))
+    rng = np.random.default_rng(3)
+    steps = [(m, rect_hole(x, (x + 0.05) % 1.0, y, (y + 0.1) % 1.0))
+             for x, y in rng.uniform(0.0, 1.0, (4, 2))]
+    steps.append((m, disk_hole(0.5, 0.5, 0.1)))
+    pools = _count_pools(monkeypatch)
+    real, calls = transfer.build_closed, []
+    results = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda c=cpus: c)
+        monkeypatch.setattr(transfer, "build_closed", real)
+        cache = OperatorCache()
+        closed = cache.get(m, None, g)
+        monkeypatch.setattr(transfer, "build_closed",
+                            lambda *args: calls.append(args))
+        results.append(cache.get_many(steps, g))
+    assert pools == [2] and calls == []
+    for pooled, inline, (_, hole) in zip(*results, steps):
+        assert _same_csr(pooled.matrix, inline.matrix)
+        assert np.array_equal(pooled.hole_mask, inline.hole_mask)
+        assert _same_csr(pooled.matrix,
+                         _masked(closed.matrix, hole.contains(g.centers())))
 
 
 @pytest.mark.parametrize("cpus, n, pooled", [
