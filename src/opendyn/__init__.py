@@ -6,7 +6,7 @@ mixing certificates, cone-parameter selection with explicit projective
 contraction rates, and reproducible experiment runs.
 """
 
-from .errors import (BoundaryError, CertificateError, ConfigError,
+from .errors import (CertificateError, ConfigError,
                      DegenerateParametersWarning, ParameterError,
                      PreconditionError, SelectionError, TotalEscapeError)
 from .phase import (Grid, PartitionSpec, diam_lambda, dyadic_partition,

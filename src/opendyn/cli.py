@@ -20,14 +20,14 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
-from .errors import (BoundaryError, CertificateError, ConfigError,
-                     ParameterError, PreconditionError, SelectionError,
-                     TotalEscapeError)
-from .phase import (Grid, config_integer, config_record, dyadic_partition,
-                    dyadic_pool)
+from .errors import (CertificateError, ConfigError, ParameterError,
+                     PreconditionError, SelectionError, TotalEscapeError)
+from .phase import (Grid, config_integer, config_number, config_record,
+                    dyadic_partition, dyadic_pool)
 from .maps import MapSequence, map_from_config
 from .seminorm import SeminormSpec, estimate_LY
 from .cone import ConeParams, birkhoff_factor, delta0, rate_constants, \
@@ -71,9 +71,10 @@ def _cmd_certify_mixing(args) -> int:
     cfg = _load_config(args.config)
     grid = _grid_from(cfg)
     mapspec = map_from_config(cfg["map"])
-    Q = dyadic_partition(grid, config_integer(cfg.get("partition", {}),
-                                              "level", 4))
-    cert = certify_mixing(mapspec, Q, cfg["zeta1"], cfg["zeta2"],
+    Q = dyadic_partition(grid, config_integer(
+        config_record(cfg, "partition", {}), "level", 4))
+    cert = certify_mixing(mapspec, Q, config_number(cfg, "zeta1"),
+                          config_number(cfg, "zeta2"),
                           config_integer(cfg, "i_max", 24))
     _emit(json.loads(cert.to_json()), args.out, "mixing_certificate.json")
     print(f"mixing time E = {cert.E}")
@@ -113,10 +114,10 @@ def _cmd_select_params(args) -> int:
         grid = _grid_from(cfg)
         base = build_closed(map_from_config(cfg["map"]), grid)
         pool = dyadic_pool(grid, config_integer(cfg, "max_level", 8))
-    cp = select_parameters(cfg["zeta1"], cfg["zeta2"], cfg["theta"],
-                           cfg["C"], config_integer(cfg, "T1", 1), sem, pool,
-                           base, cfg.get("sigma", 0.5),
-                           config_integer(cfg, "i_max", 24))
+    num = partial(config_number, cfg)
+    cp = select_parameters(num("zeta1"), num("zeta2"), num("theta"), num("C"),
+                           config_integer(cfg, "T1", 1), sem, pool, base,
+                           num("sigma", 0.5), config_integer(cfg, "i_max", 24))
     _emit(cp.to_config(), args.out, "cone_params.json")
     print(f"a = {cp.a}, T = {cp.T}, d = {cp.d}, E = {cp.E}")
     return 0
@@ -125,15 +126,16 @@ def _cmd_select_params(args) -> int:
 def _cone_params_from(rec: dict) -> ConeParams:
     sem = SeminormSpec.from_config(
         config_record(rec, "seminorm", {"kind": "tv"}))
-    return ConeParams(a=rec["a"], sigma=rec.get("sigma", 0.5), T=rec["T"],
-                      zeta1=rec["zeta1"], zeta2=rec["zeta2"], seminorm=sem,
-                      d=rec.get("d", 0.0), M=rec.get("M", 1.0),
-                      E=rec.get("E"))
+    num = partial(config_number, rec)
+    return ConeParams(a=num("a"), sigma=num("sigma", 0.5),
+                      T=config_integer(rec, "T"), zeta1=num("zeta1"),
+                      zeta2=num("zeta2"), seminorm=sem, d=num("d", 0.0),
+                      M=num("M", 1.0), E=rec.get("E"))
 
 
 def _cmd_constants(args) -> int:
     cfg = _load_config(args.config)
-    cp = _cone_params_from(cfg.get("cone_params", cfg))
+    cp = _cone_params_from(config_record(cfg, "cone_params", cfg))
     d0 = delta0(cp)
     rate = rate_constants(cp)
     out = {"delta0": d0, "birkhoff_factor": birkhoff_factor(d0),
@@ -197,7 +199,7 @@ def main(argv=None) -> int:
             TotalEscapeError) as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ParameterError, BoundaryError, KeyError) as exc:
+    except (ConfigError, ParameterError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as exc:

@@ -64,9 +64,7 @@ class ConeParams:
     def audit(self, theta_LY: float, C_LY: float, T1: int) -> list:
         """Replay the three parameter inequalities; returns failure strings."""
         fails = []
-        if not 0.0 < self.sigma < 1.0:
-            fails.append("(P1) sigma outside (0,1)")
-        if self.T % T1 != 0 or self.T < T1:
+        if self.T % T1 != 0:
             fails.append("(P2) T not a positive multiple of T1")
         if self.E is not None and self.T < self.E:
             fails.append(f"(P2) T={self.T} below mixing time E={self.E}")
@@ -113,11 +111,10 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
     T shrinks the required aperture, so the whole procedure reruns from
     the larger T until it stabilizes.
 
-    With partition_family=None the procedure stops after the aperture
-    step and reports the admissible-diameter bound in `d`.  With the
-    closed operator of the base map, on the grid of the family, the
-    result carries its mixing certificate on Q (`mixing`); each picked
-    partition's window is computed once.
+    With partition_family=None (analytic mode) selection stops after the
+    aperture step and reports the admissible-diameter bound in `d`.  A
+    family needs `base`, the closed base-map operator on the family's
+    grid; the result carries its mixing certificate on Q (`mixing`).
     """
     if not 0.0 < theta_LY < 1.0:
         raise ParameterError("theta_LY must lie in (0, 1)")
@@ -162,23 +159,19 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
                 f"with a = {a:.4g}")
         idx, Q, d, M = chosen
 
-        mix = None
-        if base is not None:
-            if base.grid != Q.grid:
-                raise ConfigError("base operator and partition live on "
-                                  "different grids")
-            # a partition picked again in a later round keeps its window
-            if idx not in windows:
-                windows[idx] = closed_certificate(base, Q, zeta1, zeta2,
-                                                  i_max)
-            mix = windows[idx]
-            if mix is None:
-                raise SelectionError(
-                    f"base map shows no mixing time on the selected partition "
-                    f"within i_max = {i_max}")
-        if mix is None or T >= mix.E:
-            return ConeParams(a, sigma, T, zeta1, zeta2, sem, Q, d, M,
-                              None if mix is None else mix.E, mix)
+        if base is None or base.grid != Q.grid:
+            raise ConfigError("a partition family needs the base operator "
+                              "on its grid")
+        # a partition picked again in a later round keeps its window
+        if idx not in windows:
+            windows[idx] = closed_certificate(base, Q, zeta1, zeta2, i_max)
+        mix = windows[idx]
+        if mix is None:
+            raise SelectionError(
+                f"base map shows no mixing time on the selected partition "
+                f"within i_max = {i_max}")
+        if T >= mix.E:
+            return ConeParams(a, sigma, T, zeta1, zeta2, sem, Q, d, M, mix.E, mix)
         T = T1 * math.ceil(mix.E / T1)
     raise SelectionError("parameter selection did not stabilize")
 
@@ -249,12 +242,12 @@ def hilbert_distance_bound(phi_star: GridDensity, psi_star: GridDensity,
 # sampled contraction verification
 
 def sample_cone_density(grid: Grid, Q: PartitionSpec, a: float,
-                        sem: SeminormSpec, rng, max_blocks: int = 64) -> GridDensity:
+                        sem: SeminormSpec, rng) -> GridDensity:
     """Random density in the aperture-a cone: a piecewise-constant
-    perturbation of the uniform density, scaled so the seminorm stays a
-    definite fraction of the cone budget."""
+    perturbation of the uniform density with 2..63 blocks, scaled so the
+    seminorm stays a definite fraction of the cone budget."""
     total = grid.total_cells
-    nblocks = int(rng.integers(2, max_blocks))
+    nblocks = int(rng.integers(2, 64))
     heights = rng.uniform(0.0, 1.0, nblocks)
     u = np.repeat(heights, total // nblocks)
     u = np.r_[u, np.full(total - u.size, heights[-1])]
@@ -280,21 +273,19 @@ class ContractionReport(NamedTuple):
 
 
 def verify_cone_contraction(ops: list, cp: ConeParams, samples: int = 100,
-                            seed: int = 0, theta_LY: float | None = None,
-                            C_LY: float = 0.0,
-                            T1: int = 1) -> ContractionReport:
-    """Sampled check that the block ops, cp.T operators long, maps the
-    aperture-a cone into the sigma*a cone.  Reports the worst
-    |L phi|_s/(a minE) ratio; contraction means it stays at or below sigma."""
+                            seed: int = 0, *, theta_LY: float, C_LY: float,
+                            T1: int) -> ContractionReport:
+    """Sampled check, after `cp.audit` passes, that the block ops, cp.T
+    operators long, maps the aperture-a cone into the sigma*a cone.  Reports
+    the worst |L phi|_s/(a minE) ratio; contraction means it stays <= sigma."""
     if cp.Q is None or samples < 1:
         raise ConfigError("verify_cone_contraction needs a selected "
                           "partition and samples >= 1")
     if len(ops) != cp.T:
         raise ConfigError(f"block of {len(ops)} operators, need T = {cp.T}")
-    if theta_LY is not None:
-        fails = cp.audit(theta_LY, C_LY, T1)
-        if fails:
-            raise PreconditionError("; ".join(fails))
+    fails = cp.audit(theta_LY, C_LY, T1)
+    if fails:
+        raise PreconditionError("; ".join(fails))
     rng = np.random.default_rng(seed)
     grid = cp.Q.grid
     V = np.column_stack([sample_cone_density(grid, cp.Q, cp.a, cp.seminorm,

@@ -1,10 +1,6 @@
 """Error and warning types shared across the library."""
 
 
-class BoundaryError(ValueError):
-    """A point sits exactly on a continuity-partition boundary."""
-
-
 class TotalEscapeError(RuntimeError):
     """All mass has escaped; a normalized density no longer exists."""
 

@@ -33,6 +33,7 @@ from .mixing import (default_perturbation, random_hole, ratio_profile,
                      stability_check)
 
 FIT_FLOOR = 1e-14
+FIT_R2_MIN = 0.95  # least r2 of the decay fit for the fit flag
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +285,13 @@ def _grid_budget(records, peaks, grid: Grid, c_lip_val: float) -> list:
     return [c_lip_val * r["m"] * h * v * 0.5 for r, v in zip(records, peaks)]
 
 
-def _flags_and_fit(records, budget, rate, fit_r2_min: float = 0.95):
+def _flags_and_fit(records, budget, rate):
     series = [(r["m"], r["l1_distance"]) for r in records]
     fit = fit_exponential(series)
     bound_ok = all(
         r["l1_distance"] <= rate.c0 * rate.lam ** r["m"] + b + 1e-12
         for r, b in zip(records, budget))
-    fit_ok = fit[2] >= fit_r2_min and fit[1] < 1.0
+    fit_ok = fit[2] >= FIT_R2_MIN and fit[1] < 1.0
     return fit, bound_ok, fit_ok
 
 

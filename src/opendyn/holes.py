@@ -161,41 +161,21 @@ class HoleSequence:
         return HoleSequence((None,) * length)
 
 
-def survivor_indicator(map_seq, hole_seq: HoleSequence, m: int, grid: Grid,
-                       return_straddle: bool = False):
-    """Indicator of the m-step survivor set on grid cells.
-
-    A cell survives when its center orbit avoids every hole: the i-th
-    test is applied to the image under the i-th map.  With
-    return_straddle=True also flags cells whose corner orbits disagree
-    with the center, marking the survivor boundary at grid resolution.
-    """
+def survivor_indicator(map_seq, hole_seq: HoleSequence, m: int, grid: Grid):
+    """Indicator of the m-step survivor set on grid cells: a cell survives
+    when its center orbit avoids every hole, the i-th test applied to the
+    image under the i-th map."""
     if m < 1:
         raise ConfigError("m must be >= 1")
     if len(hole_seq) < m or len(map_seq) < m:
         raise ConfigError("schedules shorter than requested horizon")
-
-    def alive_mask(points):
-        x = np.array(points, dtype=float, copy=True)
-        alive = np.ones(len(np.atleast_1d(x if grid.dimension == 1 else x[:, 0])),
-                        dtype=bool)
-        for i in range(1, m + 1):
-            x = map_seq.at(i).evaluate(x)
-            h = hole_seq.at(i)
-            if h is not None:
-                alive &= ~h.contains(x)
-        return alive
-
-    center_alive = alive_mask(grid.centers())
-    if not return_straddle:
-        return center_alive
-    cells = np.arange(grid.total_cells)
-    corners = grid.cell_corners(cells)    # (total, 2**d, d) or (total, 2)
-    straddle = np.zeros(grid.total_cells, dtype=bool)
-    for j in range(corners.shape[1]):
-        pts = corners[:, j] if grid.dimension == 2 else corners[:, j]
-        straddle |= alive_mask(pts) != center_alive
-    return center_alive, straddle
+    x, alive = grid.centers(), np.ones(grid.total_cells, dtype=bool)
+    for i in range(1, m + 1):
+        x = map_seq.at(i).evaluate(x)
+        h = hole_seq.at(i)
+        if h is not None:
+            alive &= ~h.contains(x)
+    return alive
 
 
 def survivor_measure(map_seq, hole_seq: HoleSequence, m: int, grid: Grid) -> float:

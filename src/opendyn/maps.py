@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundaryError, ConfigError, ParameterError
+from .errors import ConfigError, ParameterError
 from .phase import config_number, config_numbers, torus_delta
 
 
@@ -98,7 +98,6 @@ class MapSpec:
     branches: tuple = ()            # Branch1D tuple (1D kinds)
     matrix: tuple = ()              # ((a,b),(c,d)) integer entries (2D)
     offset: tuple = (0.0, 0.0)
-    holder_alpha: float = 1.0
     check_expanding: bool = True
 
     def __post_init__(self):
@@ -144,19 +143,6 @@ class MapSpec:
         return float(1.0 / np.linalg.svd(A, compute_uv=False).min())
 
     @property
-    def kappa(self) -> int:
-        """Complexity of the continuity partition.
-
-        1D: each cut point lies on the boundary of two arcs.  2D: the
-        branch domains are parallelogram translates whose boundary lines
-        cross transversally, four domains per crossing with two pieces
-        each.
-        """
-        if self.dimension == 1:
-            return 2 if len(self.branches) > 1 else 0
-        return 8 if abs(np.linalg.det(np.asarray(self.matrix))) > 1.5 else 0
-
-    @property
     def n_branches(self) -> int:
         if self.dimension == 1:
             return len(self.branches)
@@ -169,22 +155,12 @@ class MapSpec:
 
     # -- evaluation ---------------------------------------------------------
 
-    def branch_index(self, x) -> np.ndarray:
-        cuts = np.asarray(self.cuts)
-        return np.searchsorted(cuts, np.asarray(x, dtype=float) % 1.0, side="right")
-
-    def evaluate(self, x, strict: bool = False):
-        """Apply the map; points land in [0, 1).
-
-        With strict=True a point lying exactly on a continuity boundary
-        raises BoundaryError instead of being resolved by the half-open
-        convention.
-        """
+    def evaluate(self, x):
+        """Apply the map; points land in [0, 1).  A cut point, or one whose
+        x % 1 rounds to 1, takes the branch to its right on the circle."""
         if self.dimension == 1:
             xv = np.asarray(x, dtype=float) % 1.0
-            if strict and np.isin(xv, np.asarray(self.cuts)).any():
-                raise BoundaryError("point on a continuity-partition boundary")
-            idx = self.branch_index(xv)
+            idx = np.searchsorted(self.cuts, xv % 1.0, side="right")
             y = np.empty_like(xv)
             for k, b in enumerate(self.branches):
                 mask = idx == k
@@ -196,17 +172,6 @@ class MapSpec:
         xv = np.atleast_2d(np.asarray(x, dtype=float)) % 1.0
         y = (xv @ A.T + np.asarray(self.offset)) % 1.0
         return y if np.ndim(x) > 1 else y[0]
-
-    def derivative(self, x):
-        """Branch derivative at x (1D)."""
-        xv = np.asarray(x, dtype=float) % 1.0
-        idx = self.branch_index(xv)
-        d = np.empty_like(xv)
-        for k, b in enumerate(self.branches):
-            mask = idx == k
-            if mask.any():
-                d[mask] = b.deriv(xv[mask])
-        return d if np.ndim(x) else float(d)
 
     def to_config(self) -> dict:
         if self.dimension == 1:
@@ -284,20 +249,34 @@ def matrix_map(matrix, offset=(0.0, 0.0), check_expanding: bool = True) -> MapSp
 def map_from_config(rec: dict) -> MapSpec:
     if not isinstance(rec, dict):
         raise ConfigError(f"a 'map' record must be an object, got {rec!r}")
+    check = rec.get("check_expanding", True)
+    if not isinstance(check, bool):
+        raise ConfigError("config key 'check_expanding' must be true or "
+                          f"false, got {check!r}")
     try:
         kind = rec["kind"]
         if kind in ("affine_1d", "quadratic_1d"):
-            branches = tuple(Branch1D(lo, hi, tuple(co))
-                             for lo, hi, co in rec["branches"])
-            return MapSpec(1, kind, branches,
-                           check_expanding=rec.get("check_expanding", True))
+            rows = rec["branches"]          # [lo, hi, [c0, c1(, c2)]] each
+            try:
+                if not all(isinstance(r, list) and len(r) == 3
+                           and isinstance(r[2], list) for r in rows):
+                    raise TypeError("not a list of branch rows")
+                rows = [(float(lo), float(hi), tuple(map(float, co)))
+                        for lo, hi, co in rows]
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("config key 'branches' must be a list of "
+                                  "[lo, hi, [coefficients]] rows, got "
+                                  f"{rec['branches']!r}") from exc
+            return MapSpec(1, kind, tuple(Branch1D(*r) for r in rows),
+                           check_expanding=check)
         if kind == "full_branch_1d":
             return full_branch_map(config_numbers(rec, "cuts"))
         if kind == "beta_1d":
             return beta_map(config_number(rec, "beta"))
         if kind == "affine_2d":
-            return matrix_map(rec["matrix"], rec.get("offset", (0.0, 0.0)),
-                              rec.get("check_expanding", True))
+            return matrix_map(config_numbers(rec, "matrix", width=2),
+                              config_numbers(rec, "offset", (0.0, 0.0)),
+                              check)
     except KeyError as exc:
         raise ConfigError(f"map config missing key {exc}") from exc
     raise ConfigError(f"unknown map kind {kind!r}")
@@ -362,14 +341,14 @@ def balance_check(s_T: float, kappa_T: float, alpha: float, N: int) -> tuple:
 # ---------------------------------------------------------------------------
 # distance in the map topology
 
-def _quadratic_size(q: tuple, a: float, b: float, alpha: float) -> float:
-    """Exact C^0 + C^1 + alpha-Hölder size of q(x) = q0 + q1*x + q2*x^2
-    on (a, b), with the C^0 term measured on the circle (distance to Z).
+def _quadratic_size(q: tuple, a: float, b: float) -> float:
+    """Exact C^0 + C^1 + Lipschitz size of q(x) = q0 + q1*x + q2*x^2 on
+    (a, b), with the C^0 term measured on the circle (distance to Z).
 
     The range of q is spanned by its values at a, b and an interior
     vertex; distance to Z peaks at 1/2 on half-integers and otherwise at
     an end of the range.  q' is affine, so |q'| peaks at an endpoint and
-    its Hölder quotient is |q''| * |x - y|^(1 - alpha).
+    its Lipschitz constant is |q''|.
     """
     q0, q1, q2 = q
     ys = [q0 + x * (q1 + x * q2) for x in (a, b)]
@@ -381,18 +360,18 @@ def _quadratic_size(q: tuple, a: float, b: float, alpha: float) -> float:
     else:
         c0 = max(abs(y - round(y)) for y in (y_lo, y_hi))
     c1 = max(abs(q1 + 2.0 * q2 * a), abs(q1 + 2.0 * q2 * b))
-    return c0 + c1 + abs(2.0 * q2) * (b - a) ** (1.0 - alpha)
+    return c0 + c1 + abs(2.0 * q2)
 
 
-def perturbation_distance(f: MapSpec, g: MapSpec, tol: float = 1e-9):
+def perturbation_distance(f: MapSpec, g: MapSpec):
     """Smallest delta making g a delta-perturbation of f, or None.
 
     g is delta-close to f when every branch domain endpoint moves by less
-    than delta and, for each branch pair, the exact C^{1+alpha} size of
-    the difference f_k - g_k (see `_quadratic_size`) on the common domain
+    than delta and, for each branch pair, the exact C^{1,1} size of the
+    difference f_k - g_k (see `_quadratic_size`) on the common domain
     minus a delta-neighborhood of its ends is below delta.  Branches are
     polynomials of degree <= 2, so each size is closed-form; delta is
-    found by bisection to relative tolerance tol.  Returns None when the
+    found by bisection to relative tolerance 1e-9.  Returns None when the
     maps are not comparable (different kind, dimension, or branch count).
     """
     if f.dimension != g.dimension or f.kind != g.kind \
@@ -406,7 +385,6 @@ def perturbation_distance(f: MapSpec, g: MapSpec, tol: float = 1e-9):
     if f.content_key() == g.content_key():
         return 0.0
 
-    alpha = min(f.holder_alpha, g.holder_alpha)
     # element Hausdorff distance equals the largest endpoint displacement
     # for arcs; the interior endpoints are the cuts
     moved, pairs = 0.0, []
@@ -423,7 +401,7 @@ def perturbation_distance(f: MapSpec, g: MapSpec, tol: float = 1e-9):
             return False
         # both partitions' boundaries nearest to a point of [lo, hi) are
         # lo and hi, so the points delta away from them form (lo+d, hi-d)
-        return all(_quadratic_size(q, lo + delta, hi - delta, alpha) < delta
+        return all(_quadratic_size(q, lo + delta, hi - delta) < delta
                    for lo, hi, q in pairs if lo + delta < hi - delta)
 
     # circle distances are at most 1/2 and every branch domain is empty
@@ -431,12 +409,12 @@ def perturbation_distance(f: MapSpec, g: MapSpec, tol: float = 1e-9):
     lo, hi = 0.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if mid <= tol:
+        if mid <= 1e-9:
             break
         if close(mid):
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= 1e-9 * max(1.0, hi):
             break
     return hi

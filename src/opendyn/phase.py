@@ -153,14 +153,6 @@ class Grid:
             corners[:, k, 1] = y0 + dy * h
         return corners
 
-    def locate(self, points: np.ndarray) -> np.ndarray:
-        """Cell index containing each point (half-open convention)."""
-        pts = np.asarray(points, dtype=float) % 1.0
-        idx = np.minimum((pts * self.n).astype(np.int64), self.n - 1)
-        if self.dimension == 1:
-            return idx
-        return idx[..., 0] * self.n + idx[..., 1]
-
 
 # ---------------------------------------------------------------------------
 # torus metric helpers

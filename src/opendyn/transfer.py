@@ -69,10 +69,10 @@ class GridDensity:
         return GridDensity(grid, np.asarray(fn(grid.centers()), dtype=float))
 
 
-def normalize(phi: GridDensity, floor: float = MASS_FLOOR) -> GridDensity:
-    """Rescale to unit mass; raises TotalEscapeError at (or below) zero mass."""
+def normalize(phi: GridDensity) -> GridDensity:
+    """Rescale to unit mass; TotalEscapeError at or below MASS_FLOOR."""
     m = phi.mass
-    if m <= floor:
+    if m <= MASS_FLOOR:
         raise TotalEscapeError(f"cannot normalize: mass {m:.3g} at or below floor")
     return GridDensity(phi.grid, phi.values / m)
 

@@ -163,6 +163,12 @@ def _static(**hole):
                       "hole": dict({"dimension": 1}, **hole)}}
 
 
+def _torus(**map_rec):
+    return {"grid": {"dimension": 2, "n": 16},
+            "map": dict({"kind": "affine_2d", "matrix": [[3, 1], [1, 2]],
+                         "offset": [0.1, 0.2]}, **map_rec)}
+
+
 @pytest.mark.parametrize("base, key, patch", [
     (LOCAL_CFG, "measure", {"holes": dict(LOCAL_CFG["holes"], measure="x")}),
     (LOCAL_CFG, "amplitude", {"psi": {"kind": "cosine_bump",
@@ -187,12 +193,22 @@ def _static(**hole):
     (LOCAL_CFG, "disks", _static(dimension=2, disks=[[0.5, 0.5]])),
     (LOCAL_CFG, "hole", {"holes": {"kind": "static", "hole": [1, 0.1, 0.2]}}),
     (LOCAL_CFG, "map", {"map": ["full_branch_1d", [0.5]]}),
+    (LOCAL_CFG, "branches", {"map": {"kind": "affine_1d",
+                                     "branches": [[0, "x", [0, 2]]]}}),
+    (LOCAL_CFG, "branches", {"map": {"kind": "affine_1d",
+                                     "branches": [0, 0.5]}}),
+    (LOCAL_CFG, "matrix", _torus(matrix=[["x", 1], [1, 2]])),
+    (LOCAL_CFG, "offset", _torus(offset="x")),
+    # a truthy string must not pass for true
+    (LOCAL_CFG, "check_expanding", _torus(check_expanding="no")),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
         "float_cert_samples", "text_step", "text_cut", "text_beta",
         "text_osc_alpha", "list_grid", "list_holes", "text_interval",
         "nested_cuts", "flat_intervals", "three_end_interval",
-        "two_number_disk", "list_hole", "list_map"])
+        "two_number_disk", "list_hole", "list_map", "text_branch_end",
+        "flat_branches", "text_matrix", "text_offset",
+        "text_check_expanding"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     # local and global runs refuse a bad value by name, with no traceback
     # and no later failure that hides the cause
@@ -201,6 +217,13 @@ def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and f"'{key}'" in err
+
+
+MIXING_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
+              "grid": {"dimension": 1, "n": 256}, "zeta1": 0.9, "zeta2": 1.1}
+SELECT_CFG = {"zeta1": 0.9, "zeta2": 1.1, "theta": 0.5, "C": 1.0}
+CONE_PARAMS = {"a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
+               "d": 1.0 / 11, "M": 1.0}
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -223,10 +246,20 @@ def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     ("certify-ly", {"maps": [["full_branch_1d", [0.5]]] * 4}, "map"),
     ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
                     "holes": ["static"]}, "holes"),
+    ("certify-mixing", dict(MIXING_CFG, zeta1="x"), "zeta1"),
+    ("certify-mixing", dict(MIXING_CFG, map=_torus(offset="x")["map"]),
+     "offset"),
+    ("select-params", dict(SELECT_CFG, theta="x"), "theta"),
+    ("select-params", dict(SELECT_CFG, sigma="x"), "sigma"),
+    ("constants", {"cone_params": dict(CONE_PARAMS, a="x")}, "a"),
+    ("constants", {"cone_params": dict(CONE_PARAMS, T=8.0)}, "T"),
+    ("certify-mixing", dict(MIXING_CFG, partition=[3]), "partition"),
 ], ids=["certify_ly_k_max", "certify_ly_ensemble", "mixing_i_max",
         "select_max_level", "mixing_list_map", "select_list_map",
         "certify_ly_list_map", "certify_ly_list_maps_entry",
-        "certify_ly_list_holes"])
+        "certify_ly_list_holes", "mixing_text_zeta1", "mixing_text_offset",
+        "select_text_theta", "select_text_sigma", "constants_text_a",
+        "constants_float_T", "mixing_list_partition"])
 def test_subcommand_integer_keys(tmp_path, capsys, command, cfg, key):
     # a float or text count, or a list where a record belongs, is refused
     # by name, not truncated or crashed on

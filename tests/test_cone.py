@@ -116,6 +116,10 @@ def test_select_parameters_input_validation():
         select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
                           [dyadic_partition(Grid(1, 2048), L)
                            for L in range(1, 9)], base, 0.5, 16)
+    with pytest.raises(ConfigError):
+        # a partition pool needs the base operator
+        select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
+                          [dyadic_partition(g, L) for L in range(1, 9)])
 
 
 def test_constants_worked_oracle():
@@ -222,7 +226,8 @@ def test_verify_cone_contraction_certified():
     # the block is exactly cp.T operators
     for n_ops in (cp.T - 1, cp.T + 1):
         with pytest.raises(ConfigError):
-            verify_cone_contraction([op] * n_ops, cp, samples=3, seed=4)
+            verify_cone_contraction([op] * n_ops, cp, samples=3, seed=4,
+                                    theta_LY=cert.theta, C_LY=cert.C, T1=1)
 
 
 def test_verify_cone_contraction_rejects_bad_params():

@@ -96,16 +96,6 @@ def test_survivor_full_hole_step_one():
     assert ind.sum() <= 2
 
 
-def test_survivor_straddle_cells():
-    g = Grid(1, 256)
-    seq = MapSequence.constant(doubling_map(), 1)
-    # hole not aligned to the grid: straddling cells get flagged
-    holes = HoleSequence.static(interval_hole(0.1001, 0.3001), 1)
-    ind, straddle = survivor_indicator(seq, holes, 1, g, return_straddle=True)
-    assert straddle.any()
-    assert straddle.sum() <= 8
-
-
 def test_survivor_2d():
     g = Grid(2, 32)
     seq = MapSequence.constant(matrix_map([[2, 0], [0, 2]]), 2)

@@ -49,20 +49,6 @@ def test_grid_validation():
         Grid(1, 0)
 
 
-def test_locate_roundtrip():
-    rng = np.random.default_rng(0)
-    for g in (Grid(1, 128), Grid(2, 16)):
-        pts = rng.uniform(0, 1, (200, g.dimension)) if g.dimension == 2 \
-            else rng.uniform(0, 1, 200)
-        idx = g.locate(pts)
-        centers = g.centers()
-        # located cell center is within half a spacing of the point
-        if g.dimension == 1:
-            assert np.max(np.abs(centers[idx] - pts)) <= 0.5 * g.spacing + 1e-12
-        else:
-            assert np.max(np.abs(centers[idx] - pts)) <= 0.5 * g.spacing + 1e-12
-
-
 def test_torus_delta():
     assert abs(torus_delta(0.1, 0.9) - 0.2) < 1e-15
     assert abs(torus_delta(0.9, 0.1) - 0.2) < 1e-15
