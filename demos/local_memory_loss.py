@@ -22,7 +22,6 @@ config = {
     "psi": {"kind": "cosine_bump", "amplitude": 0.15},
     "zeta1": 0.8, "zeta2": 1.2, "sigma": 0.5, "T1": 1,
     "seminorm": {"kind": "tv"},
-    "certificates": {"stability_samples": 4},
 }
 
 res = run_local(config)

@@ -29,10 +29,9 @@ from .cone import (ConeParams, RateConstants, birkhoff_factor, c_lip, delta0,
                    hilbert_distance_bound, rate_constants,
                    sample_cone_density, select_parameters,
                    verify_cone_contraction)
-from .mixing import (MixingCertificate, StabilityReport, certify_mixing,
-                     default_perturbation, find_mixing_time, mixing_ratios,
-                     perturb_full_branch, random_hole, ratio_profile,
-                     stability_check)
+from .mixing import (MixingCertificate, certify_mixing, default_perturbation,
+                     find_mixing_time, mixing_ratios, perturb_full_branch,
+                     random_hole, ratio_profile)
 from .experiments import (FAMILIES, ExperimentConfig, RunResult, emit_report,
                           fit_exponential, run_global, run_local)
 

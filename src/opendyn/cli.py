@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (CertificateError, ConfigError, ParameterError,
                      PreconditionError, SelectionError, TotalEscapeError)
 from .phase import (Grid, config_integer, config_number, config_record,
-                    dyadic_partition, dyadic_pool)
+                    config_seed, dyadic_partition, dyadic_pool)
 from .maps import MapSequence, map_from_config
 from .seminorm import SeminormSpec, estimate_LY
 from .cone import ConeParams, birkhoff_factor, delta0, rate_constants, \
@@ -86,10 +86,13 @@ def _cmd_certify_ly(args) -> int:
     grid = _grid_from(cfg)
     T1 = config_integer(cfg, "T1", 1)
     k_max = config_integer(cfg, "k_max", 4)
-    seed = config_integer(cfg, "seed", 0)
+    seed = config_seed(cfg, "seed", 0)
     sem = SeminormSpec.from_config(
         config_record(cfg, "seminorm", {"kind": "tv"}))
     if "maps" in cfg:
+        if not isinstance(cfg["maps"], list):
+            raise ConfigError("config key 'maps' must be a list of map "
+                              f"records, got {cfg['maps']!r}")
         seq = MapSequence(tuple(map_from_config(r) for r in cfg["maps"]))
     else:
         seq = MapSequence.constant(map_from_config(cfg["map"]), k_max * T1)

@@ -1,10 +1,13 @@
-"""Mixing-partition verification and its stability under perturbation.
+"""Mixing-partition verification and the perturbation samplers.
 
 The mixing condition asks that lambda(J1 intersect F^-i J2)/(lambda(J1)
 lambda(J2)) stay inside (zeta1, zeta2) for all element pairs once i
 reaches the mixing time E.  Intersection measures come from pushing the
 block of element indicator densities through the Ulam operators, which
-is exact for aligned affine maps.
+is exact for aligned affine maps.  A local run draws its map schedule
+(delta-perturbations of one base map) and its random holes from the
+samplers here, then checks the window on the blocks of the operators it
+applies.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, ConfigError, ParameterError
-from .maps import (Branch1D, MapSpec, MapSequence, full_branch_map,
-                   matrix_map, perturbation_distance)
-from .holes import HoleSpec, HoleSequence
+from .maps import (Branch1D, MapSpec, full_branch_map, matrix_map,
+                   perturbation_distance)
+from .holes import HoleSpec
 from .phase import PartitionSpec
-from .transfer import UlamOperator, build_closed, push, schedule_operators
+from .transfer import UlamOperator, build_closed, push
 
 
 def ratio_profile(operators, Q: PartitionSpec) -> np.ndarray:
@@ -188,50 +191,3 @@ def random_hole(dimension: int, epsilon: float, rng):
     h = area / w
     x0, y0 = rng.uniform(0.0, 1.0, 2)
     return HoleSpec(2, rects=((x0, (x0 + w) % 1.0, y0, (y0 + h) % 1.0),))
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    ok: bool
-    violations: list        # (sample index, ratio_min, ratio_max)
-    samples: int
-    seed: int
-    delta: float
-    epsilon: float
-    S: int
-
-    def to_json(self) -> str:
-        return json.dumps({"ok": self.ok, "violations": self.violations,
-                           "samples": self.samples, "seed": self.seed,
-                           "delta": self.delta, "epsilon": self.epsilon,
-                           "S": self.S})
-
-
-def stability_check(g: MapSpec, Q: PartitionSpec, zeta1: float, zeta2: float,
-                    S: int, delta: float, epsilon: float, samples: int,
-                    seed: int = 0, cache=None) -> StabilityReport:
-    """Sampled falsification of mixing stability: random length-S
-    schedules of delta-perturbations of g with holes of measure at most
-    epsilon, each checked for the block pair-ratio window.
-
-    Per-sample RNG streams are spawned from the recorded seed, so a
-    report replays exactly.
-    """
-    if not (0.0 < zeta1 < 1.0 < zeta2):
-        raise ParameterError("need 0 < zeta1 < 1 < zeta2")
-    if S < 1 or samples < 1:
-        raise ConfigError("need S >= 1 and samples >= 1")
-    streams = [np.random.default_rng(s) for s in
-               np.random.SeedSequence(seed).spawn(samples)]
-    violations = []
-    for j, rng in enumerate(streams):
-        maps = MapSequence(tuple(default_perturbation(g, delta, rng)
-                                 for _ in range(S)))
-        holes = HoleSequence(tuple(random_hole(g.dimension, epsilon, rng)
-                                   for _ in range(S)))
-        ops = schedule_operators(maps, holes, S, Q.grid, cache)
-        rmin, rmax = ratio_profile(ops, Q)[-1].tolist()
-        if not (zeta1 < rmin and rmax < zeta2):
-            violations.append((j, rmin, rmax))
-    return StabilityReport(len(violations) == 0, violations, samples, seed,
-                           delta, epsilon, S)

@@ -38,6 +38,16 @@ def config_integer(rec: dict, key: str, *default) -> int:
     return int(value)
 
 
+def config_seed(rec: dict, key: str, *default) -> int:
+    """config_integer for a random seed, which numpy takes only when it is
+    non-negative; ConfigError naming the key otherwise."""
+    seed = config_integer(rec, key, *default)
+    if seed < 0:
+        raise ConfigError(f"config key {key!r} must be a non-negative "
+                          f"integer, got {seed}")
+    return seed
+
+
 def config_number(rec: dict, key: str, *default) -> float:
     """rec[key] (or the default when given and the key is absent) as a
     float; ConfigError naming the key when float() refuses it.  KeyError

@@ -138,11 +138,10 @@ def test_missing_config_key_is_config_error(tmp_path, key, patch):
     {"certificates": {"stability_samples": 2, "k_max": 4.0}},
     {"certificates": {"stability_samples": 2, "i_max": 16.0}},
     {"certificates": {"stability_samples": 2, "ensemble_size": "24"}},
-    {"certificates": {"stability_samples": True}},
+    {"certificates": {"max_level": True}},
     {"T1": 1.0},
 ], ids=["float_grid_n", "empty_ensemble", "text_horizon", "float_k_max",
-        "float_i_max", "text_ensemble_size", "bool_stability_samples",
-        "float_T1"])
+        "float_i_max", "text_ensemble_size", "bool_max_level", "float_T1"])
 def test_bad_value_is_config_error(tmp_path, capsys, patch):
     cfg = write(tmp_path, "c.json", dict(LOCAL_CFG, **patch))
     assert main(["simulate-local", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -201,6 +200,20 @@ def _torus(**map_rec):
     (LOCAL_CFG, "offset", _torus(offset="x")),
     # a truthy string must not pass for true
     (LOCAL_CFG, "check_expanding", _torus(check_expanding="no")),
+    # numpy refuses negative seeds
+    (LOCAL_CFG, "seed", {"seed": -1}),
+    (GLOBAL_CFG, "seed", {"seed": -1}),
+    (LOCAL_CFG, "ly_seed", {"certificates": {"ly_seed": -2}}),
+    # hole sizes are measures of part of the phase space
+    (LOCAL_CFG, "measure", {"holes": dict(LOCAL_CFG["holes"], measure=1.2)}),
+    (LOCAL_CFG, "measure", {"holes": dict(LOCAL_CFG["holes"],
+                                          measure=-0.01)}),
+    (LOCAL_CFG, "epsilon", {"holes": {"kind": "random_intervals",
+                                      "epsilon": 1.5}}),
+    (LOCAL_CFG, "epsilon", dict(_torus(), holes={"kind": "random_intervals",
+                                                 "epsilon": -0.02})),
+    (LOCAL_CFG, "epsilon_cap", {"holes": dict(LOCAL_CFG["holes"],
+                                              epsilon_cap=1.0)}),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
         "float_cert_samples", "text_step", "text_cut", "text_beta",
@@ -208,7 +221,9 @@ def _torus(**map_rec):
         "nested_cuts", "flat_intervals", "three_end_interval",
         "two_number_disk", "list_hole", "list_map", "text_branch_end",
         "flat_branches", "text_matrix", "text_offset",
-        "text_check_expanding"])
+        "text_check_expanding", "negative_seed", "global_negative_seed",
+        "negative_ly_seed", "measure_over_one", "negative_measure",
+        "epsilon_over_one", "torus_negative_epsilon", "epsilon_cap_one"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     # local and global runs refuse a bad value by name, with no traceback
     # and no later failure that hides the cause
@@ -254,12 +269,16 @@ CONE_PARAMS = {"a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
     ("constants", {"cone_params": dict(CONE_PARAMS, a="x")}, "a"),
     ("constants", {"cone_params": dict(CONE_PARAMS, T=8.0)}, "T"),
     ("certify-mixing", dict(MIXING_CFG, partition=[3]), "partition"),
+    ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
+                    "grid": {"dimension": 1, "n": 256}, "seed": -3}, "seed"),
+    ("certify-ly", {"maps": 3, "grid": {"dimension": 1, "n": 256}}, "maps"),
 ], ids=["certify_ly_k_max", "certify_ly_ensemble", "mixing_i_max",
         "select_max_level", "mixing_list_map", "select_list_map",
         "certify_ly_list_map", "certify_ly_list_maps_entry",
         "certify_ly_list_holes", "mixing_text_zeta1", "mixing_text_offset",
         "select_text_theta", "select_text_sigma", "constants_text_a",
-        "constants_float_T", "mixing_list_partition"])
+        "constants_float_T", "mixing_list_partition", "certify_ly_negative_seed",
+        "certify_ly_number_maps"])
 def test_subcommand_integer_keys(tmp_path, capsys, command, cfg, key):
     # a float or text count, or a list where a record belongs, is refused
     # by name, not truncated or crashed on

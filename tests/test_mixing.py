@@ -3,7 +3,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opendyn import mixing
 from opendyn.errors import CertificateError, ConfigError, ParameterError
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import (MapSequence, beta_map, doubling_map,
@@ -12,7 +11,7 @@ from opendyn.maps import (MapSequence, beta_map, doubling_map,
 from opendyn.mixing import (MixingCertificate, certify_mixing,
                             default_perturbation, find_mixing_time,
                             mixing_ratios, perturb_full_branch, random_hole,
-                            ratio_profile, stability_check)
+                            ratio_profile)
 from opendyn.phase import Grid, dyadic_partition, partition_from_labels
 from opendyn.transfer import build_closed, build_open, schedule_operators
 
@@ -150,30 +149,6 @@ def test_random_hole_measure_cap():
     assert h2.measure() <= 0.01 + 1e-12
 
 
-def test_stability_check_doubling():
-    g = Grid(1, 1024)
-    Q = dyadic_partition(g, 2)
-    rep = stability_check(doubling_map(), Q, 0.8, 1.2, S=4, delta=0.02,
-                          epsilon=0.01, samples=8, seed=3)
-    assert rep.ok
-    assert rep.violations == []
-    assert rep.samples == 8
-    rep2 = stability_check(doubling_map(), Q, 0.8, 1.2, S=4, delta=0.02,
-                           epsilon=0.01, samples=8, seed=3)
-    assert rep2.to_json() == rep.to_json()
-
-
-def test_stability_degenerate_equals_power():
-    # delta = epsilon = 0: every sampled block is g^S itself
-    g = Grid(1, 1024)
-    Q = dyadic_partition(g, 2)
-    rep = stability_check(doubling_map(), Q, 0.9, 1.1, S=3, delta=0.0,
-                          epsilon=0.0, samples=3, seed=1)
-    assert rep.ok
-    lo, hi = mixing_ratios(doubling_map(), Q, 3)
-    assert abs(lo - 1.0) < 1e-12 and abs(hi - 1.0) < 1e-12
-
-
 def test_zero_measure_element_rejected():
     g = Grid(1, 64)
     labels = np.zeros(64, dtype=np.int64)
@@ -186,30 +161,6 @@ def test_zero_measure_element_rejected():
         object.__setattr__(bad, "elements",
                            bad.elements + (np.array([], dtype=np.int64),))
         mixing_ratios(doubling_map(), bad, 1)
-
-
-def test_stability_check_2d_with_delta(monkeypatch):
-    g = Grid(2, 16)
-    Q = dyadic_partition(g, 2)
-    base = matrix_map([[3, 1], [1, 2]], (0.1, 0.2))
-    drawn = []
-
-    def recording(m, delta, rng):
-        drawn.append(default_perturbation(m, delta, rng))
-        return drawn[-1]
-
-    with monkeypatch.context() as mp:
-        mp.setattr(mixing, "default_perturbation", recording)
-        rep = stability_check(base, Q, 0.5, 2.0, S=3, delta=0.01,
-                              epsilon=0.01, samples=4, seed=5)
-    assert rep.ok and rep.samples == 4
-    assert len(drawn) == 12
-    for m in drawn:
-        d = perturbation_distance(base, m)
-        assert d is not None and 0.0 < d <= 0.01
-    again = stability_check(base, Q, 0.5, 2.0, S=3, delta=0.01, epsilon=0.01,
-                            samples=4, seed=5)
-    assert again.to_json() == rep.to_json()
 
 
 # ---------------------------------------------------------------------------
