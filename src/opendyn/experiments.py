@@ -1,10 +1,10 @@
 """Experiment orchestration: certified memory-loss runs and reports.
 
 Both regimes run one pipeline, `_run`: certify, draw the hole schedule,
-build the run's operators once, grow T until every open block mixes,
-audit the cone, push both densities, then budget, fit and report.  A
-regime only supplies a plan: its per-sample certificates, its map
-schedule and its own flags, constants and certificates once T is final.
+grow T until every block of the run's schedule for T mixes, audit the
+cone, push both densities, then budget, fit and report.  A regime only
+supplies a plan: its per-sample certificates, its map schedule and its
+own flags, constants and certificates once T is final.
 A local run perturbs one base map; a global run traverses a map curve
 slowly enough that per-sample certificates chain along it.
 """
@@ -27,12 +27,19 @@ from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
 from .holes import HoleSequence, HoleSpec, hole_from_config
 from .transfer import (MASS_FLOOR, GridDensity, OperatorCache, normalize,
                        push, schedule_operators)
-from .seminorm import LYCertificate, SeminormSpec, cone_member, estimate_LY
+from .seminorm import SeminormSpec, cone_member, estimate_LY
 from .cone import ConeParams, RateConstants, rate_constants, select_parameters
 from .mixing import default_perturbation, random_hole, ratio_profile
 
 FIT_FLOOR = 1e-14
 FIT_R2_MIN = 0.95  # least r2 of the decay fit for the fit flag
+# the certification recipe every run uses: LY ensemble size, block count
+# and seed, mixing horizon, and dyadic partition pool depth
+ENSEMBLE_SIZE = 24
+K_MAX = 4
+LY_SEED = 11
+I_MAX = 16
+MAX_LEVEL = 8
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +62,10 @@ FAMILIES = {
 # ---------------------------------------------------------------------------
 # configuration
 
-_DEF_CERT = {"ensemble_size": 24, "k_max": 4, "i_max": 16, "max_level": 8,
-             "ly_seed": 11}
+def _check(ok: bool, key: str, rule: str, value) -> None:
+    """ConfigError naming the key and its rule unless ok."""
+    if not ok:
+        raise ConfigError(f"config key {key!r} must {rule}, got {value!r}")
 
 
 @dataclass
@@ -75,7 +84,6 @@ class ExperimentConfig:
     psi: dict
     map_rec: dict = field(default_factory=dict)      # local base map
     family: dict = field(default_factory=dict)       # global curve
-    certificates: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
     @staticmethod
@@ -89,26 +97,24 @@ class ExperimentConfig:
             horizon = config_integer(cfg, "horizon")
             if horizon < 2:
                 raise ConfigError("horizon must be at least 2")
+            T1 = config_integer(cfg, "T1", 1)
+            _check(T1 >= 1, "T1", "be at least 1", T1)
+            delta = config_number(cfg, "delta", 0.0)
+            _check(delta >= 0.0, "delta", "be non-negative", delta)
             sem = SeminormSpec.from_config(
                 config_record(cfg, "seminorm", {"kind": "tv"}))
-            cert = dict(_DEF_CERT)
-            cert.update(config_record(cfg, "certificates", {}))
-            cert.update((key, config_integer(cert, key)) for key in _DEF_CERT)
-            config_seed(cert, "ly_seed")
             out = ExperimentConfig(
                 kind=kind, grid=grid, horizon=horizon,
                 seed=config_seed(cfg, "seed", 0),
                 zeta1=config_number(cfg, "zeta1", 0.8),
                 zeta2=config_number(cfg, "zeta2", 1.2),
                 sigma=config_number(cfg, "sigma", 0.5),
-                T1=config_integer(cfg, "T1", 1), seminorm=sem,
-                delta=config_number(cfg, "delta", 0.0),
+                T1=T1, seminorm=sem, delta=delta,
                 holes=config_record(cfg, "holes", {"kind": "none"}),
                 psi=config_record(cfg, "psi", {"kind": "cosine_bump",
                                                "amplitude": 0.15}),
                 map_rec=config_record(cfg, "map", {}),
-                family=config_record(cfg, "family", {}),
-                certificates=cert, raw=cfg)
+                family=config_record(cfg, "family", {}), raw=cfg)
             if kind == "local" and not out.map_rec:
                 raise ConfigError("local run needs a 'map' entry")
             if kind == "global" and not out.family:
@@ -162,32 +168,15 @@ def hole_schedule(rec: dict, m: int, dimension: int, rng) -> HoleSequence:
             raise ConfigError(f"unknown hole schedule kind {kind!r}")
     except KeyError as exc:
         raise ConfigError(f"{kind} hole schedule missing key {exc}") from exc
-    cap = hole_cap(rec)
-    for h in seq.holes:
-        if h is not None and h.measure() > cap + 1e-12:
-            raise ConfigError("hole exceeds the declared measure cap")
     return seq
 
 
 def _hole_size(rec: dict, key: str) -> float:
-    """A hole schedule's measure, epsilon or epsilon_cap; ConfigError
-    naming the key unless it lies in [0, 1)."""
+    """A hole schedule's measure or epsilon; ConfigError naming the key
+    unless it lies in [0, 1)."""
     size = config_number(rec, key)
-    if not 0.0 <= size < 1.0:
-        raise ConfigError(f"config key {key!r} must lie in [0, 1), "
-                          f"got {size!r}")
+    _check(0.0 <= size < 1.0, key, "lie in [0, 1)", size)
     return size
-
-
-def hole_cap(rec: dict) -> float:
-    """Largest hole measure a schedule may use: its epsilon_cap, else its
-    measure or epsilon, else the static hole's measure, else 0 (no holes)."""
-    for key in ("epsilon_cap", "measure", "epsilon"):
-        if key in rec:
-            return _hole_size(rec, key)
-    if rec.get("kind") == "static":
-        return hole_from_config(rec["hole"]).measure()
-    return 0.0
 
 
 def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
@@ -228,31 +217,13 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
 # certification pipeline
 
 def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> dict:
-    cert = cfg.certificates
     closed = cache.get(base, None, grid)
-    ly = estimate_LY([closed] * (cert["k_max"] * cfg.T1), cfg.T1,
-                     cfg.seminorm, cert["ensemble_size"], seed=cert["ly_seed"])
-    pool = dyadic_pool(grid, cert["max_level"])
+    ly = estimate_LY([closed] * (K_MAX * cfg.T1), cfg.T1, cfg.seminorm,
+                     ENSEMBLE_SIZE, seed=LY_SEED)
     cp = select_parameters(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
-                           cfg.seminorm, pool, closed, cfg.sigma,
-                           cert["i_max"])
+                           cfg.seminorm, dyadic_pool(grid, MAX_LEVEL), closed,
+                           cfg.sigma, I_MAX)
     return {"ly": ly, "cp": cp, "mixing": cp.mixing}
-
-
-def _bump_T_for_blocks(cp: ConeParams, ops: list, cfg: ExperimentConfig,
-                       ly: LYCertificate) -> ConeParams:
-    """Grow the block length until every open block of the run's
-    operators keeps its pair ratios inside the mixing window."""
-    for _ in range(8):
-        if all(cfg.zeta1 < lo and hi < cfg.zeta2 for lo, hi in (
-                ratio_profile(ops[b * cp.T:(b + 1) * cp.T], cp.Q)[-1]
-                for b in range(cfg.horizon // cp.T))):
-            fails = cp.audit(ly.theta, ly.C, cfg.T1)
-            if fails:
-                raise CertificateError("; ".join(fails))
-            return cp
-        cp = dataclasses.replace(cp, T=cp.T + cfg.T1)
-    raise CertificateError("open blocks never satisfied the mixing window")
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +298,24 @@ def _run(config, kind: str, plan) -> RunResult:
     samples, schedule, finish = plan(cfg, rng, cache)
     hseq = hole_schedule(cfg.holes, cfg.horizon, grid.dimension, rng)
 
-    first = samples[0]
-    cp, mseq = first["cp"], None
-    # the map schedule may depend on the block length (a traversal's speed
-    # limit); T only grows, so rebuild and re-check until the schedule the
-    # blocks were checked on is the one for the final T
-    while (nxt := schedule(cp.T)) != mseq:
-        mseq = nxt
-        ops = schedule_operators(mseq, hseq, cfg.horizon, grid, cache)
-        cp = _bump_T_for_blocks(cp, ops, cfg, first["ly"])
+    # the block length is the smallest T, growing from the selected one in
+    # steps of T1, at which every block of the run's own schedule for that
+    # T (a traversal's speed limit depends on T) keeps its pair ratios
+    # inside the mixing window
+    cp, ly = samples[0]["cp"], samples[0]["ly"]
+    for _ in range(8):
+        ops = schedule_operators(schedule(cp.T), hseq, cfg.horizon, grid,
+                                 cache)
+        if all(cfg.zeta1 < lo and hi < cfg.zeta2 for lo, hi in (
+                ratio_profile(ops[b * cp.T:(b + 1) * cp.T], cp.Q)[-1]
+                for b in range(cfg.horizon // cp.T))):
+            break
+        cp = dataclasses.replace(cp, T=cp.T + cfg.T1)
+    else:
+        raise CertificateError("open blocks never satisfied the mixing window")
+    fails = cp.audit(ly.theta, ly.C, cfg.T1)
+    if fails:
+        raise CertificateError("; ".join(fails))
     if cfg.horizon < 2 * cp.T:
         raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
     # price every sample at the block length the run uses, then take the
@@ -424,10 +404,13 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
     family = FAMILIES[name]
     u0 = config_number(fam_rec, "u_start", 0.0)
     u1 = config_number(fam_rec, "u_end", 1.0)
-    n_samples = max(config_integer(fam_rec, "cert_samples", 5), 2)
+    _check(u1 >= u0, "u_end", f"be at least u_start = {u0!r}", u1)
+    n_samples = config_integer(fam_rec, "cert_samples", 5)
+    _check(n_samples >= 2, "cert_samples", "be at least 2", n_samples)
     step_rec = fam_rec.get("step", "auto")
     if step_rec != "auto":
         step_rec = config_number(fam_rec, "step")
+        _check(step_rec > 0.0, "step", "be positive", step_rec)
     sample_us = [float(s) for s in np.linspace(u0, u1, n_samples)]
     samples = [_certify(family(s), cfg.grid, cfg, cache) for s in sample_us]
     xis = [_stability_radius(family, s, u0, u1, cfg.delta) for s in sample_us]
@@ -445,14 +428,13 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
 
     def schedule(T: int) -> MapSequence:
         step = speed(T)[1]
-        us = [min(u1, u0 + k * step) if u1 >= u0 else u0
-              for k in range(cfg.horizon)]
+        us = [min(u1, u0 + k * step) for k in range(cfg.horizon)]
         return MapSequence(tuple(family(u) for u in us))
 
     def finish(cp: ConeParams):
         sigma_estimate, step = speed(cp.T)
         moves = step * cp.T <= min(xis) / 2.0 + 1e-15
-        return ({"speed_limit": u1 <= u0 or moves}, {
+        return ({"speed_limit": u1 == u0 or moves}, {
             "sigma_estimate": sigma_estimate, "step": step,
             "xi_samples": xis, "sample_points": sample_us}, {
             "per_sample": [{

@@ -187,7 +187,15 @@ def random_hole(dimension: int, epsilon: float, rng):
         lo = float(rng.uniform(0.0, 1.0))
         return HoleSpec(1, intervals=((lo, (lo + width) % 1.0),))
     area = epsilon * float(rng.uniform(0.5, 1.0))
-    w = float(np.sqrt(area) * rng.uniform(0.5, 1.5))
+    # a width in [area, 1] keeps both sides at most 1, so no side wraps
+    # onto itself and the rectangle's measure is the drawn area
+    w = min(max(float(np.sqrt(area) * rng.uniform(0.5, 1.5)), area), 1.0)
     h = area / w
     x0, y0 = rng.uniform(0.0, 1.0, 2)
-    return HoleSpec(2, rects=((x0, (x0 + w) % 1.0, y0, (y0 + h) % 1.0),))
+    return HoleSpec(2, rects=(_arc(x0, w) + _arc(y0, h),))
+
+
+def _arc(lo: float, side: float) -> tuple:
+    """The arc [lo, lo + side) of the circle for a side in (0, 1]; a full
+    side is (0, 1), since (lo, lo) would be the empty arc."""
+    return (0.0, 1.0) if side == 1.0 else (lo, (lo + side) % 1.0)

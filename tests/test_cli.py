@@ -19,7 +19,6 @@ LOCAL_CFG = {
     "psi": {"kind": "cosine_bump", "amplitude": 0.15},
     "zeta1": 0.8, "zeta2": 1.2,
     "seminorm": {"kind": "tv"},
-    "certificates": {"stability_samples": 2},
 }
 
 
@@ -133,15 +132,11 @@ def test_missing_config_key_is_config_error(tmp_path, key, patch):
 
 @pytest.mark.parametrize("patch", [
     {"grid": {"dimension": 1, "n": 512.0}},
-    {"certificates": {"stability_samples": 2, "ensemble_size": 0}},
     {"horizon": "x"},
-    {"certificates": {"stability_samples": 2, "k_max": 4.0}},
-    {"certificates": {"stability_samples": 2, "i_max": 16.0}},
-    {"certificates": {"stability_samples": 2, "ensemble_size": "24"}},
-    {"certificates": {"max_level": True}},
+    # a bool is not an integer
+    {"horizon": True},
     {"T1": 1.0},
-], ids=["float_grid_n", "empty_ensemble", "text_horizon", "float_k_max",
-        "float_i_max", "text_ensemble_size", "bool_max_level", "float_T1"])
+], ids=["float_grid_n", "text_horizon", "bool_horizon", "float_T1"])
 def test_bad_value_is_config_error(tmp_path, capsys, patch):
     cfg = write(tmp_path, "c.json", dict(LOCAL_CFG, **patch))
     assert main(["simulate-local", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -203,7 +198,6 @@ def _torus(**map_rec):
     # numpy refuses negative seeds
     (LOCAL_CFG, "seed", {"seed": -1}),
     (GLOBAL_CFG, "seed", {"seed": -1}),
-    (LOCAL_CFG, "ly_seed", {"certificates": {"ly_seed": -2}}),
     # hole sizes are measures of part of the phase space
     (LOCAL_CFG, "measure", {"holes": dict(LOCAL_CFG["holes"], measure=1.2)}),
     (LOCAL_CFG, "measure", {"holes": dict(LOCAL_CFG["holes"],
@@ -212,8 +206,19 @@ def _torus(**map_rec):
                                       "epsilon": 1.5}}),
     (LOCAL_CFG, "epsilon", dict(_torus(), holes={"kind": "random_intervals",
                                                  "epsilon": -0.02})),
-    (LOCAL_CFG, "epsilon_cap", {"holes": dict(LOCAL_CFG["holes"],
-                                              epsilon_cap=1.0)}),
+    # a perturbation size is a distance; a negative one would walk a
+    # traversal out of its certified range or crash a 2D draw
+    (LOCAL_CFG, "delta", {"delta": -0.05}),
+    (LOCAL_CFG, "delta", dict(_torus(), delta=-0.05)),
+    (LOCAL_CFG, "delta", {"delta": float("nan")}),
+    (GLOBAL_CFG, "delta", {"delta": -0.05}),
+    # a traversal moves forward from u_start to u_end
+    (GLOBAL_CFG, "step", _family(step=-0.001)),
+    (GLOBAL_CFG, "step", _family(step=0.0)),
+    (GLOBAL_CFG, "u_end", _family(u_start=0.8, u_end=0.2)),
+    (GLOBAL_CFG, "cert_samples", _family(cert_samples=0)),
+    (GLOBAL_CFG, "cert_samples", _family(cert_samples=-4)),
+    (LOCAL_CFG, "T1", {"T1": 0}),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
         "float_cert_samples", "text_step", "text_cut", "text_beta",
@@ -222,8 +227,11 @@ def _torus(**map_rec):
         "two_number_disk", "list_hole", "list_map", "text_branch_end",
         "flat_branches", "text_matrix", "text_offset",
         "text_check_expanding", "negative_seed", "global_negative_seed",
-        "negative_ly_seed", "measure_over_one", "negative_measure",
-        "epsilon_over_one", "torus_negative_epsilon", "epsilon_cap_one"])
+        "measure_over_one", "negative_measure", "epsilon_over_one",
+        "torus_negative_epsilon", "negative_delta", "torus_negative_delta",
+        "nan_delta", "global_negative_delta", "negative_step", "zero_step",
+        "backward_traversal", "zero_cert_samples", "negative_cert_samples",
+        "zero_T1"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     # local and global runs refuse a bad value by name, with no traceback
     # and no later failure that hides the cause
@@ -311,11 +319,37 @@ SUBCOMMAND = {"constants.json": "constants", "ly.json": "certify-ly",
               "mixing.json": "certify-mixing", "select.json": "select-params"}
 
 
+# each simulate config's certificate: T, a, E, |Q|, LY theta and C, the
+# verdict flags exactly; lambda and c0 to 1e-12 relative.  Fits are left
+# out: a one-ulp change in the distances moves lambda_fit by about 1e-6.
+PINNED = {
+    "local.json": (3, 1.0, 2, 4, 0.5, 1e-12, 0.9283177667225558,
+                   {"bound_dominated": True, "fit_ok": True}),
+    "global.json": (3, 1.0, 2, 4, 0.5, 1e-12, 0.9283177667225558,
+                    {"bound_dominated": True, "fit_ok": True,
+                     "speed_limit": True}),
+    "local_2d.json": (4, 1.0, 1, 4, 0.64, 1e-12, 0.9457416090031758,
+                      {"bound_dominated": True, "fit_ok": True}),
+}
+PINNED_C0 = 2224.6898845529226
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_shipped_config_runs(tmp_path, capsys, path):
     cfg = json.loads(path.read_text())
     command = SUBCOMMAND.get(path.name) or f"simulate-{cfg['kind']}"
     argv = [command, str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
-    if command.startswith("simulate-"):
-        assert "verdict: pass" in capsys.readouterr().out
+    if not command.startswith("simulate-"):
+        return
+    assert "verdict: pass" in capsys.readouterr().out
+    s = json.loads((tmp_path / "out" / "report_summary.json").read_text())
+    cp, const = s["certificates"]["cone_params"], s["constants"]
+    # a global run's first sample sets the cone
+    ly = s["certificates"].get("ly") or s["certificates"]["per_sample"][0]["ly"]
+    T, a, E, q, theta, C, lam, flags = PINNED[path.name]
+    assert (const["T"], cp["T"], const["a"], cp["a"], cp["E"]) == (T, T, a, a, E)
+    assert (len(cp["Q"]["elements"]), ly["theta"], ly["C"]) == (q, theta, C)
+    assert s["verdict"]["flags"] == flags and s["verdict"]["pass"] is True
+    assert const["lambda"] == pytest.approx(lam, rel=1e-12, abs=0.0)
+    assert const["c0"] == pytest.approx(PINNED_C0, rel=1e-12, abs=0.0)

@@ -13,9 +13,9 @@ import opendyn.seminorm
 from opendyn.errors import ConfigError, ParameterError, TotalEscapeError
 from opendyn.experiments import (FAMILIES, ExperimentConfig, _execute,
                                  build_density, emit_report, fit_exponential,
-                                 hole_cap, hole_schedule, run_global,
+                                 hole_schedule, run_global,
                                  run_local)
-from opendyn.holes import HoleSequence, hole_from_config, interval_hole
+from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import MapSequence, doubling_map
 from opendyn.phase import Grid
 from opendyn.seminorm import SeminormSpec
@@ -35,7 +35,6 @@ LOCAL_CFG = {
     "psi": {"kind": "cosine_bump", "amplitude": 0.15},
     "zeta1": 0.8, "zeta2": 1.2, "sigma": 0.5, "T1": 1,
     "seminorm": {"kind": "tv"},
-    "certificates": {"stability_samples": 4},
 }
 
 
@@ -86,17 +85,7 @@ def test_hole_schedule_kinds_and_cap():
                         8, 1, rng)
     assert all(h.measure() <= 0.005 + 1e-12 for h in rnd.holes)
     with pytest.raises(ConfigError):
-        hole_schedule({"kind": "drifting_interval", "measure": 0.05,
-                       "epsilon_cap": 0.01}, 4, 1, rng)
-    with pytest.raises(ConfigError):
         hole_schedule({"kind": "nonsense"}, 4, 1, rng)
-    assert hole_cap({"kind": "none"}) == 0.0
-    assert hole_cap({"kind": "random_intervals", "epsilon": 0.005}) == 0.005
-    assert hole_cap({"kind": "drifting_interval", "measure": 0.05,
-                     "epsilon_cap": 0.01}) == 0.01
-    static = {"kind": "static",
-              "hole": {"dimension": 1, "intervals": [[0.3, 0.305]]}}
-    assert hole_cap(static) == hole_from_config(static["hole"]).measure()
 
 
 def test_build_density_kinds():
@@ -149,6 +138,20 @@ def test_local_verdict_rests_on_the_runs_own_operators():
     assert set(res.certificates) == {"cone_params", "ly", "mixing"}
 
 
+def test_certificates_record_is_ignored(tmp_path):
+    # every run certifies with one fixed recipe; a certificates record
+    # that asks for another ensemble changes nothing but the config echo
+    emit_report(run_local(LOCAL_CFG), str(tmp_path / "a"))
+    emit_report(run_local(dict(LOCAL_CFG, certificates={"ensemble_size": 48})),
+                str(tmp_path / "b"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+    summary_a = json.loads((a / "report_summary.json").read_text())
+    summary_b = json.loads((b / "report_summary.json").read_text())
+    del summary_b["config_echo"]["certificates"]
+    assert summary_a == summary_b
+
+
 TORUS_CFG = {
     "kind": "local",
     "grid": {"dimension": 2, "n": 16},
@@ -164,8 +167,8 @@ TORUS_CFG = {
 
 @pytest.mark.parametrize("delta", [0.0, 0.01])
 def test_torus_run_default_certificates(delta):
-    # the default max_level exceeds what n = 16 resolves; the dyadic pool
-    # keeps only the levels that divide the grid
+    # MAX_LEVEL exceeds what n = 16 resolves; the dyadic pool keeps only
+    # the levels that divide the grid
     res = run_local(dict(TORUS_CFG, delta=delta))
     assert res.passed
     assert res.constants["T"] >= res.certificates["mixing"]["E"]

@@ -149,6 +149,19 @@ def test_random_hole_measure_cap():
     assert h2.measure() <= 0.01 + 1e-12
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_random_hole_measure_is_drawn_size(dimension):
+    # replay the draws: a hole's measure is its drawn width or area, also
+    # when a 2D side would exceed 1 and wrap onto itself
+    rng, replay = np.random.default_rng(0), np.random.default_rng(0)
+    for eps in (0.01, 0.25, 0.3, 0.6, 0.9):
+        for _ in range(300):
+            h = random_hole(dimension, eps, rng)
+            size = eps * replay.uniform(0.5, 1.0)
+            replay.uniform(0.0, 1.0, 1 if dimension == 1 else 3)
+            assert abs(h.measure() - size) <= 1e-12
+
+
 def test_zero_measure_element_rejected():
     g = Grid(1, 64)
     labels = np.zeros(64, dtype=np.int64)
