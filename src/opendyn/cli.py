@@ -51,11 +51,6 @@ def _emit(obj: dict, out_dir, name: str) -> None:
             fh.write(text + "\n")
 
 
-def _grid_from(cfg: dict) -> Grid:
-    rec = config_record(cfg, "grid", {})
-    return Grid(rec.get("dimension", 1), rec.get("n", 4096))
-
-
 def _cmd_simulate(args, runner) -> int:
     cfg = _load_config(args.config)
     result = runner(cfg)
@@ -69,21 +64,21 @@ def _cmd_simulate(args, runner) -> int:
 
 def _cmd_certify_mixing(args) -> int:
     cfg = _load_config(args.config)
-    grid = _grid_from(cfg)
+    grid = Grid.from_config(config_record(cfg, "grid", {}))
     mapspec = map_from_config(cfg["map"])
     Q = dyadic_partition(grid, config_integer(
         config_record(cfg, "partition", {}), "level", 4))
     cert = certify_mixing(mapspec, Q, config_number(cfg, "zeta1"),
                           config_number(cfg, "zeta2"),
                           config_integer(cfg, "i_max", 24))
-    _emit(json.loads(cert.to_json()), args.out, "mixing_certificate.json")
+    _emit(cert.to_config(), args.out, "mixing_certificate.json")
     print(f"mixing time E = {cert.E}")
     return 0
 
 
 def _cmd_certify_ly(args) -> int:
     cfg = _load_config(args.config)
-    grid = _grid_from(cfg)
+    grid = Grid.from_config(config_record(cfg, "grid", {}))
     T1 = config_integer(cfg, "T1", 1)
     k_max = config_integer(cfg, "k_max", 4)
     seed = config_seed(cfg, "seed", 0)
@@ -103,7 +98,7 @@ def _cmd_certify_ly(args) -> int:
     ops = schedule_operators(seq, holes, k_max * T1, grid)
     cert = estimate_LY(ops, T1, sem, config_integer(cfg, "ensemble_size", 24),
                        seed=seed)
-    _emit(json.loads(cert.to_json()), args.out, "ly_certificate.json")
+    _emit(cert.to_config(), args.out, "ly_certificate.json")
     print(f"theta = {cert.theta}, C = {cert.C}")
     return 0
 
@@ -114,7 +109,7 @@ def _cmd_select_params(args) -> int:
         config_record(cfg, "seminorm", {"kind": "tv"}))
     pool = base = None
     if "map" in cfg:
-        grid = _grid_from(cfg)
+        grid = Grid.from_config(config_record(cfg, "grid", {}))
         base = build_closed(map_from_config(cfg["map"]), grid)
         pool = dyadic_pool(grid, config_integer(cfg, "max_level", 8))
     num = partial(config_number, cfg)
@@ -126,19 +121,9 @@ def _cmd_select_params(args) -> int:
     return 0
 
 
-def _cone_params_from(rec: dict) -> ConeParams:
-    sem = SeminormSpec.from_config(
-        config_record(rec, "seminorm", {"kind": "tv"}))
-    num = partial(config_number, rec)
-    return ConeParams(a=num("a"), sigma=num("sigma", 0.5),
-                      T=config_integer(rec, "T"), zeta1=num("zeta1"),
-                      zeta2=num("zeta2"), seminorm=sem, d=num("d", 0.0),
-                      M=num("M", 1.0), E=rec.get("E"))
-
-
 def _cmd_constants(args) -> int:
     cfg = _load_config(args.config)
-    cp = _cone_params_from(config_record(cfg, "cone_params", cfg))
+    cp = ConeParams.from_config(config_record(cfg, "cone_params", cfg))
     d0 = delta0(cp)
     rate = rate_constants(cp)
     out = {"delta0": d0, "birkhoff_factor": birkhoff_factor(d0),

@@ -9,16 +9,17 @@ expectation on a reference partition Q.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (ConfigError, ParameterError, PreconditionError,
                      SelectionError)
-from .phase import Grid, PartitionSpec
+from .phase import (Grid, PartitionSpec, config_integer, config_number,
+                    config_record)
 from .mixing import MixingCertificate, closed_certificate
 from .seminorm import (SeminormSpec, cone_member, element_expectations)
 from .transfer import GridDensity, UlamOperator, push
@@ -80,7 +81,19 @@ class ConeParams:
                 "zeta1": self.zeta1, "zeta2": self.zeta2,
                 "seminorm": self.seminorm.to_config(), "d": self.d,
                 "M": self.M, "E": self.E,
-                "Q": None if self.Q is None else json.loads(self.Q.to_json())}
+                "Q": None if self.Q is None else self.Q.to_config()}
+
+    @staticmethod
+    def from_config(rec: dict) -> "ConeParams":
+        """Inverse of `to_config` for the scalars and the seminorm; the
+        partition Q is not read back."""
+        sem = SeminormSpec.from_config(
+            config_record(rec, "seminorm", {"kind": "tv"}))
+        num = partial(config_number, rec)
+        return ConeParams(a=num("a"), sigma=num("sigma", 0.5),
+                          T=config_integer(rec, "T"), zeta1=num("zeta1"),
+                          zeta2=num("zeta2"), seminorm=sem, d=num("d", 0.0),
+                          M=num("M", 1.0), E=rec.get("E"))
 
 
 @dataclass(frozen=True)

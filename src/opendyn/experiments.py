@@ -4,7 +4,7 @@ Both regimes run one pipeline, `_run`: certify, draw the hole schedule,
 grow T until every block of the run's schedule for T mixes, audit the
 cone, push both densities, then budget, fit and report.  A regime only
 supplies a plan: its per-sample certificates, its map schedule and its
-own flags, constants and certificates once T is final.
+own constants and certificates once T is final.
 A local run perturbs one base map; a global run traverses a map curve
 slowly enough that per-sample certificates chain along it.
 """
@@ -92,8 +92,7 @@ class ExperimentConfig:
             kind = cfg["kind"]
             if kind not in ("local", "global"):
                 raise ConfigError(f"unknown experiment kind {kind!r}")
-            g = config_record(cfg, "grid", {})
-            grid = Grid(g.get("dimension", 1), g.get("n", 4096))
+            grid = Grid.from_config(config_record(cfg, "grid", {}))
             horizon = config_integer(cfg, "horizon")
             if horizon < 2:
                 raise ConfigError("horizon must be at least 2")
@@ -216,14 +215,15 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
 # ---------------------------------------------------------------------------
 # certification pipeline
 
-def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> dict:
+def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> tuple:
+    """(LY certificate, cone parameters) of the closed base operator."""
     closed = cache.get(base, None, grid)
     ly = estimate_LY([closed] * (K_MAX * cfg.T1), cfg.T1, cfg.seminorm,
                      ENSEMBLE_SIZE, seed=LY_SEED)
     cp = select_parameters(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
                            cfg.seminorm, dyadic_pool(grid, MAX_LEVEL), closed,
                            cfg.sigma, I_MAX)
-    return {"ly": ly, "cp": cp, "mixing": cp.mixing}
+    return ly, cp
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +285,8 @@ def _run(config, kind: str, plan) -> RunResult:
     plan(cfg, rng, cache) returns the regime's per-sample _certify
     results (the first one sets the cone), a function from the block
     length T to its map schedule, and a callback that, given the final
-    cone parameters, returns the regime's own (flags, constants,
-    certificates).  Holes and psi are drawn from rng after the plan's own
-    draws.
+    cone parameters, returns the regime's own (constants, certificates).
+    Holes and psi are drawn from rng after the plan's own draws.
     """
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
@@ -302,7 +301,7 @@ def _run(config, kind: str, plan) -> RunResult:
     # steps of T1, at which every block of the run's own schedule for that
     # T (a traversal's speed limit depends on T) keeps its pair ratios
     # inside the mixing window
-    cp, ly = samples[0]["cp"], samples[0]["ly"]
+    ly, cp = samples[0]
     for _ in range(8):
         ops = schedule_operators(schedule(cp.T), hseq, cfg.horizon, grid,
                                  cache)
@@ -321,7 +320,7 @@ def _run(config, kind: str, plan) -> RunResult:
     # price every sample at the block length the run uses, then take the
     # worst value of each constant
     rates = [dataclasses.astuple(rate_constants(
-        dataclasses.replace(c["cp"], T=cp.T))) for c in samples]
+        dataclasses.replace(c, T=cp.T))) for _, c in samples]
     rate = RateConstants(*map(max, zip(*rates)))
 
     phi0 = GridDensity.uniform(grid)
@@ -329,13 +328,13 @@ def _run(config, kind: str, plan) -> RunResult:
     for dens in (phi0, psi0):
         if not cone_member(dens, cp.a, cp.Q, cfg.seminorm).ok:
             raise ConfigError("initial densities fail the cone audit")
-    own_flags, own_constants, own_certificates = finish(cp)
+    own_constants, own_certificates = finish(cp)
 
     records, peaks = _execute(ops, phi0, psi0, cfg.seminorm)
     budget = _grid_budget(records, peaks, grid, rate.c_lip)
     fit, bound_ok, fit_ok = _flags_and_fit(records, budget, rate)
 
-    flags = {"bound_dominated": bound_ok, "fit_ok": fit_ok, **own_flags}
+    flags = {"bound_dominated": bound_ok, "fit_ok": fit_ok}
     constants = {"delta0": rate.delta0, "lambda": rate.lam, "c0": rate.c0,
                  "c_lip": rate.c_lip, "a": cp.a, "sigma": cp.sigma, "T": cp.T,
                  "zeta1": cp.zeta1, "zeta2": cp.zeta2, "grid_n": grid.n,
@@ -348,19 +347,19 @@ def _run(config, kind: str, plan) -> RunResult:
 
 def _local_plan(cfg: ExperimentConfig, rng, cache):
     base = map_from_config(cfg.map_rec)
-    certs = _certify(base, cfg.grid, cfg, cache)
+    ly, base_cp = _certify(base, cfg.grid, cfg, cache)
     mseq = MapSequence(tuple(default_perturbation(base, cfg.delta, rng)
                              for _ in range(cfg.horizon)))
 
     def finish(cp: ConeParams):
-        mix = certs["mixing"]
-        return ({}, {"d": cp.d, "M": cp.M}, {
-            "ly": json.loads(certs["ly"].to_json()),
+        mix = base_cp.mixing
+        return {"d": cp.d, "M": cp.M}, {
+            "ly": ly.to_config(),
             "mixing": {"E": mix.E, "ratio_min": mix.ratio_min,
                        "ratio_max": mix.ratio_max,
-                       "i_checked": list(mix.i_checked)}})
+                       "i_checked": list(mix.i_checked)}}
 
-    return [certs], lambda T: mseq, finish
+    return [(ly, base_cp)], lambda T: mseq, finish
 
 
 def run_local(config) -> RunResult:
@@ -404,7 +403,8 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
     family = FAMILIES[name]
     u0 = config_number(fam_rec, "u_start", 0.0)
     u1 = config_number(fam_rec, "u_end", 1.0)
-    _check(u1 >= u0, "u_end", f"be at least u_start = {u0!r}", u1)
+    _check(0.0 <= u0 <= 1.0, "u_start", "lie in [0, 1]", u0)
+    _check(u0 <= u1 <= 1.0, "u_end", f"lie in [u_start = {u0!r}, 1]", u1)
     n_samples = config_integer(fam_rec, "cert_samples", 5)
     _check(n_samples >= 2, "cert_samples", "be at least 2", n_samples)
     step_rec = fam_rec.get("step", "auto")
@@ -433,18 +433,14 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
 
     def finish(cp: ConeParams):
         sigma_estimate, step = speed(cp.T)
-        moves = step * cp.T <= min(xis) / 2.0 + 1e-15
-        return ({"speed_limit": u1 == u0 or moves}, {
-            "sigma_estimate": sigma_estimate, "step": step,
-            "xi_samples": xis, "sample_points": sample_us}, {
+        return {"sigma_estimate": sigma_estimate, "step": step,
+                "xi_samples": xis, "sample_points": sample_us}, {
             "per_sample": [{
-                "u": s,
-                "ly": json.loads(c["ly"].to_json()),
-                "mixing": {"E": c["mixing"].E,
-                           "ratio_min": c["mixing"].ratio_min,
-                           "ratio_max": c["mixing"].ratio_max},
-                "T": c["cp"].T, "a": c["cp"].a,
-            } for s, c in zip(sample_us, samples)]})
+                "u": s, "ly": ly.to_config(),
+                "mixing": {"E": c.mixing.E, "ratio_min": c.mixing.ratio_min,
+                           "ratio_max": c.mixing.ratio_max},
+                "T": c.T, "a": c.a,
+            } for s, (ly, c) in zip(sample_us, samples)]}
 
     return samples, schedule, finish
 

@@ -88,9 +88,9 @@ class Branch1D:
 class MapSpec:
     """A piecewise-expanding map of T^1 or an integer-matrix map of T^2.
 
-    `check_expanding` may be disabled to evaluate maps that fail the
-    backward-contraction requirement s < 1; the certified machinery
-    always validates s itself.
+    `check_expanding` may be disabled in Python to evaluate maps that
+    fail the backward-contraction requirement s < 1; a config record
+    cannot disable it.
     """
 
     dimension: int
@@ -196,8 +196,12 @@ def affine_map(cuts: Sequence[float], slopes: Sequence[float],
 
 
 def full_branch_map(cuts: Sequence[float]) -> MapSpec:
-    """Lebesgue-preserving full-branch map: each piece maps onto [0, 1)."""
+    """Lebesgue-preserving full-branch map: each piece maps onto [0, 1).
+    ConfigError naming `cuts` unless they increase strictly inside (0, 1)."""
     bounds = [0.0] + list(cuts) + [1.0]
+    if not all(lo < hi for lo, hi in zip(bounds, bounds[1:])):
+        raise ConfigError("config key 'cuts' must increase strictly inside "
+                          f"(0, 1), got {list(cuts)!r}")
     slopes = [1.0 / (bounds[k + 1] - bounds[k]) for k in range(len(bounds) - 1)]
     offsets = [-bounds[k] * slopes[k] for k in range(len(slopes))]
     return affine_map(cuts, slopes, offsets)
@@ -249,10 +253,6 @@ def matrix_map(matrix, offset=(0.0, 0.0), check_expanding: bool = True) -> MapSp
 def map_from_config(rec: dict) -> MapSpec:
     if not isinstance(rec, dict):
         raise ConfigError(f"a 'map' record must be an object, got {rec!r}")
-    check = rec.get("check_expanding", True)
-    if not isinstance(check, bool):
-        raise ConfigError("config key 'check_expanding' must be true or "
-                          f"false, got {check!r}")
     try:
         kind = rec["kind"]
         if kind in ("affine_1d", "quadratic_1d"):
@@ -267,16 +267,14 @@ def map_from_config(rec: dict) -> MapSpec:
                 raise ConfigError("config key 'branches' must be a list of "
                                   "[lo, hi, [coefficients]] rows, got "
                                   f"{rec['branches']!r}") from exc
-            return MapSpec(1, kind, tuple(Branch1D(*r) for r in rows),
-                           check_expanding=check)
+            return MapSpec(1, kind, tuple(Branch1D(*r) for r in rows))
         if kind == "full_branch_1d":
             return full_branch_map(config_numbers(rec, "cuts"))
         if kind == "beta_1d":
             return beta_map(config_number(rec, "beta"))
         if kind == "affine_2d":
             return matrix_map(config_numbers(rec, "matrix", width=2),
-                              config_numbers(rec, "offset", (0.0, 0.0)),
-                              check)
+                              config_numbers(rec, "offset", (0.0, 0.0)))
     except KeyError as exc:
         raise ConfigError(f"map config missing key {exc}") from exc
     raise ConfigError(f"unknown map kind {kind!r}")

@@ -12,7 +12,6 @@ applies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,20 +76,11 @@ class MixingCertificate:
     ratio_max: float
     i_checked: tuple       # (first, last) iterate examined
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "zeta1": self.zeta1, "zeta2": self.zeta2,
-            "partition": json.loads(self.partition.to_json()),
-            "E": self.E, "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max, "i_checked": list(self.i_checked)})
-
-    @staticmethod
-    def from_json(text: str) -> "MixingCertificate":
-        rec = json.loads(text)
-        part = PartitionSpec.from_json(json.dumps(rec["partition"]))
-        return MixingCertificate(rec["zeta1"], rec["zeta2"], part, rec["E"],
-                                 rec["ratio_min"], rec["ratio_max"],
-                                 tuple(rec["i_checked"]))
+    def to_config(self) -> dict:
+        return {"zeta1": self.zeta1, "zeta2": self.zeta2,
+                "partition": self.partition.to_config(), "E": self.E,
+                "ratio_min": self.ratio_min, "ratio_max": self.ratio_max,
+                "i_checked": list(self.i_checked)}
 
 
 def closed_certificate(closed: UlamOperator, Q: PartitionSpec, zeta1: float,

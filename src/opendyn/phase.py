@@ -9,7 +9,6 @@ cone membership, diameters).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -109,6 +108,11 @@ class Grid:
             raise ConfigError("dimension must be 1 or 2")
         if self.cells_per_side < 2:
             raise ConfigError("need at least 2 cells per side")
+
+    @staticmethod
+    def from_config(rec: dict) -> "Grid":
+        """A config's `grid` record: dimension 1 and n = 4096 by default."""
+        return Grid(rec.get("dimension", 1), rec.get("n", 4096))
 
     @property
     def n(self) -> int:
@@ -254,20 +258,10 @@ class PartitionSpec:
         return sparse.csr_matrix((np.ones(n), (self.labels(), np.arange(n))),
                                  shape=(self.n_elements, n))
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "grid": {"dimension": self.grid.dimension, "cells_per_side": self.grid.n},
-            "elements": [e.tolist() for e in self.elements],
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "PartitionSpec":
-        """Inverse of `to_json`; keys other than grid and elements (such as
-        the "boundary" lists older files carry) are ignored."""
-        rec = json.loads(text)
-        grid = Grid(rec["grid"]["dimension"], rec["grid"]["cells_per_side"])
-        elements = tuple(np.asarray(e, dtype=np.int64) for e in rec["elements"])
-        return PartitionSpec(grid, elements)
+    def to_config(self) -> dict:
+        return {"grid": {"dimension": self.grid.dimension,
+                         "cells_per_side": self.grid.n},
+                "elements": [e.tolist() for e in self.elements]}
 
 
 def diam_lambda(p: PartitionSpec) -> float:

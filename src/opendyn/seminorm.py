@@ -10,10 +10,9 @@ certified block, and empirical Lasota-Yorke certification.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -140,10 +139,14 @@ class SeminormSpec:
 
     @staticmethod
     def from_config(rec: dict) -> "SeminormSpec":
-        if rec["kind"] == "tv":
+        kind = rec["kind"]
+        if kind == "tv":
             return SeminormSpec("tv")
-        return SeminormSpec("osc", OscParams(config_number(rec, "alpha"),
-                                             config_number(rec, "eps0")))
+        if kind == "osc":
+            return SeminormSpec("osc", OscParams(config_number(rec, "alpha"),
+                                                 config_number(rec, "eps0")))
+        raise ConfigError(f"config key 'kind' must be 'tv' or 'osc', "
+                          f"got {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +239,8 @@ class LYCertificate:
     ensemble: dict          # size, seed, grid dimension and n, member kinds
     max_k: int
 
-    def to_json(self) -> str:
-        return json.dumps({"T1": self.T1, "theta": self.theta, "C": self.C,
-                           "seminorm": self.seminorm, "ensemble": self.ensemble,
-                           "max_k": self.max_k})
-
-    @staticmethod
-    def from_json(text: str) -> "LYCertificate":
-        rec = json.loads(text)
-        return LYCertificate(rec["T1"], rec["theta"], rec["C"], rec["seminorm"],
-                             rec["ensemble"], rec["max_k"])
+    def to_config(self) -> dict:
+        return asdict(self)
 
 
 ENSEMBLE_KINDS = ("constant", "step", "blocks")

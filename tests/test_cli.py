@@ -193,8 +193,6 @@ def _torus(**map_rec):
                                      "branches": [0, 0.5]}}),
     (LOCAL_CFG, "matrix", _torus(matrix=[["x", 1], [1, 2]])),
     (LOCAL_CFG, "offset", _torus(offset="x")),
-    # a truthy string must not pass for true
-    (LOCAL_CFG, "check_expanding", _torus(check_expanding="no")),
     # numpy refuses negative seeds
     (LOCAL_CFG, "seed", {"seed": -1}),
     (GLOBAL_CFG, "seed", {"seed": -1}),
@@ -219,6 +217,19 @@ def _torus(**map_rec):
     (GLOBAL_CFG, "cert_samples", _family(cert_samples=0)),
     (GLOBAL_CFG, "cert_samples", _family(cert_samples=-4)),
     (LOCAL_CFG, "T1", {"T1": 0}),
+    # cuts bound the branches, so they increase strictly inside (0, 1)
+    (LOCAL_CFG, "cuts", {"map": {"kind": "full_branch_1d",
+                                 "cuts": [0.5, 0.5]}}),
+    (LOCAL_CFG, "cuts", {"map": {"kind": "full_branch_1d",
+                                 "cuts": [0.7, 0.3]}}),
+    # the families are defined for u in [0, 1]
+    (GLOBAL_CFG, "u_start", _family(u_start=2.0, u_end=3.0)),
+    (GLOBAL_CFG, "u_end", _family(u_start=1.0, u_end=2.0)),
+    (GLOBAL_CFG, "u_start", _family(u_start=-0.5)),
+    # an unknown seminorm kind must not run as osc
+    (LOCAL_CFG, "kind", {"seminorm": {"kind": "l2", "alpha": 1,
+                                      "eps0": 0.1}}),
+    (LOCAL_CFG, "kind", {"seminorm": {"kind": "l2"}}),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
         "float_cert_samples", "text_step", "text_cut", "text_beta",
@@ -226,12 +237,14 @@ def _torus(**map_rec):
         "nested_cuts", "flat_intervals", "three_end_interval",
         "two_number_disk", "list_hole", "list_map", "text_branch_end",
         "flat_branches", "text_matrix", "text_offset",
-        "text_check_expanding", "negative_seed", "global_negative_seed",
+        "negative_seed", "global_negative_seed",
         "measure_over_one", "negative_measure", "epsilon_over_one",
         "torus_negative_epsilon", "negative_delta", "torus_negative_delta",
         "nan_delta", "global_negative_delta", "negative_step", "zero_step",
         "backward_traversal", "zero_cert_samples", "negative_cert_samples",
-        "zero_T1"])
+        "zero_T1", "repeated_cuts", "unsorted_cuts", "u_start_over_one",
+        "u_end_over_one", "negative_u_start", "unknown_seminorm_kind",
+        "bare_unknown_seminorm_kind"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     # local and global runs refuse a bad value by name, with no traceback
     # and no later failure that hides the cause
@@ -240,6 +253,16 @@ def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and f"'{key}'" in err
+
+
+def test_config_cannot_disable_expansion_check(tmp_path, capsys):
+    # a map record has no switch for the s < 1 check: the cat map, which
+    # contracts along one direction, is refused by its s
+    patch = _torus(matrix=[[2, 1], [1, 1]], check_expanding=False)
+    cfg = write(tmp_path, "c.json", dict(LOCAL_CFG, **patch))
+    assert main(["simulate-local", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "s = " in err
 
 
 MIXING_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
@@ -326,8 +349,7 @@ PINNED = {
     "local.json": (3, 1.0, 2, 4, 0.5, 1e-12, 0.9283177667225558,
                    {"bound_dominated": True, "fit_ok": True}),
     "global.json": (3, 1.0, 2, 4, 0.5, 1e-12, 0.9283177667225558,
-                    {"bound_dominated": True, "fit_ok": True,
-                     "speed_limit": True}),
+                    {"bound_dominated": True, "fit_ok": True}),
     "local_2d.json": (4, 1.0, 1, 4, 0.64, 1e-12, 0.9457416090031758,
                       {"bound_dominated": True, "fit_ok": True}),
 }

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from opendyn.errors import ConfigError
-from opendyn.phase import (Grid, PartitionSpec, diam_lambda, dyadic_partition,
-                           metric_diam, partition_from_labels, torus_delta)
+from opendyn.phase import (Grid, diam_lambda, dyadic_partition, metric_diam,
+                           partition_from_labels, torus_delta)
 
 
 def test_grid_geometry_1d():
@@ -86,53 +88,10 @@ def test_partition_misaligned_rejected():
 def test_partition_json_roundtrip():
     g = Grid(1, 64)
     Q = dyadic_partition(g, 2)
-    Q2 = PartitionSpec.from_json(Q.to_json())
-    assert Q2.grid == Q.grid
-    assert [list(e) for e in Q2.elements] == [list(e) for e in Q.elements]
-
-
-# written before partitions dropped their boundary descriptors: files
-# that still carry the "boundary" key load to the same elements
-OLD_PARTITION_1D = (
-    '{"grid": {"dimension": 1, "cells_per_side": 8}, "elements": [[0, 1], '
-    '[2, 3], [4, 5], [6, 7]], "boundary": [[{"kind": "point", "x": 0.0}, '
-    '{"kind": "point", "x": 0.25}], [{"kind": "point", "x": 0.25}, '
-    '{"kind": "point", "x": 0.5}], [{"kind": "point", "x": 0.5}, '
-    '{"kind": "point", "x": 0.75}], [{"kind": "point", "x": 0.75}, '
-    '{"kind": "point", "x": 0.0}]]}')
-OLD_PARTITION_2D = (
-    '{"grid": {"dimension": 2, "cells_per_side": 4}, "elements": [[0, '
-    '1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]], '
-    '"boundary": [[{"kind": "segment", "axis": 0, "level": 0.0, "lo": '
-    '0.0, "hi": 0.5}, {"kind": "segment", "axis": 0, "level": 0.5, '
-    '"lo": 0.0, "hi": 0.5}, {"kind": "segment", "axis": 1, "level": '
-    '0.0, "lo": 0.0, "hi": 0.5}, {"kind": "segment", "axis": 1, '
-    '"level": 0.5, "lo": 0.0, "hi": 0.5}], [{"kind": "segment", '
-    '"axis": 0, "level": 0.5, "lo": 0.0, "hi": 0.5}, {"kind": '
-    '"segment", "axis": 0, "level": 0.0, "lo": 0.0, "hi": 0.5}, '
-    '{"kind": "segment", "axis": 1, "level": 0.0, "lo": 0.5, "hi": '
-    '1.0}, {"kind": "segment", "axis": 1, "level": 0.5, "lo": 0.5, '
-    '"hi": 1.0}], [{"kind": "segment", "axis": 0, "level": 0.0, "lo": '
-    '0.5, "hi": 1.0}, {"kind": "segment", "axis": 0, "level": 0.5, '
-    '"lo": 0.5, "hi": 1.0}, {"kind": "segment", "axis": 1, "level": '
-    '0.5, "lo": 0.0, "hi": 0.5}, {"kind": "segment", "axis": 1, '
-    '"level": 0.0, "lo": 0.0, "hi": 0.5}], [{"kind": "segment", '
-    '"axis": 0, "level": 0.5, "lo": 0.5, "hi": 1.0}, {"kind": '
-    '"segment", "axis": 0, "level": 0.0, "lo": 0.5, "hi": 1.0}, '
-    '{"kind": "segment", "axis": 1, "level": 0.5, "lo": 0.5, "hi": '
-    '1.0}, {"kind": "segment", "axis": 1, "level": 0.0, "lo": 0.5, '
-    '"hi": 1.0}]]}')
-
-
-def test_partition_json_with_boundary_key_loads():
-    for text, grid, level in ((OLD_PARTITION_1D, Grid(1, 8), 2),
-                              (OLD_PARTITION_2D, Grid(2, 4), 1)):
-        Q = PartitionSpec.from_json(text)
-        ref = dyadic_partition(grid, level)
-        assert Q.grid == grid
-        assert [e.tolist() for e in Q.elements] == \
-            [e.tolist() for e in ref.elements]
-        assert "boundary" not in Q.to_json()
+    rec = json.loads(json.dumps(Q.to_config()))
+    assert rec == {"grid": {"dimension": 1, "cells_per_side": 64},
+                   "elements": [list(range(k, k + 16))
+                                for k in range(0, 64, 16)]}
 
 
 def test_partition_from_labels_matches_dyadic():

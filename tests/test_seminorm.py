@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pathlib
@@ -116,6 +117,13 @@ def test_seminorm_config_roundtrip():
         if sem.kind == "osc":
             assert again.osc.alpha == sem.osc.alpha
             assert again.osc.eps0 == sem.osc.eps0
+
+
+def test_seminorm_config_unknown_kind_names_kind():
+    # only "tv" and "osc" are seminorms; another kind must not run as osc
+    for rec in ({"kind": "l2", "alpha": 1, "eps0": 0.1}, {"kind": "l2"}):
+        with pytest.raises(ConfigError, match="'kind'"):
+            SeminormSpec.from_config(rec)
 
 
 def _tv_one(v, g):
@@ -347,11 +355,8 @@ def test_ly_certificate_json_roundtrip():
     g = Grid(1, 1024)
     cert = estimate_LY([build_closed(doubling_map(), g)] * 4, 1, TV, 8,
                        seed=1)
-    again = LYCertificate.from_json(cert.to_json())
-    assert again.theta == cert.theta
-    assert again.C == cert.C
-    assert again.T1 == cert.T1
-    assert again.max_k == cert.max_k
+    rec = json.loads(json.dumps(cert.to_config()))
+    assert LYCertificate(**rec) == cert
 
 
 def test_tv_contraction_property_random_pwc():
