@@ -3,11 +3,14 @@
 A hole is a finite union of intervals (1D) or of axis-aligned rectangles
 and disks (2D), with half-open membership matching the grid convention.
 A trajectory escapes at step i when its image under the i-th map lands
-in the i-th hole.
+in the i-th hole.  A grid cell is in a hole when its centre is; an arc's
+cells, and each axis of a rect's, are one run of the sorted centres.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +43,41 @@ def _normalize_intervals(intervals) -> tuple:
     return tuple(merged)
 
 
+def _rect_disk_gap(rect, disk) -> float:
+    """Torus distance from the disk's centre to the rect."""
+    x0, x1, y0, y1 = rect
+    cx, cy, _ = disk
+    d = [0.0 if lo <= c % 1.0 <= hi
+         else float(min(torus_delta(c, lo), torus_delta(c, hi)))
+         for c, lo, hi in ((cx, x0, x1), (cy, y0, y1))]
+    return math.hypot(*d)
+
+
+def _check_disjoint(rects, disks) -> None:
+    """ConfigError naming the first pair of 2D components that overlap.
+    `rects` are split at the wrap, so each side is one interval of
+    [0, 1]; the pieces of one wrapped rect never overlap."""
+    for a, b in itertools.combinations(rects, 2):
+        if all(max(a[k], b[k]) < min(a[k + 1], b[k + 1]) for k in (0, 2)):
+            raise ConfigError(f"hole rects {a} and {b} overlap")
+    for a, b in itertools.combinations(disks, 2):
+        if math.hypot(torus_delta(a[0], b[0]), torus_delta(a[1], b[1])) \
+                < a[2] + b[2]:
+            raise ConfigError(f"hole disks {a} and {b} overlap")
+    for rect in rects:
+        for disk in disks:
+            if _rect_disk_gap(rect, disk) < disk[2]:
+                raise ConfigError(f"hole rect {rect} and disk {disk} overlap")
+
+
 @dataclass(frozen=True)
 class HoleSpec:
     """Finite union of elementary absorbing regions.
 
     1D components are half-open arcs; 2D components are half-open
     rectangles (possibly wrapping, stored split) and open disks of
-    radius <= 1/2.  Components of one hole must be pairwise disjoint so
-    the measure is the sum of component measures.
+    radius <= 1/2.  2D components must be pairwise disjoint, so that the
+    measure is the sum of component measures; 1D arcs are merged.
     """
 
     dimension: int
@@ -72,6 +102,7 @@ class HoleSpec:
             for cx, cy, r in self.disks:
                 if not 0.0 < r <= 0.5:
                     raise ConfigError("disk radius must lie in (0, 1/2]")
+            _check_disjoint(self.rects, self.disks)
         else:
             raise ConfigError("dimension must be 1 or 2")
         if not 0.0 <= self.measure() < 1.0:
@@ -85,13 +116,42 @@ class HoleSpec:
                 hit |= (x >= lo) & (x < hi)
             return hit
         p = np.atleast_2d(np.asarray(points, dtype=float)) % 1.0
-        hit = np.zeros(p.shape[0], dtype=bool)
+        hit = self._disk_hits(p)
         for x0, x1, y0, y1 in self.rects:
             hit |= (p[:, 0] >= x0) & (p[:, 0] < x1) & (p[:, 1] >= y0) & (p[:, 1] < y1)
+        return hit
+
+    def _disk_hits(self, p: np.ndarray) -> np.ndarray:
+        hit = np.zeros(p.shape[0], dtype=bool)
         for cx, cy, r in self.disks:
             dx = torus_delta(p[:, 0], cx)
             dy = torus_delta(p[:, 1], cy)
             hit |= dx * dx + dy * dy < r * r
+        return hit
+
+    def cells(self, grid: Grid) -> np.ndarray:
+        """The grid cells whose centre lies in the hole, as a boolean array
+        over the cells: `contains(grid.centers())`, with the cells of an
+        arc, and of each axis of a rect, taken as one run of the sorted
+        centres.  Disks test every centre."""
+        if self.dimension != grid.dimension:
+            raise ConfigError("hole and grid dimensions differ")
+        n, centers = grid.n, grid.centers()
+        axis = centers if grid.dimension == 1 else centers[:n, 1]
+
+        def run(lo, hi) -> slice:
+            # the centres c with lo <= c < hi
+            return slice(*np.searchsorted(axis, (lo, hi)))
+
+        if self.dimension == 1:
+            hit = np.zeros(n, dtype=bool)
+            for lo, hi in self.intervals:
+                hit[run(lo, hi)] = True
+            return hit
+        hit = self._disk_hits(centers)
+        square = hit.reshape(n, n)       # cell ix*n + iy at [ix, iy]
+        for x0, x1, y0, y1 in self.rects:
+            square[run(x0, x1), run(y0, y1)] = True
         return hit
 
     def measure(self) -> float:

@@ -5,9 +5,10 @@ exact interval overlap in 1D (branch inverses are closed-form).  In 2D
 the integer matrix moves every cell image by whole cells, so the image
 of one cell is clipped against the grid once and the resulting stencil
 is tiled over all columns.  Closed-map columns sum to 1 up to float
-rounding only.  Open operators have empty rows at hole cells, with hole
-membership sampled at cell centers.  A 1D operator, closed or open, is
-written straight into its CSR arrays with no closed parent.  A 2D open
+rounding only.  Open operators have empty rows at hole cells, the cells
+whose center lies in the hole (`HoleSpec.cells`), and keep the hole they
+were opened with.  A 1D operator, closed or open, is written straight
+into its CSR arrays with no closed parent.  A 2D open
 operator, and any open operator whose closed parent is cached, is the
 closed one with its hole rows filtered out of the CSR arrays.  Either
 way closed rows list their columns in ascending order and open rows in
@@ -33,6 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, TotalEscapeError
+from .holes import HoleSpec
 from .maps import MapSpec
 from .phase import Grid
 
@@ -97,7 +99,7 @@ def escape_mass(phi_sequence) -> list:
 class UlamOperator:
     grid: Grid
     matrix: sparse.csr_matrix
-    hole_mask: np.ndarray | None = None   # rows zeroed (open operator)
+    hole: HoleSpec | None = None   # open operator: its cells' rows are empty
 
     def column_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=0)).ravel()
@@ -105,7 +107,7 @@ class UlamOperator:
     def column_sum_error(self) -> float:
         """Max deviation of column sums from 1 (closed operators only;
         open column sums measure per-cell survival, not assembly error)."""
-        if self.hole_mask is not None:
+        if self.hole is not None:
             raise ConfigError("column sums of an open operator measure survival")
         return float(np.abs(self.column_sums() - 1.0).max())
 
@@ -376,29 +378,23 @@ def build_closed(mapspec: MapSpec, grid: Grid) -> UlamOperator:
 def build_open(mapspec: MapSpec, hole, grid: Grid) -> UlamOperator:
     """Open operator: closed matrix with hole-cell rows zeroed.
 
-    Hole membership is sampled at cell centers, matching the survivor
-    indicator convention.  A 1D open matrix is written directly, with no
-    closed parent; a 2D one drops the hole rows of the closed matrix.
+    The hole cells are those whose center lies in the hole
+    (`HoleSpec.cells`), matching the survivor indicator convention; the
+    operator keeps the hole, not the cells.  A 1D open matrix is written
+    directly, with no closed parent; a 2D one drops the hole rows of the
+    closed matrix.
     """
     if hole is None or grid.dimension != 1:
         return _open(build_closed(mapspec, grid), hole)
     if mapspec.dimension != 1:
         raise ConfigError("map and grid dimensions differ")
-    mask = _hole_rows(hole, grid)
-    return UlamOperator(grid, _build_1d(mapspec, grid, mask), mask)
-
-
-def _hole_rows(hole, grid: Grid) -> np.ndarray:
-    """The cells whose center lies in the hole, for both open paths."""
-    if hole.dimension != grid.dimension:
-        raise ConfigError("hole and grid dimensions differ")
-    return hole.contains(grid.centers())
+    return UlamOperator(grid, _build_1d(mapspec, grid, hole.cells(grid)), hole)
 
 
 def _open(closed: UlamOperator, hole) -> UlamOperator:
-    """The closed operator with the rows of hole cells emptied, built
-    from the closed CSR arrays: each open row is its closed row read
-    last to first, with one gather.
+    """The closed operator with the rows of hole cells (`HoleSpec.cells`)
+    emptied, built from the closed CSR arrays: each open row is its
+    closed row read last to first, with one gather.
 
     Open rows list their columns in descending order, as a direct 1D
     write leaves them, so an operator is the same bytes whether it was
@@ -411,9 +407,8 @@ def _open(closed: UlamOperator, hole) -> UlamOperator:
     if hole is None:
         return closed
     grid, M = closed.grid, closed.matrix
-    mask = _hole_rows(hole, grid)
     counts = np.diff(M.indptr)
-    counts[mask] = 0
+    counts[hole.cells(grid)] = 0
     indptr = np.zeros_like(M.indptr)
     np.cumsum(counts, out=indptr[1:])
     # position p of open row i, which starts at indptr[i], reads closed
@@ -422,7 +417,7 @@ def _open(closed: UlamOperator, hole) -> UlamOperator:
                     counts)
     src -= np.arange(src.size)
     return UlamOperator(grid, sparse.csr_matrix(
-        (M.data[src], M.indices[src], indptr), shape=M.shape), mask)
+        (M.data[src], M.indices[src], indptr), shape=M.shape), hole)
 
 
 # Below this many cells a pool saves nothing.  On a 2-vCPU VM, 40 open

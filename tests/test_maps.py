@@ -271,6 +271,9 @@ def test_perturbation_distance_bounds_dense_sampling(family, e1, e2, delta,
 @example(q=(0.4, 0.2, 0.0), a=0.1, length=0.8)
 # a short domain, where the reference's Lipschitz quotients round the most
 @example(q=(0.0, 1.0, 1.0), a=0.0, length=0.015625)
+# q' = q1 + 2*q2*x cancels to below 0.01 from terms near 0.8 each: its
+# divided differences round by ~eps*0.8, not ~eps*max|q'|
+@example(q=(0.0, 0.8125, -1.84375), a=0.21875, length=2**-8)
 def test_quadratic_size_is_dense_supremum(q, a, length):
     b = a + length
     xs = np.linspace(a, b, 4001)
@@ -284,10 +287,12 @@ def test_quadratic_size_is_dense_supremum(q, a, length):
     ch = (np.abs(dp[:, None] - dp[None, :])[apart] / dx[apart]).max()
     ref = np.abs(y - np.round(y)).max() + np.abs(dq).max() + ch
     got = maps._quadratic_size(q, a, b)
-    # the reference's divided differences round by ~eps*|q'| over the
-    # closest pair spacing, length/100
-    slack = 1e-12 + 4.0 * np.finfo(float).eps * np.abs(dq).max() \
-        / (length / 100.0)
+    # each sample of q' rounds by ~eps times the terms it sums, |q1| and
+    # |2*q2*x|, which may cancel to a far smaller |q'|; a divided
+    # difference carries two such errors over the closest pair spacing,
+    # length/100
+    terms = abs(q1) + 2.0 * abs(q2) * max(abs(a), abs(b))
+    slack = 1e-12 + 4.0 * np.finfo(float).eps * terms / (length / 100.0)
     assert ref - slack <= got <= ref + np.abs(dq).max() * length / 4000 + slack
 
 

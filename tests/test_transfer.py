@@ -409,6 +409,18 @@ def _masked(closed, mask):
     return sparse.diags((~mask).astype(float)) @ closed
 
 
+def _empty_rows(M) -> np.ndarray:
+    return np.diff(M.indptr) == 0
+
+
+def _assert_hole_rows(op, hole, closed):
+    """op keeps the hole it was opened with, and its empty rows are the
+    hole's cells and the rows the closed matrix leaves empty."""
+    assert op.hole is hole
+    assert np.array_equal(_empty_rows(op.matrix),
+                          hole.cells(op.grid) | _empty_rows(closed))
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["affine", "quadratic", "quadratic_jitter",
                              "beta", "beta_reversed"]),
@@ -446,7 +458,7 @@ def test_1d_assembly_matches_midpoint_reference(kind, eps, cut, beta, n,
         hole = interval_hole(lo, (lo + w) % 1.0)
         mask = hole.contains(g.centers())
         op = build_open(m, hole, g)
-        assert np.array_equal(op.hole_mask, mask)
+        _assert_hole_rows(op, hole, ref)
         assert _same_csr(op.matrix, _masked(ref, mask))
 
 
@@ -495,7 +507,7 @@ def test_open_filters_rows_like_masking_product(dimension, kind, eps, cut,
     mask = spec.contains(g.centers())
     op = transfer._open(closed, spec)
     ref = _masked(closed.matrix, mask)
-    assert np.array_equal(op.hole_mask, mask)
+    _assert_hole_rows(op, spec, closed.matrix)
     for key in ("indptr", "indices", "data"):
         got, want = getattr(op.matrix, key), getattr(ref, key)
         assert got.dtype == want.dtype
@@ -517,16 +529,18 @@ def test_hole_rows_at_arc_ends(n, lo, hi, cells):
     # same rows: the cells whose centre lies in the half-open arc
     g, m, hole = Grid(1, n), doubling_map(), interval_hole(lo, hi)
     want = np.isin(np.arange(n), cells)
-    assert np.array_equal(transfer._hole_rows(hole, g), want)
+    assert np.array_equal(hole.cells(g), want)
     for op in (build_open(m, hole, g),
                transfer._open(build_closed(m, g), hole)):
-        assert np.array_equal(op.hole_mask, want)
-        assert np.array_equal(np.diff(op.matrix.indptr) == 0, want)
+        assert op.hole is hole
+        assert np.array_equal(_empty_rows(op.matrix), want)
 
 
 def test_hole_rows_refuse_other_dimension():
     with pytest.raises(ConfigError):
-        transfer._hole_rows(rect_hole(0.1, 0.2, 0.1, 0.2), Grid(1, 16))
+        rect_hole(0.1, 0.2, 0.1, 0.2).cells(Grid(1, 16))
+    with pytest.raises(ConfigError):
+        build_open(doubling_map(), rect_hole(0.1, 0.2, 0.1, 0.2), Grid(1, 16))
     with pytest.raises(ConfigError):
         build_open(matrix_map([[2, 0], [0, 2]]), interval_hole(0.1, 0.2),
                    Grid(2, 8))
@@ -566,10 +580,12 @@ def test_pooled_schedule_matches_build_open(monkeypatch):
     assert pools == [6] and len(cache) == 6 and ops[6] is ops[2]
     for m, h, op in zip(mseq.maps, hseq.holes, ops):
         ref = build_open(m, h, g)
-        masked = _masked(build_closed(m, g).matrix, h.contains(g.centers()))
+        closed = build_closed(m, g).matrix
+        masked = _masked(closed, h.contains(g.centers()))
         assert _same_csr(op.matrix, ref.matrix)
         assert _same_csr(op.matrix, masked)
-        assert np.array_equal(op.hole_mask, ref.hole_mask)
+        for built in (op, ref):
+            _assert_hole_rows(built, h, closed)
         # open rows keep the descending column order the masking product
         # leaves; matvec sums run in that order
         M = op.matrix
@@ -601,7 +617,8 @@ def test_pooled_2d_openings_of_cached_parent_match_inline(monkeypatch):
     assert pools == [2] and calls == []
     for pooled, inline, (_, hole) in zip(*results, steps):
         assert _same_csr(pooled.matrix, inline.matrix)
-        assert np.array_equal(pooled.hole_mask, inline.hole_mask)
+        for op in (pooled, inline):
+            _assert_hole_rows(op, hole, closed.matrix)
         assert _same_csr(pooled.matrix,
                          _masked(closed.matrix, hole.contains(g.centers())))
 
@@ -659,7 +676,7 @@ def test_cache_masks_stored_closed_operator(monkeypatch, mapspec, grid, hole):
     monkeypatch.setattr(transfer, "build_closed", counting)
     op = cache.get(mapspec, hole, grid)
     assert calls == []
-    assert np.array_equal(op.hole_mask, ref.hole_mask)
+    _assert_hole_rows(op, hole, cache.get(mapspec, None, grid).matrix)
     assert np.array_equal(op.matrix.indptr, ref.matrix.indptr)
     assert np.array_equal(op.matrix.indices, ref.matrix.indices)
     assert np.array_equal(op.matrix.data, ref.matrix.data)
