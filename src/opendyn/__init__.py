@@ -12,8 +12,8 @@ from .errors import (CertificateError, ConfigError,
 from .phase import (Grid, PartitionSpec, diam_lambda, dyadic_partition,
                     metric_diam, partition_from_labels, torus_delta)
 from .maps import (Branch1D, MapSequence, MapSpec, affine_map, balance_check,
-                   beta_map, doubling_map, full_branch_map, map_from_config,
-                   matrix_map, perturbation_distance, quadratic_full_branch,
+                   beta_map, doubling_map, full_branch_map, is_perturbation,
+                   map_from_config, matrix_map, quadratic_full_branch,
                    tripling_map, unit_ball_volume)
 from .holes import (HoleSequence, HoleSpec, disk_hole, hole_from_config,
                     interval_hole, rect_hole, survivor_indicator,

@@ -23,7 +23,7 @@ from .errors import (CertificateError, ConfigError, ParameterError,
 from .phase import (Grid, config_integer, config_number, config_record,
                     config_seed, dyadic_pool)
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
-                   map_from_config, perturbation_distance)
+                   is_perturbation, map_from_config)
 from .holes import HoleSequence, HoleSpec, hole_from_config
 from .transfer import (MASS_FLOOR, GridDensity, OperatorCache, normalize,
                        push, schedule_operators)
@@ -132,7 +132,6 @@ class RunResult:
     flags: dict
     budget: list
     config_echo: dict
-    notes: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -370,17 +369,13 @@ def run_local(config) -> RunResult:
 
 def _stability_radius(family, u: float, u_lo: float, u_hi: float,
                       delta: float) -> float:
-    """Largest parameter increment keeping the family member within the
-    certified perturbation distance of the sample point."""
+    """Largest parameter increment, to 24 bisection steps, keeping the
+    family members at u +- du delta-perturbations of the sample point."""
     base = family(u)
 
     def within(du: float) -> bool:
-        for v in (max(u - du, u_lo), min(u + du, u_hi)):
-            if v != u:
-                d = perturbation_distance(base, family(v))
-                if d is None or d > delta:
-                    return False
-        return True
+        return all(is_perturbation(base, family(v), delta)
+                   for v in (max(u - du, u_lo), min(u + du, u_hi)) if v != u)
 
     span = u_hi - u_lo
     if span == 0.0 or within(span):
@@ -493,8 +488,7 @@ def emit_report(result: RunResult, out_dir: str, prefix: str = "report") -> dict
         "constants": dict(result.constants, grid_budget=result.budget),
         "fit": {"C_fit": result.fit[0], "lambda_fit": result.fit[1],
                 "r2": result.fit[2]},
-        "verdict": {"flags": result.flags, "pass": result.passed,
-                    "notes": result.notes},
+        "verdict": {"flags": result.flags, "pass": result.passed},
     }
     summary_path = os.path.join(out_dir, f"{prefix}_summary.json")
     with open(summary_path, "w") as fh:

@@ -23,7 +23,12 @@ def _normalize_intervals(intervals) -> tuple:
     """Split wrapping intervals, merge overlaps, keep half-open pieces."""
     pieces = []
     for lo, hi in intervals:
-        lo, hi = float(lo) % 1.0, float(hi)
+        lo, hi = float(lo), float(hi)
+        # equal ends are empty before reduction: (1.0, 1.0) must not
+        # become the circle (0.0, 1.0)
+        if lo == hi:
+            continue
+        lo %= 1.0
         if hi != 1.0:
             hi = hi % 1.0
         if lo < hi:

@@ -148,11 +148,6 @@ class MapSpec:
             return len(self.branches)
         return int(round(abs(np.linalg.det(np.asarray(self.matrix)))))
 
-    def content_key(self) -> tuple:
-        if self.dimension == 1:
-            return (self.kind, tuple((b.lo, b.hi, b.coeffs) for b in self.branches))
-        return (self.kind, tuple(map(tuple, self.matrix)), tuple(self.offset))
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x):
@@ -361,58 +356,39 @@ def _quadratic_size(q: tuple, a: float, b: float) -> float:
     return c0 + c1 + abs(2.0 * q2)
 
 
-def perturbation_distance(f: MapSpec, g: MapSpec):
-    """Smallest delta making g a delta-perturbation of f, or None.
+def is_perturbation(f: MapSpec, g: MapSpec, delta: float) -> bool:
+    """Whether g is a delta-perturbation of f.
 
-    g is delta-close to f when every branch domain endpoint moves by less
-    than delta and, for each branch pair, the exact C^{1,1} size of the
-    difference f_k - g_k (see `_quadratic_size`) on the common domain
-    minus a delta-neighborhood of its ends is below delta.  Branches are
-    polynomials of degree <= 2, so each size is closed-form; delta is
-    found by bisection to relative tolerance 1e-9.  Returns None when the
-    maps are not comparable (different kind, dimension, or branch count).
+    Torus maps with one matrix are delta-close when their offsets differ
+    by at most delta.  A circle map g is delta-close to f when every
+    branch domain endpoint moves by less than delta and, for each branch
+    pair, the exact C^{1,1} size of the difference f_k - g_k (see
+    `_quadratic_size`) on the common domain minus a delta-neighborhood of
+    its ends is below delta.  Equal maps are delta-close for every
+    delta >= 0; maps of different kind, dimension or branch count never
+    are.
     """
     if f.dimension != g.dimension or f.kind != g.kind \
             or f.n_branches != g.n_branches:
-        return None
+        return False
     if f.dimension == 2:
-        if f.matrix != g.matrix:
-            return None
-        d = float(np.max(torus_delta(np.asarray(f.offset), np.asarray(g.offset))))
-        return d
-    if f.content_key() == g.content_key():
-        return 0.0
-
+        return f.matrix == g.matrix and float(np.max(torus_delta(
+            np.asarray(f.offset), np.asarray(g.offset)))) <= delta
+    if f.branches == g.branches:
+        return delta >= 0.0
     # element Hausdorff distance equals the largest endpoint displacement
     # for arcs; the interior endpoints are the cuts
-    moved, pairs = 0.0, []
     for bf, bg in zip(f.branches, g.branches):
-        moved = max(moved, float(torus_delta(bf.lo, bg.lo)),
-                    float(torus_delta(bf.hi % 1.0, bg.hi % 1.0)))
-        cf, cg = (tuple(b.coeffs) + (0.0,) * (3 - len(b.coeffs))
-                  for b in (bf, bg))
-        q = tuple(float(u - v) for u, v in zip(cf, cg))
-        pairs.append((max(bf.lo, bg.lo), min(bf.hi, bg.hi), q))
-
-    def close(delta: float) -> bool:
-        if moved >= delta:
+        if max(float(torus_delta(bf.lo, bg.lo)),
+               float(torus_delta(bf.hi % 1.0, bg.hi % 1.0))) >= delta:
             return False
         # both partitions' boundaries nearest to a point of [lo, hi) are
         # lo and hi, so the points delta away from them form (lo+d, hi-d)
-        return all(_quadratic_size(q, lo + delta, hi - delta) < delta
-                   for lo, hi, q in pairs if lo + delta < hi - delta)
-
-    # circle distances are at most 1/2 and every branch domain is empty
-    # once delta >= 1/2, so close(2.0) holds
-    lo, hi = 0.0, 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid <= 1e-9:
-            break
-        if close(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * max(1.0, hi):
-            break
-    return hi
+        lo = max(bf.lo, bg.lo) + delta
+        hi = min(bf.hi, bg.hi) - delta
+        cf, cg = (tuple(b.coeffs) + (0.0,) * (3 - len(b.coeffs))
+                  for b in (bf, bg))
+        q = tuple(float(u - v) for u, v in zip(cf, cg))
+        if lo < hi and _quadratic_size(q, lo, hi) >= delta:
+            return False
+    return True

@@ -5,9 +5,10 @@ lambda(J2)) stay inside (zeta1, zeta2) for all element pairs once i
 reaches the mixing time E.  Intersection measures come from pushing the
 block of element indicator densities through the Ulam operators, which
 is exact for aligned affine maps.  A local run draws its map schedule
-(delta-perturbations of one base map) and its random holes from the
-samplers here, then checks the window on the blocks of the operators it
-applies.
+(delta-perturbations of one base map; a full-branch draw is kept only
+when the yes/no test `maps.is_perturbation` accepts it) and its random
+holes from the samplers here, then checks the window on the blocks of
+the operators it applies.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, ConfigError, ParameterError
-from .maps import (Branch1D, MapSpec, full_branch_map, matrix_map,
-                   perturbation_distance)
+from .maps import (Branch1D, MapSpec, full_branch_map, is_perturbation,
+                   matrix_map)
 from .holes import HoleSpec
 from .phase import PartitionSpec
 from .transfer import UlamOperator, build_closed, push
@@ -121,11 +122,10 @@ def _is_full_branch(m: MapSpec) -> bool:
 
 
 def perturb_full_branch(base: MapSpec, delta: float, rng) -> MapSpec:
-    """Random full-branch map within perturbation distance delta of the
-    base: interior cuts jitter and slopes/offsets follow to keep every
-    branch onto the circle.  Each draw is checked with the exact
-    `perturbation_distance`, and the jitter is halved until one lands
-    within delta."""
+    """Random full-branch delta-perturbation of the base: interior cuts
+    jitter and slopes/offsets follow to keep every branch onto the
+    circle.  Each draw is checked with the exact `is_perturbation`, and
+    the jitter is halved until one passes."""
     if delta == 0.0:
         return base
     cuts = np.asarray(base.cuts, dtype=float)
@@ -138,8 +138,7 @@ def perturb_full_branch(base: MapSpec, delta: float, rng) -> MapSpec:
             scale *= 0.5
             continue
         g = full_branch_map(list(cand))
-        dist = perturbation_distance(base, g)
-        if dist is not None and dist <= delta:
+        if is_perturbation(base, g, delta):
             return g
         scale *= 0.5
     raise ConfigError("cannot realize a delta-perturbation in this family")

@@ -455,11 +455,11 @@ def _assemble(builds: list, grid: Grid) -> list:
 class OperatorCache:
     """Content-addressed cache so repeated schedule steps assemble once.
 
-    Holes are frozen dataclasses, so they key by value.  An open operator
-    whose closed operator is already stored is opened from it (`_open`)
-    instead of reassembled.  Closed operators are stored only when asked
-    for, so a long open schedule does not keep the closed parent of every
-    step."""
+    Maps, grids and holes are frozen dataclasses, so a step keys by
+    value.  An open operator whose closed operator is already stored is
+    opened from it (`_open`) instead of reassembled.  Closed operators are
+    stored only when asked for, so a long open schedule does not keep the
+    closed parent of every step."""
 
     def __init__(self):
         self._store = {}
@@ -469,7 +469,7 @@ class OperatorCache:
 
     @staticmethod
     def _key(mapspec: MapSpec, hole, grid: Grid) -> tuple:
-        return (mapspec.content_key(), grid.dimension, grid.n, hole)
+        return (mapspec, grid, hole)
 
     def get(self, mapspec: MapSpec, hole, grid: Grid) -> UlamOperator:
         return self.get_many([(mapspec, hole)], grid)[0]

@@ -354,6 +354,10 @@ PINNED = {
                       {"bound_dominated": True, "fit_ok": True}),
 }
 PINNED_C0 = 2224.6898845529226
+# global.json's stability radii at its five sample points, exactly
+GLOBAL_XI_SAMPLES = [0.026086926460266113, 0.02933400869369507,
+                     0.03309231996536255, 0.031518518924713135,
+                     0.026315748691558838]
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -375,3 +379,7 @@ def test_shipped_config_runs(tmp_path, capsys, path):
     assert s["verdict"]["flags"] == flags and s["verdict"]["pass"] is True
     assert const["lambda"] == pytest.approx(lam, rel=1e-12, abs=0.0)
     assert const["c0"] == pytest.approx(PINNED_C0, rel=1e-12, abs=0.0)
+    if path.name == "global.json":
+        # the slow-traversal step and the radii it is taken from
+        assert const["xi_samples"] == GLOBAL_XI_SAMPLES
+        assert const["step"] == 0.004347821076711019

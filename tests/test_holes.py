@@ -23,6 +23,8 @@ def test_wrapping_interval():
     x = np.array([0.95, 0.05, 0.5, 0.1])
     assert list(h.contains(x)) == [True, True, False, False]
     assert abs(h.measure() - 0.2) < 1e-15
+    # equal ends are empty, also where they reduce to 0 and 1
+    assert interval_hole(1.0, 1.0).intervals == ()
 
 
 def test_hole_spec_merges_overlaps():
@@ -49,6 +51,9 @@ def test_wrapping_rect():
     assert abs(h.measure() - 0.1) < 1e-14
     pts = np.array([[0.95, 0.25], [0.05, 0.25], [0.5, 0.25]])
     assert list(h.contains(pts)) == [True, True, False]
+    # (0, 1) is a full side, (1, 1) an empty one
+    assert abs(rect_hole(0.1, 0.2, 0.0, 1.0).measure() - 0.1) < 1e-15
+    assert HoleSpec(2, rects=((0.1, 0.2, 1.0, 1.0),)).rects == ()
 
 
 def test_disk_hole():

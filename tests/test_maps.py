@@ -7,9 +7,9 @@ from opendyn import maps
 from opendyn.errors import ConfigError, ParameterError
 from opendyn.maps import (Branch1D, MapSequence, MapSpec, affine_map,
                           balance_check, beta_map, doubling_map,
-                          full_branch_map, map_from_config, matrix_map,
-                          perturbation_distance, quadratic_full_branch,
-                          tripling_map, unit_ball_volume)
+                          full_branch_map, is_perturbation, map_from_config,
+                          matrix_map, quadratic_full_branch, tripling_map,
+                          unit_ball_volume)
 from opendyn.mixing import perturb_full_branch, perturb_offsets
 from opendyn.phase import torus_delta
 
@@ -119,7 +119,7 @@ def test_map_config_roundtrip():
               affine_map([0.5], [2.0, 2.0], [0.0, 0.5]),
               matrix_map([[2, 0], [0, 2]])):
         m2 = map_from_config(m.to_config())
-        assert m2.content_key() == m.content_key()
+        assert m2 == m
 
 
 def test_unit_ball_volume():
@@ -137,41 +137,62 @@ def test_balance_check_hand_values():
     assert not ok2
 
 
+def _distance(f, g):
+    """The least delta making g a delta-perturbation of f, to 1e-9."""
+    return _bisect(lambda d: is_perturbation(f, g, d))
+
+
 def test_perturbation_distance_identical_and_offsets():
-    d = perturbation_distance(doubling_map(), doubling_map())
-    assert d == 0.0
+    assert is_perturbation(doubling_map(), doubling_map(), 0.0)
+    assert not is_perturbation(doubling_map(), doubling_map(), -1e-12)
     # both branches shifted by the same 0.01: a C0 perturbation of size 0.01
     g = affine_map([0.5], [2.0, 2.0], [0.01, 0.01])
-    d2 = perturbation_distance(doubling_map(), g)
-    assert d2 is not None and 0.009 < d2 < 0.02
+    assert not is_perturbation(doubling_map(), g, 0.009)
+    assert is_perturbation(doubling_map(), g, 0.02)
+    # a shift by exactly 1/8 is a delta-perturbation only for delta > 1/8
+    g = affine_map([0.5], [2.0, 2.0], [0.125, -0.875])
+    assert not is_perturbation(doubling_map(), g, 0.125)
+    assert is_perturbation(doubling_map(), g, np.nextafter(0.125, 1.0))
+    # a cut moved by 0.01 with the branch formulas kept: only the moved
+    # endpoint tells the maps apart
+    f = affine_map([0.5], [1.9, 1.9], [0.0, 0.0])
+    g = affine_map([0.49], [1.9, 1.9], [0.0, 0.0])
+    assert not is_perturbation(f, g, 0.0099)
+    assert is_perturbation(f, g, 0.0101)
 
 
 def test_perturbation_distance_monotone_in_cut():
     base = full_branch_map([0.5])
     ds = []
     for c in (0.505, 0.52, 0.55):
-        ds.append(perturbation_distance(base, full_branch_map([c])))
-    assert all(d is not None for d in ds)
+        g = full_branch_map([c])
+        d = _distance(base, g)
+        assert is_perturbation(base, g, d)
+        assert not is_perturbation(base, g, d - 2e-9)
+        ds.append(d)
     assert ds[0] < ds[1] < ds[2]
 
 
 def test_perturbation_distance_incomparable():
     # different branch counts cannot be delta-close in this scheme
-    assert perturbation_distance(doubling_map(), tripling_map()) is None
+    for delta in (0.0, 2.0):
+        assert not is_perturbation(doubling_map(), tripling_map(), delta)
 
 
 def test_perturbation_distance_2d():
     a = matrix_map([[2, 0], [0, 2]])
     b = MapSpec(2, "affine_2d", (), matrix=((2, 0), (0, 2)),
                 offset=(0.05, 0.0))
-    d = perturbation_distance(a, b)
-    assert d is not None and abs(d - 0.05) < 1e-9
+    assert is_perturbation(a, b, 0.05)
+    assert not is_perturbation(a, b, 0.05 - 1e-9)
     c = matrix_map([[3, 0], [0, 3]])
-    assert perturbation_distance(a, c) is None
+    for delta in (0.0, 2.0):
+        assert not is_perturbation(a, c, delta)
 
 
 def _bisect(close, tol=1e-9):
-    """The bisection over delta that perturbation_distance runs."""
+    """Least delta in (0, 2] at which the monotone test `close` holds, to
+    tolerance tol; close(2.0) must hold."""
     lo, hi = 0.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -221,31 +242,38 @@ def _sampled_distance(f, g, n=2 ** 14, pair_points=128):
     return _bisect(close)
 
 
+PAIR_FAMILIES = st.sampled_from(["full_branch", "offsets_affine",
+                            "offsets_quadratic", "quadratic_pair"])
+
+
+def _map_pair(family, e1, e2, delta, seed):
+    """A base map of the family and a perturbation of it."""
+    rng = np.random.default_rng(seed)
+    if family == "full_branch":
+        cuts = [[0.5], [1 / 3, 2 / 3], [0.3, 0.55], [0.5, 0.75]]
+        f = full_branch_map(cuts[rng.integers(len(cuts))])
+        return f, perturb_full_branch(f, delta, rng)
+    if family == "offsets_affine":
+        f = [doubling_map(), beta_map(2.5),
+             full_branch_map([0.3, 0.55])][rng.integers(3)]
+        return f, perturb_offsets(f, delta, rng)
+    if family == "offsets_quadratic":
+        f = quadratic_full_branch(e1)
+        return f, perturb_offsets(f, delta, rng)
+    return quadratic_full_branch(e1), quadratic_full_branch(e2)
+
+
 @settings(max_examples=40, deadline=None)
-@given(family=st.sampled_from(["full_branch", "offsets_affine",
-                               "offsets_quadratic", "quadratic_pair"]),
-       e1=st.floats(-0.5, 0.5), e2=st.floats(-0.5, 0.5),
-       delta=st.floats(0.001, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+@given(family=PAIR_FAMILIES, e1=st.floats(-0.5, 0.5),
+       e2=st.floats(-0.5, 0.5), delta=st.floats(0.001, 0.1),
+       seed=st.integers(0, 2 ** 32 - 1))
 # the difference of two quadratic_full_branch maps has its vertex in the
 # middle of each branch, where neither end of the domain sees it
 @example(family="quadratic_pair", e1=0.03, e2=0.01, delta=0.05, seed=0)
 def test_perturbation_distance_bounds_dense_sampling(family, e1, e2, delta,
                                                      seed):
-    rng = np.random.default_rng(seed)
-    if family == "full_branch":
-        cuts = [[0.5], [1 / 3, 2 / 3], [0.3, 0.55], [0.5, 0.75]]
-        f = full_branch_map(cuts[rng.integers(len(cuts))])
-        g = perturb_full_branch(f, delta, rng)
-    elif family == "offsets_affine":
-        f = [doubling_map(), beta_map(2.5),
-             full_branch_map([0.3, 0.55])][rng.integers(3)]
-        g = perturb_offsets(f, delta, rng)
-    elif family == "offsets_quadratic":
-        f = quadratic_full_branch(e1)
-        g = perturb_offsets(f, delta, rng)
-    else:
-        f, g = quadratic_full_branch(e1), quadratic_full_branch(e2)
-    exact = perturbation_distance(f, g)
+    f, g = _map_pair(family, e1, e2, delta, seed)
+    exact = _distance(f, g)
     ref = _sampled_distance(f, g)
     # the sup over the whole domain is never below a sup over samples; the
     # bisections agree up to their tolerance
@@ -260,6 +288,24 @@ def test_perturbation_distance_bounds_dense_sampling(family, e1, e2, delta,
             - (bg.coeffs[2] if len(bg.coeffs) == 3 else 0.0))
         for bf, bg in zip(f.branches, g.branches))
     assert exact <= ref + (slope + 2.0) * h + 2e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=PAIR_FAMILIES, e1=st.floats(-0.5, 0.5),
+       e2=st.floats(-0.5, 0.5), delta=st.floats(0.001, 0.1),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scales=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=8))
+def test_is_perturbation_monotone_in_delta(family, e1, e2, delta, seed,
+                                           scales):
+    # the deltas that pass form one ray [d, oo): every delta at or above
+    # the bisected least one passes, every delta clear below it fails
+    f, g = _map_pair(family, e1, e2, delta, seed)
+    exact = _distance(f, g)
+    for d in (s * exact for s in scales):
+        if d >= exact:
+            assert is_perturbation(f, g, d)
+        elif d < exact - 2e-9:
+            assert not is_perturbation(f, g, d)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from opendyn.errors import CertificateError, ConfigError, ParameterError
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import (MapSequence, beta_map, doubling_map,
-                          full_branch_map, matrix_map, perturbation_distance,
+                          full_branch_map, is_perturbation, matrix_map,
                           quadratic_full_branch, tripling_map)
 from opendyn.mixing import (certify_mixing, default_perturbation,
                             find_mixing_time, mixing_ratios,
@@ -92,15 +92,14 @@ def test_perturb_full_branch_distance_cap():
     for delta in (0.005, 0.02, 0.05):
         for _ in range(10):
             g = perturb_full_branch(base, delta, rng)
-            d = perturbation_distance(base, g)
-            assert d is not None and d <= delta + 1e-9
+            assert is_perturbation(base, g, delta)
 
 
 def test_default_perturbation_zero_delta_is_identity():
     rng = np.random.default_rng(0)
     base = doubling_map()
     g = default_perturbation(base, 0.0, rng)
-    assert g.content_key() == base.content_key()
+    assert g == base
 
 
 @pytest.mark.parametrize("base", [
@@ -113,8 +112,7 @@ def test_default_perturbation_keeps_kind_within_delta(base):
     for _ in range(10):
         g = default_perturbation(base, 0.02, rng)
         assert g.kind == base.kind
-        d = perturbation_distance(base, g)
-        assert d is not None and d <= 0.02 + 1e-9
+        assert is_perturbation(base, g, 0.02)
 
 
 def test_random_hole_measure_cap():
