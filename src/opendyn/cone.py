@@ -9,6 +9,7 @@ expectation on a reference partition Q.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -124,6 +125,12 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
     T shrinks the required aperture, so the whole procedure reruns from
     the larger T until it stabilizes.
 
+    The family is any iterable of partitions, coarsest first, such as the
+    generator `dyadic_pool`.  It is drawn lazily: each round rescans the
+    partitions drawn so far (their diameters computed once) and draws
+    more only past them, so no partition beyond the first admissible one
+    of any round is built.
+
     With partition_family=None (analytic mode) selection stops after the
     aperture step and reports the admissible-diameter bound in `d`.  A
     family needs `base`, the closed base-map operator on the family's
@@ -139,6 +146,8 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
         raise ParameterError("sigma must lie in (0, 1)")
 
     half = zeta1 / 2.0
+    family = iter(() if partition_family is None else partition_family)
+    drawn = []                    # (Q, d, M) per partition drawn so far
     windows = {}                  # mixing certificate per picked partition
     T = T1
     while theta_LY ** T / half >= sigma:
@@ -160,17 +169,19 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
                 d_max = (half / (zeta2 * a)) ** (1.0 / sem.osc.alpha)
             return ConeParams(a, sigma, T, zeta1, zeta2, sem, None, d_max, 1.0)
 
-        chosen = None
-        for idx, Q in enumerate(partition_family):
-            d, M = sem.diam(Q), sem.M(Q)
+        # rescan from the first partition, drawing from the family only
+        # past the ones already drawn
+        for idx in itertools.count():
+            if idx == len(drawn):
+                Q = next(family, None)
+                if Q is None:
+                    raise SelectionError(
+                        f"partition family exhausted: need zeta2*a*d/M <= "
+                        f"{half:.4g} with a = {a:.4g}")
+                drawn.append((Q, sem.diam(Q), sem.M(Q)))
+            Q, d, M = drawn[idx]
             if zeta2 * a * d / M <= half:
-                chosen = (idx, Q, d, M)
                 break
-        if chosen is None:
-            raise SelectionError(
-                f"partition family exhausted: need zeta2*a*d/M <= {half:.4g} "
-                f"with a = {a:.4g}")
-        idx, Q, d, M = chosen
 
         if base is None or base.grid != Q.grid:
             raise ConfigError("a partition family needs the base operator "

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .phase import config_number, config_numbers, torus_delta
+from .phase import config_number, config_numbers, finite_float, torus_delta
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,8 @@ class MapSpec:
                 raise ConfigError("matrix must be invertible")
         else:
             raise ConfigError("dimension must be 1 or 2")
-        if self.check_expanding and self.s >= 1.0:
+        # not s < 1 rather than s >= 1: a NaN s is not expanding either
+        if self.check_expanding and not self.s < 1.0:
             raise ParameterError(f"map is not uniformly expanding: s = {self.s:.6g}")
 
     # -- basic data ---------------------------------------------------------
@@ -138,7 +139,8 @@ class MapSpec:
     def s(self) -> float:
         """Backward contraction bound for the whole map."""
         if self.dimension == 1:
-            return max(b.s_branch for b in self.branches)
+            # np.max, unlike max(), keeps a NaN wherever it sits
+            return float(np.max([b.s_branch for b in self.branches]))
         A = np.asarray(self.matrix, dtype=float)
         return float(1.0 / np.linalg.svd(A, compute_uv=False).min())
 
@@ -256,11 +258,12 @@ def map_from_config(rec: dict) -> MapSpec:
                 if not all(isinstance(r, list) and len(r) == 3
                            and isinstance(r[2], list) for r in rows):
                     raise TypeError("not a list of branch rows")
-                rows = [(float(lo), float(hi), tuple(map(float, co)))
-                        for lo, hi, co in rows]
+                rows = [(finite_float(lo), finite_float(hi),
+                         tuple(map(finite_float, co))) for lo, hi, co in rows]
             except (TypeError, ValueError) as exc:
                 raise ConfigError("config key 'branches' must be a list of "
-                                  "[lo, hi, [coefficients]] rows, got "
+                                  "[lo, hi, [coefficients]] rows of finite "
+                                  "numbers, got "
                                   f"{rec['branches']!r}") from exc
             return MapSpec(1, kind, tuple(Branch1D(*r) for r in rows))
         if kind == "full_branch_1d":

@@ -9,6 +9,7 @@ cone membership, diameters).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -47,24 +48,34 @@ def config_seed(rec: dict, key: str, *default) -> int:
     return seed
 
 
+def finite_float(value) -> float:
+    """float(value); ValueError when it is NaN or infinite, which Python's
+    json reads from NaN and Infinity."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
 def config_number(rec: dict, key: str, *default) -> float:
     """rec[key] (or the default when given and the key is absent) as a
-    float; ConfigError naming the key when float() refuses it.  KeyError
-    when the key is absent and no default is given."""
+    finite float; ConfigError naming the key when float() refuses it or
+    it is NaN or infinite.  KeyError when the key is absent and no
+    default is given."""
     value = rec.get(key, *default) if default else rec[key]
     try:
-        return float(value)
+        return finite_float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} must be a number, "
+        raise ConfigError(f"config key {key!r} must be a finite number, "
                           f"got {value!r}") from exc
 
 
 def config_numbers(rec: dict, key: str, *default, width=None) -> tuple:
     """rec[key] (or the default when given and the key is absent) as a
-    tuple of floats or, with a `width`, as a tuple of rows of `width`
-    floats each; ConfigError naming the key when it has another shape or
-    float() refuses an entry.  KeyError when the key is absent and no
-    default is given."""
+    tuple of finite floats or, with a `width`, as a tuple of rows of
+    `width` finite floats each; ConfigError naming the key when it has
+    another shape or an entry is not a finite number.  KeyError when the
+    key is absent and no default is given."""
     value = rec.get(key, *default) if default else rec[key]
 
     def entries(v, size=None) -> tuple:
@@ -74,11 +85,12 @@ def config_numbers(rec: dict, key: str, *default, width=None) -> tuple:
 
     try:
         if width is None:
-            return tuple(map(float, entries(value)))
-        return tuple(tuple(map(float, entries(row, width)))
+            return tuple(map(finite_float, entries(value)))
+        return tuple(tuple(map(finite_float, entries(row, width)))
                      for row in entries(value))
     except (TypeError, ValueError) as exc:
-        what = f"lists of {width} numbers" if width else "numbers"
+        what = f"lists of {width} finite numbers" if width \
+            else "finite numbers"
         raise ConfigError(f"config key {key!r} must be a list of {what}, "
                           f"got {value!r}") from exc
 
@@ -299,10 +311,14 @@ def dyadic_partition(grid: Grid, level: int) -> PartitionSpec:
     return PartitionSpec(grid, tuple(blocks.reshape(e * e, w * w)))
 
 
-def dyadic_pool(grid: Grid, max_level: int) -> list:
-    """Dyadic partitions of levels 1..max_level that the grid resolves."""
-    return [dyadic_partition(grid, L) for L in range(1, max_level + 1)
-            if grid.n % 2 ** L == 0]
+def dyadic_pool(grid: Grid, max_level: int):
+    """Dyadic partitions of levels 1..max_level that the grid resolves,
+    coarsest first.  A generator: each level is built only when it is
+    drawn, so a consumer that stops at the first admissible partition
+    builds none of the finer ones."""
+    for L in range(1, max_level + 1):
+        if grid.n % 2 ** L == 0:
+            yield dyadic_partition(grid, L)
 
 
 def partition_from_labels(grid: Grid, labels: np.ndarray) -> PartitionSpec:

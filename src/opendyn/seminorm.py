@@ -32,12 +32,23 @@ NONNEG_TOL = 1e-12  # float dust allowed below zero after matrix products
 # array, so a row gives the same bits as the same density on its own
 
 def _tv_rows(V: np.ndarray, grid: Grid) -> np.ndarray:
+    # the cyclic differences are written by slices into one buffer laid out
+    # like V, so each row sums the same |jumps| in the same order as the
+    # formula with a rolled copy, |V - roll(V)|, without making that copy
     if grid.dimension == 1:
-        return np.abs(V - np.roll(V, -1, axis=1)).sum(axis=1)
+        D = np.empty_like(V)
+        np.subtract(V[:, :-1], V[:, 1:], out=D[:, :-1])
+        np.subtract(V[:, -1], V[:, 0], out=D[:, -1])
+        return np.abs(D, out=D).sum(axis=1)
     k, n = V.shape[0], grid.n
     W = V.reshape(k, n, n)
-    return sum(np.abs(W - np.roll(W, 1, axis=a)).reshape(k, -1).sum(axis=1)
-               for a in (1, 2)) / n
+    D = np.empty_like(W)
+    tv = 0
+    for Wa, Da in ((W, D), (W.swapaxes(1, 2), D.swapaxes(1, 2))):
+        np.subtract(Wa[:, 1:], Wa[:, :-1], out=Da[:, 1:])
+        np.subtract(Wa[:, 0], Wa[:, -1], out=Da[:, 0])
+        tv = tv + np.abs(D, out=D).reshape(k, -1).sum(axis=1)
+    return tv / n
 
 
 def total_variation(phi: GridDensity) -> float:
@@ -295,10 +306,19 @@ def _ly_replay(ops: list, T1: int, sem: SeminormSpec, members: list) -> tuple:
     return sem.rows(W, grid), W.mean(axis=1), svals
 
 
-def _ly_excess(s0, mass0, svals, T1: int, theta: float, C: float) -> np.ndarray:
-    """How far each replayed seminorm exceeds theta^(kT1) |phi|_s + C ||phi||."""
+def _ly_excess(s0, mass0, svals, T1: int, theta, C: float) -> np.ndarray:
+    """How far each replayed seminorm exceeds theta^(kT1) |phi|_s + C ||phi||.
+
+    theta is one value, giving a (members, k) array, or a 1D array of
+    candidates, giving one such array per candidate along a leading axis;
+    either way each entry is the same floating-point expression.  A NaN in
+    s0, mass0 or svals stays NaN in the excess of every candidate."""
     kpow = np.arange(1, svals.shape[1] + 1) * T1
-    return svals - (np.outer(s0, theta ** kpow) + C * mass0[:, None])
+    theta = np.asarray(theta)[..., None]
+    # one exponent per entry: numpy squares instead of calling pow when an
+    # exponent 2 is broadcast over the candidates, which can move a last bit
+    powers = (theta ** np.tile(kpow, theta.shape))[..., None, :]
+    return svals - (s0[:, None] * powers + C * mass0[:, None])
 
 
 def estimate_LY(ops: list, T1: int, sem: SeminormSpec, ensemble_size: int,
@@ -306,10 +326,13 @@ def estimate_LY(ops: list, T1: int, sem: SeminormSpec, ensemble_size: int,
     """Smallest lattice (theta, C) making the block inequality hold for
     every ensemble member after every k*T1 operators of ops, k >= 1.
 
-    Selection minimizes the additive constant first, then takes the
-    smallest theta achieving it (the frontier point closest to a pure
-    power bound).  Raises CertificateError with a witness if no theta
-    below 1 admits a finite constant.
+    The constant each THETA_LATTICE candidate needs is the worst excess
+    per unit mass at C = 0, taken for all candidates in one broadcast over
+    (theta, member, k).  Selection minimizes the additive constant first,
+    then takes the smallest theta achieving it (the frontier point closest
+    to a pure power bound).  Raises CertificateError with a witness if no
+    theta below 1 admits a finite constant, which includes any replay with
+    a NaN seminorm or mass: a non-finite excess certifies nothing.
     """
     if T1 < 1 or not ops or len(ops) % T1:
         raise ConfigError(
@@ -317,10 +340,9 @@ def estimate_LY(ops: list, T1: int, sem: SeminormSpec, ensemble_size: int,
     grid = ops[0].grid
     s0, mass0, svals = _ly_replay(ops, T1, sem,
                                   ly_ensemble(grid, ensemble_size, seed))
-    # the C each lattice theta needs: the worst excess per unit mass
-    c_needed = np.array([max(0.0, float(
-        (_ly_excess(s0, mass0, svals, T1, theta, 0.0) / mass0[:, None]).max()))
-        for theta in THETA_LATTICE])
+    # np.maximum keeps a NaN, so a NaN replay makes c_star NaN
+    excess = _ly_excess(s0, mass0, svals, T1, THETA_LATTICE, 0.0)
+    c_needed = np.maximum(0.0, (excess / mass0[:, None]).max(axis=(1, 2)))
     c_star = c_needed.min()
     if not np.isfinite(c_star) or c_star > 1e9:
         j_bad = int(np.unravel_index(np.argmax(svals), svals.shape)[0])
@@ -332,7 +354,7 @@ def estimate_LY(ops: list, T1: int, sem: SeminormSpec, ensemble_size: int,
 
     # replay audit before certifying
     excess = _ly_excess(s0, mass0, svals, T1, theta, C)
-    if (excess > 1e-9).any():
+    if (~(excess <= 1e-9)).any():
         j_bad, k_bad = np.unravel_index(np.argmax(excess), excess.shape)
         raise CertificateError(
             f"selected (theta={theta}, C={C}) fails replay at member {j_bad}, "
@@ -346,7 +368,7 @@ def estimate_LY(ops: list, T1: int, sem: SeminormSpec, ensemble_size: int,
 def verify_ly(cert: LYCertificate, ops: list, seed: int | None = None):
     """Replay a certificate through exactly its max_k * T1 operators on its
     stored ensemble (or a fresh seed).  Returns (ok, violations) where
-    violations list (member, k, excess)."""
+    violations list (member, k, excess); a NaN excess is a violation."""
     if not ops or len(ops) != cert.max_k * cert.T1:
         raise ConfigError(f"the certificate covers {cert.max_k * cert.T1} "
                           f"operators, got {len(ops)}")
@@ -357,5 +379,5 @@ def verify_ly(cert: LYCertificate, ops: list, seed: int | None = None):
                                   members)
     excess = _ly_excess(s0, mass0, svals, cert.T1, cert.theta, cert.C)
     violations = [(int(j), int(k) + 1, float(excess[j, k]))
-                  for j, k in np.argwhere(excess > 1e-9)]
+                  for j, k in np.argwhere(~(excess <= 1e-9))]
     return len(violations) == 0, violations

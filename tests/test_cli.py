@@ -318,6 +318,32 @@ def test_subcommand_integer_keys(tmp_path, capsys, command, cfg, key):
     assert err.startswith("configuration error") and f"'{key}'" in err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key, patch", [
+    ("center", lambda c: c["holes"].update(center=NAN)),
+    ("velocity", lambda c: c["holes"].update(velocity=INF)),
+    ("branches", lambda c: c.update(map={
+        "kind": "affine_1d",
+        "branches": [[0.0, 0.5, [0.0, NAN]], [0.5, 1.0, [-1.0, 2.0]]]})),
+    ("beta", lambda c: c.update(map={"kind": "beta_1d", "beta": INF})),
+    ("amplitude", lambda c: c["psi"].update(amplitude=NAN)),
+], ids=["nan_hole_center", "infinite_hole_velocity", "nan_branch_slope",
+        "infinite_beta", "nan_psi_amplitude"])
+def test_non_finite_number_names_its_key(tmp_path, capsys, key, patch):
+    # Python's json reads NaN and Infinity, so they reach real configs;
+    # each is refused by name before it can run, crash or mislead
+    cfg = json.loads((pathlib.Path(__file__).parents[1] / "configs"
+                      / "local.json").read_text())
+    cfg["grid"]["n"] = 256
+    patch(cfg)
+    path = write(tmp_path, "c.json", cfg)
+    assert main(["simulate-local", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and f"'{key}'" in err
+
+
 def test_certify_ly_short_schedule_is_config_error(tmp_path, capsys):
     cfg = write(tmp_path, "ly.json", {
         "maps": [{"kind": "full_branch_1d", "cuts": [0.5]}] * 3,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from opendyn import phase
 from opendyn.cone import (ConeParams, birkhoff_factor, c_lip, delta0,
                           hilbert_distance_bound, rate_constants,
                           sample_cone_density, select_parameters,
@@ -13,7 +14,7 @@ from opendyn.errors import (ConfigError, ParameterError, PreconditionError,
                             SelectionError)
 from opendyn.maps import doubling_map
 from opendyn.mixing import certify_mixing
-from opendyn.phase import Grid, dyadic_partition
+from opendyn.phase import Grid, dyadic_partition, dyadic_pool
 from opendyn.seminorm import SeminormSpec, cone_member, estimate_LY
 from opendyn.transfer import GridDensity, build_closed
 
@@ -108,6 +109,33 @@ def test_select_parameters_tiny_C_uses_floor_aperture():
     assert cp.a == 1.0
     assert cp.T == 3
     assert cp.E == 2
+
+
+@pytest.mark.parametrize("C, drawn, elements", [
+    # a = 1 admits 4 arcs at once
+    (1e-12, [1, 2], 4),
+    # T = 3 admits 32 arcs; the rerun from T = 5 settles on 16, drawn
+    # already, so no level past 5 is built
+    (1.0, [1, 2, 3, 4, 5], 16)])
+def test_select_parameters_draws_pool_lazily(monkeypatch, C, drawn, elements):
+    g = Grid(1, 4096)
+    base = build_closed(doubling_map(), g)
+    eager = select_parameters(0.9, 1.1, 0.5, C, 1, TV,
+                              [dyadic_partition(g, L) for L in range(1, 9)],
+                              base, 0.5, 16)
+    levels = []
+
+    def counted(grid, level):
+        levels.append(level)
+        return dyadic_partition(grid, level)
+
+    monkeypatch.setattr(phase, "dyadic_partition", counted)
+    lazy = select_parameters(0.9, 1.1, 0.5, C, 1, TV, dyadic_pool(g, 8),
+                             base, 0.5, 16)
+    assert levels == drawn
+    assert lazy.Q.n_elements == elements
+    assert lazy.to_config() == eager.to_config()
+    assert lazy.mixing.to_config() == eager.mixing.to_config()
 
 
 def test_select_parameters_input_validation():

@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+top-level name of the package goes unread.
 
-The package's `__init__.py` imports names only to re-export them, so it is
-not checked."""
+The package's `__init__.py` imports names only to re-export them, so its
+imports are not checked; its reads still count for the private names."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,46 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree: ast.Module) -> set:
+    """Private (single-underscore) names a module defines at top level:
+    functions, classes and assigned names."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)}
+    return {name for name in defined
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def unread_private_names(sources: list) -> list:
+    """Private top-level names that no source reads, as a bare name or as
+    an attribute: a helper nothing calls any more."""
+    trees = [ast.parse(source) for source in sources]
+    defined = set().union(*map(private_definitions, trees))
+    read = {n.id for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {n.attr for tree in trees for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute)}
+    return sorted(defined - read)
+
+
+def test_checker_finds_an_unread_private_name():
+    first = ("def _called():\n    pass\n\ndef _orphan():\n    pass\n\n"
+             "_TABLE, _SPARE = {}, 0\n_TABLE['k'] = 1\n__all__ = []\n")
+    second = "from first import _called\nimport first\n_called()\n" \
+        "first._SPARE\n"
+    assert unread_private_names([first, second]) == ["_orphan"]
+    assert unread_private_names([first]) == ["_SPARE", "_called", "_orphan"]
+
+
+def test_package_has_no_unread_private_name():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unread_private_names(sources) == []

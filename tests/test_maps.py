@@ -60,6 +60,11 @@ def test_non_expanding_rejected():
     # same data accepted with the check off
     m = affine_map([0.5], [1.0, 1.0], [0.0, 0.5], check_expanding=False)
     assert abs(m.s - 1.0) < 1e-12
+    # a NaN slope makes s NaN, on either branch, and NaN is not below 1
+    nan = float("nan")
+    for slopes in ([nan, 2.0], [2.0, nan]):
+        with pytest.raises(ParameterError, match="s = nan"):
+            affine_map([0.5], slopes, [0.0, -1.0])
 
 
 def test_cut_point_takes_right_branch():

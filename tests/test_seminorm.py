@@ -10,19 +10,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from opendyn.errors import (ConfigError, DegenerateParametersWarning,
-                            ParameterError, PreconditionError)
+from opendyn.errors import (CertificateError, ConfigError,
+                            DegenerateParametersWarning, ParameterError,
+                            PreconditionError)
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import MapSequence, doubling_map, tripling_map
 from opendyn.phase import Grid, dyadic_partition, partition_from_labels
-from opendyn.seminorm import (LYCertificate, OscParams, SeminormSpec,
-                              cone_member, control_bounds_check,
-                              element_expectations, estimate_LY, ly_ensemble,
-                              oscillation_seminorm, total_variation,
-                              verify_ly)
-from opendyn.transfer import GridDensity, build_closed, schedule_operators
+from opendyn.seminorm import (THETA_LATTICE, LYCertificate, OscParams,
+                              SeminormSpec, _ly_excess, _tv_rows, cone_member,
+                              control_bounds_check, element_expectations,
+                              estimate_LY, ly_ensemble, oscillation_seminorm,
+                              total_variation, verify_ly)
+from opendyn.transfer import (GridDensity, UlamOperator, build_closed,
+                              schedule_operators)
 
 
 TV = SeminormSpec.from_config({"kind": "tv"})
@@ -133,6 +136,31 @@ def _tv_one(v, g):
     w = v.reshape(g.n, g.n)
     return float((np.abs(w - np.roll(w, 1, axis=0)).sum()
                   + np.abs(w - np.roll(w, 1, axis=1)).sum()) / g.n)
+
+
+def _tv_rows_rolled(V, g):
+    """_tv_rows as the formula with a rolled copy, |V - roll(V)| per row."""
+    if g.dimension == 1:
+        return np.abs(V - np.roll(V, -1, axis=1)).sum(axis=1)
+    k, n = V.shape[0], g.n
+    W = V.reshape(k, n, n)
+    return sum(np.abs(W - np.roll(W, 1, axis=a)).reshape(k, -1).sum(axis=1)
+               for a in (1, 2)) / n
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimension=st.sampled_from([1, 2]), k=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tv_rows_match_rolled_formula_bytes(dimension, k, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 1025)) if dimension == 1 \
+        else int(rng.integers(2, 33))
+    g = Grid(dimension, n)
+    # signed values over many magnitudes, so any reordering of the sums
+    # or any other operation would show in the last bits
+    V = rng.normal(size=(k, g.total_cells)) \
+        * 10.0 ** rng.uniform(-8, 8, (k, g.total_cells))
+    assert _tv_rows(V, g).tobytes() == _tv_rows_rolled(V, g).tobytes()
 
 
 def _osc_one(v, g, p):
@@ -349,6 +377,61 @@ def test_ly_operator_list_length_is_checked():
             verify_ly(cert, [op] * n_ops)
     with pytest.raises(ConfigError):
         ly_ensemble(g, 0, seed=0)
+
+
+def _ly_excess_one(s0, mass0, svals, T1, theta, C):
+    """The replay excess of one theta, as estimate_LY computed it for each
+    lattice candidate in turn before the candidates were broadcast."""
+    kpow = np.arange(1, svals.shape[1] + 1) * T1
+    return svals - (np.outer(s0, theta ** kpow) + C * mass0[:, None])
+
+
+@settings(max_examples=80, deadline=None)
+@given(T1=st.integers(1, 4), data=st.data())
+def test_ly_lattice_broadcast_matches_per_theta_loop(T1, data):
+    members = data.draw(st.integers(1, 30))
+    k_max = data.draw(st.integers(1, 8))
+    values = st.floats(0.0, 1e4)
+    s0 = data.draw(arrays(float, members, elements=values))
+    mass0 = data.draw(arrays(float, members, elements=st.floats(1e-3, 10.0)))
+    svals = data.draw(arrays(float, (members, k_max), elements=values))
+    C = data.draw(st.sampled_from([0.0, 1e-12, 0.75, 3.0]))
+    lattice = _ly_excess(s0, mass0, svals, T1, THETA_LATTICE, C)
+    assert lattice.shape == (THETA_LATTICE.size, members, k_max)
+    for theta, excess in zip(THETA_LATTICE, lattice):
+        ref = _ly_excess_one(s0, mass0, svals, T1, theta, C)
+        assert excess.tobytes() == ref.tobytes()
+        # the audits pass theta as a Python float
+        one = _ly_excess(s0, mass0, svals, T1, float(theta), C)
+        assert one.tobytes() == ref.tobytes()
+    if C == 0.0:
+        # the constant each candidate needs, reduced over (member, k) at
+        # once, is the one the per-theta loop takes
+        needed = np.maximum(0.0, (lattice / mass0[:, None]).max(axis=(1, 2)))
+        loop = [max(0.0, float((_ly_excess_one(s0, mass0, svals, T1, theta, C)
+                                / mass0[:, None]).max()))
+                for theta in THETA_LATTICE]
+        assert needed.tobytes() == np.array(loop).tobytes()
+
+
+def test_ly_never_certifies_nan():
+    # one NaN entry in a closed doubling operator makes every replayed
+    # seminorm NaN, which must fail both audits: max(0.0, nan) is 0.0 and
+    # nan > 1e-9 is false, so tests written that way certify it (theta
+    # 0.005, C 1e-12)
+    g = Grid(1, 512)
+    closed = build_closed(doubling_map(), g)
+    matrix = closed.matrix.copy()
+    matrix.data[0] = np.nan
+    ops = [UlamOperator(g, matrix)] * 4
+    with pytest.raises(CertificateError):
+        estimate_LY(ops, 1, TV, 24, seed=11)
+    for cert in (estimate_LY([closed] * 4, 1, TV, 24, seed=11),
+                 LYCertificate(1, 0.005, 1e-12, TV.to_config(),
+                               {"size": 24, "seed": 11}, 4)):
+        ok, violations = verify_ly(cert, ops)
+        assert not ok and len(violations) == 24 * 4
+        assert all(math.isnan(v[2]) for v in violations)
 
 
 def test_ly_certificate_json_roundtrip():
