@@ -26,11 +26,11 @@ import numpy as np
 
 from .errors import (CertificateError, ConfigError, ParameterError,
                      PreconditionError, SelectionError, TotalEscapeError)
-from .phase import (Grid, config_integer, config_number, config_record,
-                    config_seed, dyadic_partition, dyadic_pool)
+from .phase import (Grid, config_count, config_integer, config_number,
+                    config_record, config_seed, dyadic_partition, dyadic_pool)
 from .maps import MapSequence, map_from_config
 from .seminorm import SeminormSpec, estimate_LY
-from .cone import ConeParams, birkhoff_factor, delta0, rate_constants, \
+from .cone import ConeParams, birkhoff_factor, rate_constants, \
     select_parameters
 from .mixing import certify_mixing
 from .transfer import build_closed, schedule_operators
@@ -54,7 +54,7 @@ def _emit(obj: dict, out_dir, name: str) -> None:
 def _cmd_simulate(args, runner) -> int:
     cfg = _load_config(args.config)
     result = runner(cfg)
-    paths = experiments.emit_report(result, args.out, args.prefix)
+    paths = experiments.emit_report(result, args.out)
     print(f"wrote {paths['csv']} and {paths['summary']}")
     for k, v in sorted(result.flags.items()):
         print(f"  {k}: {'ok' if v else 'FAIL'}")
@@ -70,7 +70,7 @@ def _cmd_certify_mixing(args) -> int:
         config_record(cfg, "partition", {}), "level", 4))
     cert = certify_mixing(mapspec, Q, config_number(cfg, "zeta1"),
                           config_number(cfg, "zeta2"),
-                          config_integer(cfg, "i_max", 24))
+                          config_count(cfg, "i_max", 24))
     _emit(cert.to_config(), args.out, "mixing_certificate.json")
     print(f"mixing time E = {cert.E}")
     return 0
@@ -79,8 +79,8 @@ def _cmd_certify_mixing(args) -> int:
 def _cmd_certify_ly(args) -> int:
     cfg = _load_config(args.config)
     grid = Grid.from_config(config_record(cfg, "grid", {}))
-    T1 = config_integer(cfg, "T1", 1)
-    k_max = config_integer(cfg, "k_max", 4)
+    T1 = config_count(cfg, "T1", 1)
+    k_max = config_count(cfg, "k_max", 4)
     seed = config_seed(cfg, "seed", 0)
     sem = SeminormSpec.from_config(
         config_record(cfg, "seminorm", {"kind": "tv"}))
@@ -96,7 +96,7 @@ def _cmd_certify_ly(args) -> int:
         config_record(cfg, "holes", {"kind": "none"}), len(seq.maps),
         grid.dimension, rng)
     ops = schedule_operators(seq, holes, k_max * T1, grid)
-    cert = estimate_LY(ops, T1, sem, config_integer(cfg, "ensemble_size", 24),
+    cert = estimate_LY(ops, T1, sem, config_count(cfg, "ensemble_size", 24),
                        seed=seed)
     _emit(cert.to_config(), args.out, "ly_certificate.json")
     print(f"theta = {cert.theta}, C = {cert.C}")
@@ -114,8 +114,8 @@ def _cmd_select_params(args) -> int:
         pool = dyadic_pool(grid, config_integer(cfg, "max_level", 8))
     num = partial(config_number, cfg)
     cp = select_parameters(num("zeta1"), num("zeta2"), num("theta"), num("C"),
-                           config_integer(cfg, "T1", 1), sem, pool, base,
-                           num("sigma", 0.5), config_integer(cfg, "i_max", 24))
+                           config_count(cfg, "T1", 1), sem, pool, base,
+                           num("sigma", 0.5), config_count(cfg, "i_max", 24))
     _emit(cp.to_config(), args.out, "cone_params.json")
     print(f"a = {cp.a}, T = {cp.T}, d = {cp.d}, E = {cp.E}")
     return 0
@@ -124,10 +124,9 @@ def _cmd_select_params(args) -> int:
 def _cmd_constants(args) -> int:
     cfg = _load_config(args.config)
     cp = ConeParams.from_config(config_record(cfg, "cone_params", cfg))
-    d0 = delta0(cp)
     rate = rate_constants(cp)
-    out = {"delta0": d0, "birkhoff_factor": birkhoff_factor(d0),
-           "c_lip": rate.c_lip, "lambda": rate.lam, "c0": rate.c0,
+    out = {"delta0": rate.delta0, "c_lip": rate.c_lip, "lambda": rate.lam,
+           "c0": rate.c0, "birkhoff_factor": birkhoff_factor(rate.delta0),
            "T": cp.T, "a": cp.a, "sigma": cp.sigma}
     _emit(out, args.out, "constants.json")
     return 0
@@ -145,8 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_out:
             sp.add_argument("--out", required=True,
                             help="directory for the CSV and summary")
-            sp.add_argument("--prefix", default="report",
-                            help="basename for the report files")
         else:
             sp.add_argument("--out", default=None,
                             help="optional directory for the JSON artifact")

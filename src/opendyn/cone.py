@@ -144,6 +144,8 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
         raise ParameterError("need 0 < zeta1 < 1 < zeta2")
     if not 0.0 < sigma < 1.0:
         raise ParameterError("sigma must lie in (0, 1)")
+    if T1 < 1:
+        raise ParameterError("T1 must be at least 1")
 
     half = zeta1 / 2.0
     family = iter(() if partition_family is None else partition_family)

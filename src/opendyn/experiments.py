@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (CertificateError, ConfigError, ParameterError,
                      TotalEscapeError)
-from .phase import (Grid, config_integer, config_number, config_record,
-                    config_seed, dyadic_pool)
+from .phase import (Grid, config_count, config_integer, config_number,
+                    config_record, config_seed, dyadic_pool)
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
                    is_perturbation, map_from_config)
 from .holes import HoleSequence, HoleSpec, hole_from_config
@@ -96,8 +96,7 @@ class ExperimentConfig:
             horizon = config_integer(cfg, "horizon")
             if horizon < 2:
                 raise ConfigError("horizon must be at least 2")
-            T1 = config_integer(cfg, "T1", 1)
-            _check(T1 >= 1, "T1", "be at least 1", T1)
+            T1 = config_count(cfg, "T1", 1)
             delta = config_number(cfg, "delta", 0.0)
             _check(delta >= 0.0, "delta", "be non-negative", delta)
             sem = SeminormSpec.from_config(
@@ -468,15 +467,16 @@ def fit_exponential(series) -> tuple:
     return float(np.exp(intercept)), float(np.exp(slope)), float(r2)
 
 
-def emit_report(result: RunResult, out_dir: str, prefix: str = "report") -> dict:
-    """Write the CSV distance series and the structured summary.
+def emit_report(result: RunResult, out_dir: str) -> dict:
+    """Write the CSV distance series to out_dir/report.csv and the
+    structured summary to out_dir/report_summary.json.
 
     CSV schema: m,mass_phi,mass_psi,l1_distance with full-precision
     floats.  Summary sections: config_echo, certificates, constants,
     fit, verdict.  Identical results produce byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{prefix}.csv")
+    csv_path = os.path.join(out_dir, "report.csv")
     with open(csv_path, "w") as fh:
         fh.write("m,mass_phi,mass_psi,l1_distance\n")
         for r in result.records:
@@ -490,7 +490,7 @@ def emit_report(result: RunResult, out_dir: str, prefix: str = "report") -> dict
                 "r2": result.fit[2]},
         "verdict": {"flags": result.flags, "pass": result.passed},
     }
-    summary_path = os.path.join(out_dir, f"{prefix}_summary.json")
+    summary_path = os.path.join(out_dir, "report_summary.json")
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

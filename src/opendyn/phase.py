@@ -48,6 +48,16 @@ def config_seed(rec: dict, key: str, *default) -> int:
     return seed
 
 
+def config_count(rec: dict, key: str, *default) -> int:
+    """config_integer for a count, which must be at least 1; ConfigError
+    naming the key otherwise."""
+    count = config_integer(rec, key, *default)
+    if count < 1:
+        raise ConfigError(f"config key {key!r} must be at least 1, "
+                          f"got {count}")
+    return count
+
+
 def finite_float(value) -> float:
     """float(value); ValueError when it is NaN or infinite, which Python's
     json reads from NaN and Infinity."""
@@ -190,23 +200,14 @@ def torus_delta(a, b):
 
 
 def _pairwise_max_torus_1d(xs: np.ndarray) -> float:
-    # max over pairs of min(|a-b|, 1-|a-b|); the maximizing pair has
-    # circle gap closest to 1/2, found by scanning sorted values.
+    # max over pairs of min(|a-b|, 1-|a-b|): the farthest partner of a
+    # point is a sorted neighbour j or j - 1 (mod size) of its antipode
     xs = np.unique(xs % 1.0)
     if xs.size < 2:
         return 0.0
-    best = 0.0
-    j = 0
-    for i in range(xs.size):
-        target = xs[i] + 0.5
-        j = max(j, i + 1)
-        while j < xs.size and xs[j] < target:
-            j += 1
-        for k in (min(j, xs.size - 1), j - 1):
-            if k > i:
-                gap = xs[k] - xs[i]
-                best = max(best, min(gap, 1.0 - gap))
-    return best
+    j = np.searchsorted(xs, (xs + 0.5) % 1.0)
+    gap = np.abs(xs[np.concatenate([j, j - 1]) % xs.size] - np.tile(xs, 2))
+    return float(np.minimum(gap, 1.0 - gap).max())
 
 
 def _pairwise_max_torus_2d(pts: np.ndarray) -> float:
@@ -297,13 +298,14 @@ def metric_diam(p: PartitionSpec) -> float:
 # constructors
 
 def dyadic_partition(grid: Grid, level: int) -> PartitionSpec:
-    """2^level equal arcs (1D) or a 2^level x 2^level block partition (2D)."""
-    if level < 0:
-        raise ConfigError("level must be >= 0")
-    n, e = grid.n, 2 ** level
-    if n % e:
-        raise ConfigError("grid size must be divisible by 2^level")
-    w = n // e
+    """2^level equal arcs (1D) or a 2^level x 2^level block partition (2D)
+    for a level 0..v, 2^v the largest power of two dividing n; any other
+    level is refused before 2^level is formed."""
+    n, top = grid.n, (grid.n & -grid.n).bit_length() - 1
+    if not 0 <= level <= top:
+        raise ConfigError(f"a grid of n = {n} resolves dyadic levels 0 to "
+                          f"{top}, got level {level}")
+    e, w = 2 ** level, n >> level
     if grid.dimension == 1:
         return PartitionSpec(grid, tuple(np.arange(n).reshape(e, w)))
     # cell ix*n + iy at [bx, i, by, j] with ix = bx*w + i, iy = by*w + j
@@ -312,13 +314,14 @@ def dyadic_partition(grid: Grid, level: int) -> PartitionSpec:
 
 
 def dyadic_pool(grid: Grid, max_level: int):
-    """Dyadic partitions of levels 1..max_level that the grid resolves,
-    coarsest first.  A generator: each level is built only when it is
-    drawn, so a consumer that stops at the first admissible partition
-    builds none of the finer ones."""
+    """Dyadic partitions of levels 1..max_level, coarsest first, up to the
+    first level that does not divide n.  A generator: each level is built
+    only when it is drawn, so a consumer that stops at the first
+    admissible partition builds none of the finer ones."""
     for L in range(1, max_level + 1):
-        if grid.n % 2 ** L == 0:
-            yield dyadic_partition(grid, L)
+        if grid.n % 2 ** L:
+            return
+        yield dyadic_partition(grid, L)
 
 
 def partition_from_labels(grid: Grid, labels: np.ndarray) -> PartitionSpec:

@@ -365,18 +365,17 @@ def estimate_LY(ops: list, T1: int, sem: SeminormSpec, ensemble_size: int,
          "n": grid.n, "kinds": list(ENSEMBLE_KINDS)}, len(ops) // T1)
 
 
-def verify_ly(cert: LYCertificate, ops: list, seed: int | None = None):
+def verify_ly(cert: LYCertificate, ops: list):
     """Replay a certificate through exactly its max_k * T1 operators on its
-    stored ensemble (or a fresh seed).  Returns (ok, violations) where
-    violations list (member, k, excess); a NaN excess is a violation."""
+    own stored ensemble.  Returns (ok, violations) where violations list
+    (member, k, excess); a NaN excess is a violation."""
     if not ops or len(ops) != cert.max_k * cert.T1:
         raise ConfigError(f"the certificate covers {cert.max_k * cert.T1} "
                           f"operators, got {len(ops)}")
-    use_seed = cert.ensemble["seed"] if seed is None else seed
-    members = ly_ensemble(ops[0].grid, cert.ensemble["size"], use_seed)
-    s0, mass0, svals = _ly_replay(ops, cert.T1,
-                                  SeminormSpec.from_config(cert.seminorm),
-                                  members)
+    members = ly_ensemble(ops[0].grid, cert.ensemble["size"],
+                          cert.ensemble["seed"])
+    sem = SeminormSpec.from_config(cert.seminorm)
+    s0, mass0, svals = _ly_replay(ops, cert.T1, sem, members)
     excess = _ly_excess(s0, mass0, svals, cert.T1, cert.theta, cert.C)
     violations = [(int(j), int(k) + 1, float(excess[j, k]))
                   for j, k in np.argwhere(~(excess <= 1e-9))]

@@ -512,11 +512,12 @@ def push(operators, V: np.ndarray, grid: Grid):
 
 def evolve(map_seq, hole_seq, phi0: GridDensity, m: int,
            cache: "OperatorCache | None" = None) -> list:
-    """Unnormalized open evolution: [phi_1, ..., phi_m] with
-    phi_k = (open operator of step k) phi_{k-1}.  Masses are nonincreasing."""
+    """Unnormalized open evolution through a map and a HoleSequence:
+    [phi_1, ..., phi_m] with phi_k = (open operator of step k) phi_{k-1}.
+    Masses are nonincreasing."""
     if m < 1:
         raise ConfigError("m must be >= 1")
-    if len(map_seq) < m or (hole_seq is not None and len(hole_seq) < m):
+    if len(map_seq) < m or len(hole_seq) < m:
         raise ConfigError("schedules shorter than requested horizon")
     grid = phi0.grid
     ops = schedule_operators(map_seq, hole_seq, m, grid, cache)
@@ -525,8 +526,7 @@ def evolve(map_seq, hole_seq, phi0: GridDensity, m: int,
 
 def schedule_operators(map_seq, hole_seq, m: int, grid: Grid,
                        cache: OperatorCache | None = None) -> list:
-    """Per-step open operators for steps 1..m."""
+    """Per-step open operators for steps 1..m of a map and a HoleSequence."""
     cache = cache if cache is not None else OperatorCache()
-    return cache.get_many(
-        [(map_seq.at(i), hole_seq.at(i) if hole_seq is not None else None)
-         for i in range(1, m + 1)], grid)
+    return cache.get_many([(map_seq.at(i), hole_seq.at(i))
+                           for i in range(1, m + 1)], grid)

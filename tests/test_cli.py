@@ -28,6 +28,11 @@ def write(tmp_path, name, obj):
     return str(p)
 
 
+def _shipped(name: str) -> dict:
+    return json.loads((pathlib.Path(__file__).parents[1] / "configs"
+                       / name).read_text())
+
+
 def test_simulate_local_end_to_end(tmp_path, capsys):
     cfg = write(tmp_path, "local.json", LOCAL_CFG)
     code = main(["simulate-local", cfg, "--out", str(tmp_path / "out")])
@@ -268,6 +273,8 @@ def test_config_cannot_disable_expansion_check(tmp_path, capsys):
 MIXING_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
               "grid": {"dimension": 1, "n": 256}, "zeta1": 0.9, "zeta2": 1.1}
 SELECT_CFG = {"zeta1": 0.9, "zeta2": 1.1, "theta": 0.5, "C": 1.0}
+LY_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
+          "grid": {"dimension": 1, "n": 256}}
 CONE_PARAMS = {"a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
                "d": 1.0 / 11, "M": 1.0}
 
@@ -303,19 +310,53 @@ CONE_PARAMS = {"a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
     ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
                     "grid": {"dimension": 1, "n": 256}, "seed": -3}, "seed"),
     ("certify-ly", {"maps": 3, "grid": {"dimension": 1, "n": 256}}, "maps"),
+    # step and member counts are at least 1
+    ("certify-ly", dict(LY_CFG, T1=0), "T1"),
+    ("certify-ly", dict(LY_CFG, k_max=0), "k_max"),
+    ("certify-ly", dict(LY_CFG, T1=-1, maps=[LY_CFG["map"]] * 4), "T1"),
+    ("certify-ly", dict(LY_CFG, ensemble_size=0), "ensemble_size"),
+    ("certify-mixing", dict(MIXING_CFG, i_max=0), "i_max"),
+    ("select-params", dict(SELECT_CFG, map=LY_CFG["map"], grid=LY_CFG["grid"],
+                           i_max=-2), "i_max"),
+    ("select-params", dict(SELECT_CFG, T1=0), "T1"),
 ], ids=["certify_ly_k_max", "certify_ly_ensemble", "mixing_i_max",
         "select_max_level", "mixing_list_map", "select_list_map",
         "certify_ly_list_map", "certify_ly_list_maps_entry",
         "certify_ly_list_holes", "mixing_text_zeta1", "mixing_text_offset",
         "select_text_theta", "select_text_sigma", "constants_text_a",
         "constants_float_T", "mixing_list_partition", "certify_ly_negative_seed",
-        "certify_ly_number_maps"])
-def test_subcommand_integer_keys(tmp_path, capsys, command, cfg, key):
-    # a float or text count, or a list where a record belongs, is refused
-    # by name, not truncated or crashed on
-    assert main([command, write(tmp_path, "c.json", cfg)]) == 1
+        "certify_ly_number_maps", "certify_ly_zero_T1",
+        "certify_ly_zero_k_max", "certify_ly_maps_negative_T1",
+        "certify_ly_zero_ensemble", "mixing_zero_i_max",
+        "select_negative_i_max", "select_zero_T1"])
+def test_subcommand_integer_keys(tmp_path, capsys, deadline, command, cfg,
+                                key):
+    # a float or text count, a count below 1, or a list where a record
+    # belongs, is refused by name, not truncated, crashed or spun on (a
+    # select-params T1 of 0 once grew T by 0 forever)
+    with deadline(10):
+        assert main([command, write(tmp_path, "c.json", cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and f"'{key}'" in err
+
+
+def test_partition_level_above_grid_named(tmp_path, capsys, deadline):
+    # n = 4096 resolves dyadic levels up to 12; a deeper level is refused
+    # by name before 2^level is formed
+    cfg = dict(_shipped("mixing.json"), partition={"level": 10 ** 6})
+    with deadline(10):
+        assert main(["certify-mixing", write(tmp_path, "c.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "0 to 12" in err
+
+
+def test_deep_partition_pool_exhausts_promptly(tmp_path, capsys, deadline):
+    # a pool asked for 10^6 levels ends at the grid's 12, so a C that no
+    # level admits is a prompt selection failure
+    cfg = dict(_shipped("select.json"), max_level=10 ** 6, C=1e6)
+    with deadline(10):
+        assert main(["select-params", write(tmp_path, "c.json", cfg)]) == 2
+    assert "partition family exhausted" in capsys.readouterr().err
 
 
 NAN, INF = float("nan"), float("inf")
@@ -334,8 +375,7 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_number_names_its_key(tmp_path, capsys, key, patch):
     # Python's json reads NaN and Infinity, so they reach real configs;
     # each is refused by name before it can run, crash or mislead
-    cfg = json.loads((pathlib.Path(__file__).parents[1] / "configs"
-                      / "local.json").read_text())
+    cfg = _shipped("local.json")
     cfg["grid"]["n"] = 256
     patch(cfg)
     path = write(tmp_path, "c.json", cfg)

@@ -138,11 +138,14 @@ def test_select_parameters_draws_pool_lazily(monkeypatch, C, drawn, elements):
     assert lazy.mixing.to_config() == eager.mixing.to_config()
 
 
-def test_select_parameters_input_validation():
+def test_select_parameters_input_validation(deadline):
     with pytest.raises(ParameterError):
         select_parameters(0.9, 1.1, 1.5, 1.0, 1, TV)
     with pytest.raises(ParameterError):
         select_parameters(0.0, 1.1, 0.5, 1.0, 1, TV)
+    # a block of T1 = 0 steps would grow T by nothing, forever
+    with deadline(10), pytest.raises(ParameterError, match="T1"):
+        select_parameters(0.9, 1.1, 0.5, 1.0, 0, TV)
     g = Grid(1, 4096)
     base = build_closed(doubling_map(), g)
     with pytest.raises(SelectionError):

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opendyn.errors import ConfigError
-from opendyn.phase import (Grid, diam_lambda, dyadic_partition, metric_diam,
-                           partition_from_labels, torus_delta)
+from opendyn.phase import (Grid, diam_lambda, dyadic_partition, dyadic_pool,
+                           metric_diam, partition_from_labels, torus_delta)
 
 
 def test_grid_geometry_1d():
@@ -121,3 +123,79 @@ def test_metric_diam_caps_at_torus_diameter():
     Q = dyadic_partition(g, 0)   # one element, whole circle
     assert abs(metric_diam(Q) - 0.5) < 1e-12
     assert abs(diam_lambda(Q) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, top", [(4096, 12), (100, 2), (96, 5), (7, 0)])
+def test_dyadic_levels_bounded_by_grid(deadline, n, top):
+    # a grid resolves the levels up to v, 2^v the largest power of two
+    # dividing n: the pool ends there however deep it is asked to go, and
+    # a deeper level is refused by name before 2^level is formed
+    g = Grid(1, n)
+    with deadline(5):
+        pool = list(dyadic_pool(g, 10 ** 6))
+        with pytest.raises(ConfigError, match=f"0 to {top}, got level"):
+            dyadic_partition(g, 10 ** 6)
+    assert [Q.n_elements for Q in pool] == [2 ** L for L in range(1, top + 1)]
+    with pytest.raises(ConfigError, match=f"0 to {top}, got level {top + 1}"):
+        dyadic_partition(g, top + 1)
+
+
+@pytest.mark.parametrize("dimension, n", [(1, 4096), (2, 64)])
+def test_metric_diam_on_dyadic_pool_is_exact(dimension, n):
+    # dyadic corners are exact binary fractions, so every element of level
+    # L has diameter 2^-L along each axis, bit for bit
+    for L, Q in enumerate(dyadic_pool(Grid(dimension, n), 64), start=1):
+        side = min(2.0 ** -L, 0.5)
+        want = side if dimension == 1 else float(np.hypot(side, side))
+        assert metric_diam(Q) == want
+
+
+def _two_pointer_max_1d(xs: np.ndarray) -> float:
+    # an oracle independent of metric_diam's antipode search: a sorted
+    # two-pointer scan that tries, for each point, the first later point
+    # at or past it + 1/2 and the one before that
+    xs = np.unique(xs % 1.0)
+    if xs.size < 2:
+        return 0.0
+    best = 0.0
+    j = 0
+    for i in range(xs.size):
+        target = xs[i] + 0.5
+        j = max(j, i + 1)
+        while j < xs.size and xs[j] < target:
+            j += 1
+        for k in (min(j, xs.size - 1), j - 1):
+            if k > i:
+                gap = xs[k] - xs[i]
+                best = max(best, min(gap, 1.0 - gap))
+    return best
+
+
+@st.composite
+def labelled_grids(draw):
+    g = Grid(draw(st.sampled_from([1, 2])), draw(st.integers(2, 16)))
+    labels = draw(st.lists(st.integers(0, draw(st.integers(0, 5))),
+                           min_size=g.total_cells, max_size=g.total_cells))
+    return g, np.array(labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_grids())
+def test_metric_diam_matches_brute_force(case):
+    # the largest element diameter is the max over all pairs of corners of
+    # an element's cells: bit for bit in 1D, where it also equals the
+    # two-pointer scan, and in 2D up to the rounding of corners to 12
+    # decimals, which moves a pair distance by at most sqrt(2) * 1e-12
+    g, labels = case
+    Q = partition_from_labels(g, labels)
+    brute = scan = 0.0
+    for cells in Q.elements:
+        pts = g.cell_corners(cells).reshape(-1, g.dimension)
+        d = torus_delta(pts[:, None, :], pts[None, :, :])
+        brute = max(brute, float(np.sqrt((d ** 2).sum(axis=-1)).max()))
+        if g.dimension == 1:
+            scan = max(scan, _two_pointer_max_1d(pts[:, 0]))
+    if g.dimension == 1:
+        assert metric_diam(Q) == brute == scan
+    else:
+        assert metric_diam(Q) == pytest.approx(brute, rel=0, abs=2e-12)
