@@ -108,9 +108,6 @@ class RateConstants:
 # ---------------------------------------------------------------------------
 # parameter selection
 
-SELECTION_ROUNDS = 40  # reruns from a grown T before selection gives up
-
-
 def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
                       T1: int, sem: SeminormSpec,
                       partition_family=None,
@@ -119,11 +116,13 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
     """Ordered selection of (sigma, T, a, Q):
 
     grow T until theta^T/(zeta1/2) < sigma; take the smallest aperture
-    a = max(C/(sigma*zeta1/2 - theta^T), 1) on its power-of-two lattice;
-    take the first partition in the family with zeta2*a*d/M <= zeta1/2;
-    grow T to at least the mixing time E of the base map on it.  Growing
-    T shrinks the required aperture, so the whole procedure reruns from
-    the larger T until it stabilizes.
+    with (a*theta^T + C)/(zeta1/2) <= sigma*a, the closed form
+    a = max(C/(sigma*zeta1/2 - theta^T), 1); take the first partition in
+    the family with zeta2*a*d/M <= zeta1/2; grow T to at least the mixing
+    time E of the base map on it.  Growing T shrinks the required
+    aperture, so the procedure reruns from the larger T.  It ends: a
+    round that does not return raises T to at least its partition's E,
+    and E <= i_max, so within ceil(i_max/T1) + 1 rounds T covers every E.
 
     The family is any iterable of partitions, coarsest first, such as the
     generator `dyadic_pool`.  It is drawn lazily: each round rescans the
@@ -150,25 +149,19 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
     half = zeta1 / 2.0
     family = iter(() if partition_family is None else partition_family)
     drawn = []                    # (Q, d, M) per partition drawn so far
-    windows = {}                  # mixing certificate per picked partition
     T = T1
     while theta_LY ** T / half >= sigma:
         T += T1
         if T > 10_000 * T1:
             raise SelectionError("theta_LY too close to 1: T diverges")
 
-    for _ in range(SELECTION_ROUNDS):
-        denom = sigma * half - theta_LY ** T
-        a = max(C_LY / denom if C_LY > 0.0 else 0.0, 1.0)
-        while (a * theta_LY ** T + C_LY) / half > sigma * a:
-            a *= 2.0
+    while True:
+        a = max(C_LY / (sigma * half - theta_LY ** T), 1.0)
 
         if partition_family is None:
             # analytic mode: report the diameter the partition must meet
-            if sem.kind == "tv":
-                d_max = half / (zeta2 * a)
-            else:
-                d_max = (half / (zeta2 * a)) ** (1.0 / sem.osc.alpha)
+            alpha = 1.0 if sem.kind == "tv" else sem.osc.alpha
+            d_max = (half / (zeta2 * a)) ** (1.0 / alpha)
             return ConeParams(a, sigma, T, zeta1, zeta2, sem, None, d_max, 1.0)
 
         # rescan from the first partition, drawing from the family only
@@ -188,10 +181,7 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
         if base is None or base.grid != Q.grid:
             raise ConfigError("a partition family needs the base operator "
                               "on its grid")
-        # a partition picked again in a later round keeps its window
-        if idx not in windows:
-            windows[idx] = closed_certificate(base, Q, zeta1, zeta2, i_max)
-        mix = windows[idx]
+        mix = closed_certificate(base, Q, zeta1, zeta2, i_max)
         if mix is None:
             raise SelectionError(
                 f"base map shows no mixing time on the selected partition "
@@ -199,7 +189,6 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
         if T >= mix.E:
             return ConeParams(a, sigma, T, zeta1, zeta2, sem, Q, d, M, mix.E, mix)
         T = T1 * math.ceil(mix.E / T1)
-    raise SelectionError("parameter selection did not stabilize")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Experiment orchestration: certified memory-loss runs and reports.
 
 Both regimes run one pipeline, `_run`: certify, draw the hole schedule,
-grow T until every block of the run's schedule for T mixes, audit the
-cone, push both densities, then budget, fit and report.  A regime only
-supplies a plan: its per-sample certificates, its map schedule and its
-own constants and certificates once T is final.
+grow T, while two blocks fit the horizon, until every block of the run's
+schedule for T mixes, audit the cone, push both densities, then budget,
+fit and report.  A regime only supplies a plan: its per-sample
+certificates, its map schedule and its own constants and certificates
+once T is final.
 A local run perturbs one base map; a global run traverses a map curve
 slowly enough that per-sample certificates chain along it.
 """
@@ -296,25 +297,28 @@ def _run(config, kind: str, plan) -> RunResult:
     hseq = hole_schedule(cfg.holes, cfg.horizon, grid.dimension, rng)
 
     # the block length is the smallest T, growing from the selected one in
-    # steps of T1, at which every block of the run's own schedule for that
-    # T (a traversal's speed limit depends on T) keeps its pair ratios
-    # inside the mixing window
+    # steps of T1 while two blocks still fit the horizon, at which every
+    # block of the run's own schedule for that T (a traversal's speed
+    # limit depends on T) keeps its pair ratios inside the mixing window
     ly, cp = samples[0]
-    for _ in range(8):
+    if cfg.horizon < 2 * cp.T:
+        raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
+    while True:
         ops = schedule_operators(schedule(cp.T), hseq, cfg.horizon, grid,
                                  cache)
         if all(cfg.zeta1 < lo and hi < cfg.zeta2 for lo, hi in (
                 ratio_profile(ops[b * cp.T:(b + 1) * cp.T], cp.Q)[-1]
                 for b in range(cfg.horizon // cp.T))):
             break
+        if cfg.horizon < 2 * (cp.T + cfg.T1):
+            raise CertificateError(
+                f"open blocks never satisfied the mixing window up to "
+                f"T = {cp.T}; two blocks of T = {cp.T + cfg.T1} exceed "
+                f"the horizon {cfg.horizon}")
         cp = dataclasses.replace(cp, T=cp.T + cfg.T1)
-    else:
-        raise CertificateError("open blocks never satisfied the mixing window")
     fails = cp.audit(ly.theta, ly.C, cfg.T1)
     if fails:
         raise CertificateError("; ".join(fails))
-    if cfg.horizon < 2 * cp.T:
-        raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
     # price every sample at the block length the run uses, then take the
     # worst value of each constant
     rates = [dataclasses.astuple(rate_constants(

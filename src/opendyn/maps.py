@@ -298,10 +298,6 @@ class MapSequence:
     def __len__(self) -> int:
         return len(self.maps)
 
-    @property
-    def dimension(self) -> int:
-        return self.maps[0].dimension
-
     def at(self, step: int) -> MapSpec:
         if not 1 <= step <= len(self.maps):
             raise ConfigError(f"step {step} outside schedule of length {len(self.maps)}")

@@ -13,6 +13,7 @@ the operators it applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,23 +125,20 @@ def _is_full_branch(m: MapSpec) -> bool:
 def perturb_full_branch(base: MapSpec, delta: float, rng) -> MapSpec:
     """Random full-branch delta-perturbation of the base: interior cuts
     jitter and slopes/offsets follow to keep every branch onto the
-    circle.  Each draw is checked with the exact `is_perturbation`, and
-    the jitter is halved until one passes."""
+    circle.  The jitter is scaled by delta * 2^-k for k = 3..10 until a
+    draw passes the exact `is_perturbation` check."""
     if delta == 0.0:
         return base
     cuts = np.asarray(base.cuts, dtype=float)
     jitter = rng.uniform(-1.0, 1.0, cuts.size)
-    scale = delta / 8.0
-    for _ in range(8):
-        cand = np.sort(cuts + scale * jitter)
+    for k in range(3, 11):
+        cand = np.sort(cuts + math.ldexp(delta, -k) * jitter)
         if cand.size and (cand[0] <= 1e-3 or cand[-1] >= 1.0 - 1e-3
                           or np.diff(np.r_[0.0, cand, 1.0]).min() <= 1e-3):
-            scale *= 0.5
             continue
         g = full_branch_map(list(cand))
         if is_perturbation(base, g, delta):
             return g
-        scale *= 0.5
     raise ConfigError("cannot realize a delta-perturbation in this family")
 
 

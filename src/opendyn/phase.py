@@ -211,13 +211,14 @@ def _pairwise_max_torus_1d(xs: np.ndarray) -> float:
 
 
 def _pairwise_max_torus_2d(pts: np.ndarray) -> float:
-    pts = np.unique(np.round(pts % 1.0, 12), axis=0)
+    pts = np.unique(pts % 1.0, axis=0)
     xs, ys = np.unique(pts[:, 0]), np.unique(pts[:, 1])
     if xs.size * ys.size == pts.shape[0]:
-        # product structure: coordinates maximize independently
+        # product structure: coordinates maximize independently, and the
+        # same float operations as the pairwise branch keep it exact
         dx = _pairwise_max_torus_1d(xs)
         dy = _pairwise_max_torus_1d(ys)
-        return float(np.hypot(dx, dy))
+        return float(np.sqrt(dx * dx + dy * dy))
     best = 0.0
     chunk = 512
     for i in range(0, pts.shape[0], chunk):

@@ -393,6 +393,18 @@ def test_certify_ly_short_schedule_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("configuration error")
 
 
+def test_blocks_that_never_mix_exit_2(tmp_path, capsys):
+    # configs/local.json with a static third-of-the-circle hole: no T with
+    # two blocks in the horizon mixes, a property violation, not a config error
+    cfg = dict(_shipped("local.json"), horizon=6,
+               grid={"dimension": 1, "n": 1024},
+               holes={"kind": "static",
+                      "hole": {"dimension": 1, "intervals": [[0.3, 0.6]]}})
+    path = write(tmp_path, "never.json", cfg)
+    assert main(["simulate-local", path, "--out", str(tmp_path / "o")]) == 2
+    assert "property violation" in capsys.readouterr().err
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = write(tmp_path, "local.json", LOCAL_CFG)
     assert main(["simulate-local", cfg, "--out", str(tmp_path / "a")]) == 0

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from opendyn import phase
@@ -12,7 +15,7 @@ from opendyn.cone import (ConeParams, birkhoff_factor, c_lip, delta0,
                           verify_cone_contraction)
 from opendyn.errors import (ConfigError, ParameterError, PreconditionError,
                             SelectionError)
-from opendyn.maps import doubling_map
+from opendyn.maps import doubling_map, map_from_config
 from opendyn.mixing import certify_mixing
 from opendyn.phase import Grid, dyadic_partition, dyadic_pool
 from opendyn.seminorm import SeminormSpec, cone_member, estimate_LY
@@ -80,6 +83,40 @@ def test_select_parameters_analytic_worked_case():
     assert abs(cp.a - 10.0) < 1e-12
     assert cp.Q is None
     assert abs(cp.d - 0.45 / 11.0) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+       C=st.floats(1e-12, 1e3), sigma=st.floats(0.01, 0.99),
+       zeta1=st.floats(0.01, 0.99), zeta2=st.floats(1.01, 10.0),
+       T1=st.integers(1, 3))
+def test_analytic_aperture_is_its_closed_form(theta, C, sigma, zeta1, zeta2,
+                                               T1):
+    # T is the least multiple of T1 with theta^T/(zeta1/2) < sigma, and a
+    # the least aperture meeting (a*theta^T + C)/(zeta1/2) <= sigma*a,
+    # bit for bit, with no rounding step that could enlarge it
+    cp = select_parameters(zeta1, zeta2, theta, C, T1, TV, sigma=sigma)
+    half = zeta1 / 2.0
+    assert cp.T % T1 == 0 and theta ** cp.T / half < sigma
+    assert cp.T == T1 or theta ** (cp.T - T1) / half >= sigma
+    assert cp.a == max(C / (sigma * half - theta ** cp.T), 1.0)
+    assert cp.audit(theta, C, T1) == []
+
+
+def test_select_parameters_exact_aperture_admits_shorter_block():
+    # select.json's doubling map and pool with theta = 0.4, C = 0.1: T = 2,
+    # a = 0.1/(0.225 - 0.16) = 1.538..., so 4 arcs (1.1*a/4 <= 0.45) with
+    # E = 2 <= T; a doubled aperture would need 8 arcs, E = 3, and T = 3
+    sel = json.loads((pathlib.Path(__file__).parents[1] / "configs"
+                      / "select.json").read_text())
+    g = Grid(1, sel["grid"]["n"])
+    cp = select_parameters(0.9, 1.1, 0.4, 0.1, 1, TV,
+                           dyadic_pool(g, sel["max_level"]),
+                           build_closed(map_from_config(sel["map"]), g),
+                           0.5, sel["i_max"])
+    assert cp.T == 2
+    assert cp.a == 0.1 / (0.225 - 0.4 ** 2)
+    assert (cp.Q.n_elements, cp.E) == (4, 2)
 
 
 def test_select_parameters_certified_doubling_fixpoint():
@@ -157,6 +194,12 @@ def test_select_parameters_input_validation(deadline):
         select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
                           [dyadic_partition(Grid(1, 2048), L)
                            for L in range(1, 9)], base, 0.5, 16)
+    with pytest.raises(SelectionError, match="no mixing time"):
+        # no dyadic level of the doubling map mixes in one step
+        g = Grid(1, 1024)
+        select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
+                          [dyadic_partition(g, L) for L in range(1, 9)],
+                          build_closed(doubling_map(), g), 0.5, 1)
     with pytest.raises(ConfigError):
         # a partition pool needs the base operator
         select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,

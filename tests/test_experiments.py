@@ -10,7 +10,8 @@ import opendyn.cone
 import opendyn.experiments
 import opendyn.mixing
 import opendyn.seminorm
-from opendyn.errors import ConfigError, ParameterError, TotalEscapeError
+from opendyn.errors import (CertificateError, ConfigError, ParameterError,
+                            TotalEscapeError)
 from opendyn.experiments import (FAMILIES, ExperimentConfig, _execute,
                                  build_density, emit_report, fit_exponential,
                                  hole_schedule, run_global,
@@ -113,6 +114,38 @@ def test_config_validation():
         ExperimentConfig.from_dict({"kind": "local", "horizon": 10})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "global", "horizon": 10})
+
+
+def _shipped_local(**changes) -> dict:
+    cfg = json.loads((pathlib.Path(__file__).parents[1] / "configs"
+                      / "local.json").read_text())
+    return dict(cfg, **changes)
+
+
+# configs/local.json with a static hole of a third of the circle: its open
+# blocks never mix, and at horizon 6 only T = 3 leaves room for two blocks
+NEVER_MIXING = {"horizon": 6, "grid": {"dimension": 1, "n": 1024},
+                "holes": {"kind": "static",
+                          "hole": {"dimension": 1,
+                                   "intervals": [[0.3, 0.6]]}}}
+
+
+def test_horizon_must_hold_two_selected_blocks():
+    with pytest.raises(ConfigError, match=r"2T = 6"):
+        run_local(_shipped_local(horizon=4))
+
+
+def test_blocks_that_never_mix_are_a_certificate_failure():
+    # T grows only while two blocks fit: a T past horizon/2 would check no
+    # block at all and pass by default
+    with pytest.raises(CertificateError, match="mixing window"):
+        run_local(_shipped_local(**NEVER_MIXING))
+
+
+def test_initial_density_outside_the_cone_is_refused():
+    with pytest.raises(ConfigError, match="initial densities fail the cone"):
+        run_local(_shipped_local(psi={"kind": "cosine_bump",
+                                      "amplitude": 0.9}))
 
 
 def test_run_local_flags_and_records():

@@ -1,5 +1,5 @@
 """No module of the package imports a name it never uses, and no private
-top-level name of the package goes unread.
+top-level name or public UPPER_CASE constant of the package goes unread.
 
 The package's `__init__.py` imports names only to re-export them, so its
 imports are not checked; its reads still count for the private names."""
@@ -36,33 +36,57 @@ def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def assigned_names(tree: ast.Module) -> set:
+    """Names a module assigns at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return names
+
+
 def private_definitions(tree: ast.Module) -> set:
     """Private (single-underscore) names a module defines at top level:
     functions, classes and assigned names."""
-    defined = set()
-    for node in tree.body:
+    defined = assigned_names(tree) | {
+        node.name for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            defined |= {n.id for t in targets for n in ast.walk(t)
-                        if isinstance(n, ast.Name)}
+                             ast.ClassDef))}
     return {name for name in defined
             if name.startswith("_") and not name.startswith("__")}
 
 
-def unread_private_names(sources: list) -> list:
-    """Private top-level names that no source reads, as a bare name or as
-    an attribute: a helper nothing calls any more."""
+def public_constants(tree: ast.Module) -> set:
+    """Public UPPER_CASE names a module assigns at top level."""
+    return {name for name in assigned_names(tree)
+            if name.isupper() and not name.startswith("_")}
+
+
+def unread_names(sources: list, definitions) -> list:
+    """Names that definitions(tree) gives for some source and that no
+    source reads, as a bare name or as an attribute."""
     trees = [ast.parse(source) for source in sources]
-    defined = set().union(*map(private_definitions, trees))
+    defined = set().union(*map(definitions, trees))
     read = {n.id for tree in trees for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     read |= {n.attr for tree in trees for n in ast.walk(tree)
              if isinstance(n, ast.Attribute)}
     return sorted(defined - read)
+
+
+def unread_private_names(sources: list) -> list:
+    """Private top-level names that no source reads: a helper nothing
+    calls any more."""
+    return unread_names(sources, private_definitions)
+
+
+def unread_public_constants(sources: list) -> list:
+    """Public UPPER_CASE constants that no source reads: a setting nothing
+    uses any more.  Re-exporting one is not a read."""
+    return unread_names(sources, public_constants)
 
 
 def test_checker_finds_an_unread_private_name():
@@ -74,6 +98,21 @@ def test_checker_finds_an_unread_private_name():
     assert unread_private_names([first]) == ["_SPARE", "_called", "_orphan"]
 
 
+def test_checker_finds_an_unread_public_constant():
+    first = ("ROUNDS = 40\nLIMIT: int = 3\nSEED, _HIDDEN = 1, 2\n"
+             "Mixed = 0\nLEFTOVER = 5\n\ndef run():\n"
+             "    return [LIMIT] * 2\n")
+    second = ("from first import LEFTOVER, SEED\nimport first\n"
+              "first.ROUNDS\n")
+    assert unread_public_constants([first, second]) == ["LEFTOVER", "SEED"]
+    assert unread_public_constants([first]) == ["LEFTOVER", "ROUNDS", "SEED"]
+
+
 def test_package_has_no_unread_private_name():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def test_package_reads_every_public_constant():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unread_public_constants(sources) == []

@@ -183,9 +183,8 @@ def labelled_grids(draw):
 @given(labelled_grids())
 def test_metric_diam_matches_brute_force(case):
     # the largest element diameter is the max over all pairs of corners of
-    # an element's cells: bit for bit in 1D, where it also equals the
-    # two-pointer scan, and in 2D up to the rounding of corners to 12
-    # decimals, which moves a pair distance by at most sqrt(2) * 1e-12
+    # an element's cells, bit for bit in both dimensions; in 1D it also
+    # equals the two-pointer scan
     g, labels = case
     Q = partition_from_labels(g, labels)
     brute = scan = 0.0
@@ -195,7 +194,6 @@ def test_metric_diam_matches_brute_force(case):
         brute = max(brute, float(np.sqrt((d ** 2).sum(axis=-1)).max()))
         if g.dimension == 1:
             scan = max(scan, _two_pointer_max_1d(pts[:, 0]))
+    assert metric_diam(Q) == brute
     if g.dimension == 1:
-        assert metric_diam(Q) == brute == scan
-    else:
-        assert metric_diam(Q) == pytest.approx(brute, rel=0, abs=2e-12)
+        assert brute == scan
