@@ -9,7 +9,6 @@ expectation on a reference partition Q.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -120,20 +119,22 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
     a = max(C/(sigma*zeta1/2 - theta^T), 1); take the first partition in
     the family with zeta2*a*d/M <= zeta1/2; grow T to at least the mixing
     time E of the base map on it.  Growing T shrinks the required
-    aperture, so the procedure reruns from the larger T.  It ends: a
-    round that does not return raises T to at least its partition's E,
-    and E <= i_max, so within ceil(i_max/T1) + 1 rounds T covers every E.
+    aperture, so the procedure reruns from the larger T.  It ends: each
+    rerun picks a partition earlier in the family or keeps its partition,
+    and a kept partition's E is already covered.
 
     The family is any iterable of partitions, coarsest first, such as the
-    generator `dyadic_pool`.  It is drawn lazily: each round rescans the
-    partitions drawn so far (their diameters computed once) and draws
-    more only past them, so no partition beyond the first admissible one
-    of any round is built.
+    generator `dyadic_pool`.  It is drawn up to the first partition the
+    first aperture admits: a later aperture is no larger, so the first
+    partition it admits is among those drawn.  A partition picked again
+    keeps its mixing certificate.
 
     With partition_family=None (analytic mode) selection stops after the
     aperture step and reports the admissible-diameter bound in `d`.  A
     family needs `base`, the closed base-map operator on the family's
-    grid; the result carries its mixing certificate on Q (`mixing`).
+    grid; the result carries its mixing certificate on Q (`mixing`), and
+    a selected partition without a mixing time within i_max raises
+    CertificateError.
     """
     if not 0.0 < theta_LY < 1.0:
         raise ParameterError("theta_LY must lie in (0, 1)")
@@ -147,60 +148,62 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
         raise ParameterError("T1 must be at least 1")
 
     half = zeta1 / 2.0
-    family = iter(() if partition_family is None else partition_family)
-    drawn = []                    # (Q, d, M) per partition drawn so far
     T = T1
     while theta_LY ** T / half >= sigma:
         T += T1
         if T > 10_000 * T1:
             raise SelectionError("theta_LY too close to 1: T diverges")
 
-    while True:
-        a = max(C_LY / (sigma * half - theta_LY ** T), 1.0)
+    def aperture(T: int) -> float:
+        return max(C_LY / (sigma * half - theta_LY ** T), 1.0)
 
-        if partition_family is None:
-            # analytic mode: report the diameter the partition must meet
-            alpha = 1.0 if sem.kind == "tv" else sem.osc.alpha
-            d_max = (half / (zeta2 * a)) ** (1.0 / alpha)
-            return ConeParams(a, sigma, T, zeta1, zeta2, sem, None, d_max, 1.0)
+    a = aperture(T)
+    if partition_family is None:
+        # analytic mode: report the diameter the partition must meet
+        alpha = 1.0 if sem.kind == "tv" else sem.osc.alpha
+        d_max = (half / (zeta2 * a)) ** (1.0 / alpha)
+        return ConeParams(a, sigma, T, zeta1, zeta2, sem, None, d_max, 1.0)
 
-        # rescan from the first partition, drawing from the family only
-        # past the ones already drawn
-        for idx in itertools.count():
-            if idx == len(drawn):
-                Q = next(family, None)
-                if Q is None:
-                    raise SelectionError(
-                        f"partition family exhausted: need zeta2*a*d/M <= "
-                        f"{half:.4g} with a = {a:.4g}")
-                drawn.append((Q, sem.diam(Q), sem.M(Q)))
-            Q, d, M = drawn[idx]
-            if zeta2 * a * d / M <= half:
-                break
-
+    drawn = []                    # (Q, d, M) up to the first admissible Q
+    for Q in partition_family:
         if base is None or base.grid != Q.grid:
             raise ConfigError("a partition family needs the base operator "
                               "on its grid")
-        mix = closed_certificate(base, Q, zeta1, zeta2, i_max)
-        if mix is None:
-            raise SelectionError(
-                f"base map shows no mixing time on the selected partition "
-                f"within i_max = {i_max}")
-        if T >= mix.E:
-            return ConeParams(a, sigma, T, zeta1, zeta2, sem, Q, d, M, mix.E, mix)
+        d, M = sem.diam(Q), sem.M(Q)
+        drawn.append((Q, d, M))
+        if zeta2 * a * d / M <= half:
+            break
+    else:
+        raise SelectionError(
+            f"partition family exhausted: need zeta2*a*d/M <= "
+            f"{half:.4g} with a = {a:.4g}")
+
+    mix = closed_certificate(base, Q, zeta1, zeta2, i_max)
+    while T < mix.E:
         T = T1 * math.ceil(mix.E / T1)
+        a = aperture(T)
+        Q, d, M = next(p for p in drawn if zeta2 * a * p[1] / p[2] <= half)
+        if mix.partition is not Q:
+            mix = closed_certificate(base, Q, zeta1, zeta2, i_max)
+    return ConeParams(a, sigma, T, zeta1, zeta2, sem, Q, d, M, mix.E, mix)
 
 
 # ---------------------------------------------------------------------------
 # constants
 
-def delta0(cp: ConeParams) -> float:
-    """Diameter bound for the image cone inside the full cone."""
+def _lower(cp: ConeParams) -> float:
+    """The lower control coefficient zeta1 - zeta2*a*d/M; ParameterError
+    unless it is positive."""
     lo = cp.zeta1 - cp.zeta2 * cp.adM
     if lo <= 0.0:
         raise ParameterError("zeta1 - zeta2*a*d/M must be positive")
+    return lo
+
+
+def delta0(cp: ConeParams) -> float:
+    """Diameter bound for the image cone inside the full cone."""
     return 2.0 * math.log((1.0 + cp.sigma) / (1.0 - cp.sigma)) \
-        + 2.0 * math.log(cp.zeta2 * (1.0 + cp.adM) / lo)
+        + 2.0 * math.log(cp.zeta2 * (1.0 + cp.adM) / _lower(cp))
 
 
 def birkhoff_factor(delta: float) -> float:
@@ -215,10 +218,7 @@ def birkhoff_factor(delta: float) -> float:
 
 def c_lip(cp: ConeParams) -> float:
     """Lipschitz constant of the normalized block operator in L1."""
-    lo = cp.zeta1 - cp.zeta2 * cp.adM
-    if lo <= 0.0:
-        raise ParameterError("zeta1 - zeta2*a*d/M must be positive")
-    return 2.0 / lo
+    return 2.0 / _lower(cp)
 
 
 def rate_constants(cp: ConeParams) -> RateConstants:

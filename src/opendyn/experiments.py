@@ -4,8 +4,8 @@ Both regimes run one pipeline, `_run`: certify, draw the hole schedule,
 grow T, while two blocks fit the horizon, until every block of the run's
 schedule for T mixes, audit the cone, push both densities, then budget,
 fit and report.  A regime only supplies a plan: its per-sample
-certificates, its map schedule and its own constants and certificates
-once T is final.
+certificates, its map schedule for each T with the constants that T
+sets, and its own constants and certificates.
 A local run perturbs one base map; a global run traverses a map curve
 slowly enough that per-sample certificates chain along it.
 """
@@ -29,7 +29,7 @@ from .holes import HoleSequence, HoleSpec, hole_from_config
 from .transfer import (MASS_FLOOR, GridDensity, OperatorCache, normalize,
                        push, schedule_operators)
 from .seminorm import SeminormSpec, cone_member, estimate_LY
-from .cone import ConeParams, RateConstants, rate_constants, select_parameters
+from .cone import RateConstants, rate_constants, select_parameters
 from .mixing import default_perturbation, random_hole, ratio_profile
 
 FIT_FLOOR = 1e-14
@@ -183,12 +183,11 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
         return GridDensity.uniform(grid)
     if kind == "cosine_bump":
         amp = config_number(rec, "amplitude", 0.5)
-        phase = config_number(rec, "phase", 0.0)
         x = grid.centers()
         if grid.dimension == 1:
-            v = 1.0 + amp * np.cos(2.0 * np.pi * (x - phase))
+            v = 1.0 + amp * np.cos(2.0 * np.pi * x)
         else:
-            v = 1.0 + amp * np.cos(2.0 * np.pi * (x[:, 0] - phase)) \
+            v = 1.0 + amp * np.cos(2.0 * np.pi * x[:, 0]) \
                 * np.cos(2.0 * np.pi * x[:, 1])
         return GridDensity(grid, v)
     if kind == "sawtooth":
@@ -283,9 +282,10 @@ def _run(config, kind: str, plan) -> RunResult:
 
     plan(cfg, rng, cache) returns the regime's per-sample _certify
     results (the first one sets the cone), a function from the block
-    length T to its map schedule, and a callback that, given the final
-    cone parameters, returns the regime's own (constants, certificates).
-    Holes and psi are drawn from rng after the plan's own draws.
+    length T to its map schedule and the constants that T sets, and the
+    regime's own constants and certificates.  The report takes the
+    constants of the last schedule, the one at the final T.  Holes and
+    psi are drawn from rng after the plan's own draws.
     """
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
@@ -293,7 +293,8 @@ def _run(config, kind: str, plan) -> RunResult:
         raise ConfigError(f"run_{kind} needs a {kind} config")
     rng = np.random.default_rng(cfg.seed)
     grid, cache = cfg.grid, OperatorCache()
-    samples, schedule, finish = plan(cfg, rng, cache)
+    samples, schedule, own_constants, own_certificates = \
+        plan(cfg, rng, cache)
     hseq = hole_schedule(cfg.holes, cfg.horizon, grid.dimension, rng)
 
     # the block length is the smallest T, growing from the selected one in
@@ -304,8 +305,8 @@ def _run(config, kind: str, plan) -> RunResult:
     if cfg.horizon < 2 * cp.T:
         raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
     while True:
-        ops = schedule_operators(schedule(cp.T), hseq, cfg.horizon, grid,
-                                 cache)
+        maps, schedule_constants = schedule(cp.T)
+        ops = schedule_operators(maps, hseq, cfg.horizon, grid, cache)
         if all(cfg.zeta1 < lo and hi < cfg.zeta2 for lo, hi in (
                 ratio_profile(ops[b * cp.T:(b + 1) * cp.T], cp.Q)[-1]
                 for b in range(cfg.horizon // cp.T))):
@@ -330,7 +331,6 @@ def _run(config, kind: str, plan) -> RunResult:
     for dens in (phi0, psi0):
         if not cone_member(dens, cp.a, cp.Q, cfg.seminorm).ok:
             raise ConfigError("initial densities fail the cone audit")
-    own_constants, own_certificates = finish(cp)
 
     records, peaks = _execute(ops, phi0, psi0, cfg.seminorm)
     budget = _grid_budget(records, peaks, grid, rate.c_lip)
@@ -341,7 +341,7 @@ def _run(config, kind: str, plan) -> RunResult:
                  "c_lip": rate.c_lip, "a": cp.a, "sigma": cp.sigma, "T": cp.T,
                  "zeta1": cp.zeta1, "zeta2": cp.zeta2, "grid_n": grid.n,
                  "budget_formula": "c_lip*m*h*peak_seminorm/2",
-                 **own_constants}
+                 **own_constants, **schedule_constants}
     certificates = {"cone_params": cp.to_config(), **own_certificates}
     return RunResult(records, fit, constants, certificates, flags, budget,
                      cfg.raw)
@@ -352,16 +352,13 @@ def _local_plan(cfg: ExperimentConfig, rng, cache):
     ly, base_cp = _certify(base, cfg.grid, cfg, cache)
     mseq = MapSequence(tuple(default_perturbation(base, cfg.delta, rng)
                              for _ in range(cfg.horizon)))
-
-    def finish(cp: ConeParams):
-        mix = base_cp.mixing
-        return {"d": cp.d, "M": cp.M}, {
-            "ly": ly.to_config(),
-            "mixing": {"E": mix.E, "ratio_min": mix.ratio_min,
-                       "ratio_max": mix.ratio_max,
-                       "i_checked": list(mix.i_checked)}}
-
-    return [(ly, base_cp)], lambda T: mseq, finish
+    mix = base_cp.mixing
+    certificates = {"ly": ly.to_config(),
+                    "mixing": {"E": mix.E, "ratio_min": mix.ratio_min,
+                               "ratio_max": mix.ratio_max,
+                               "i_checked": list(mix.i_checked)}}
+    return ([(ly, base_cp)], lambda T: (mseq, {}),
+            {"d": base_cp.d, "M": base_cp.M}, certificates)
 
 
 def run_local(config) -> RunResult:
@@ -413,34 +410,28 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
     samples = [_certify(family(s), cfg.grid, cfg, cache) for s in sample_us]
     xis = [_stability_radius(family, s, u0, u1, cfg.delta) for s in sample_us]
 
-    def speed(T: int) -> tuple:
-        """(speed limit, step) at block length T: a block of T steps moves
-        the parameter by at most half the smallest certified radius."""
+    def schedule(T: int) -> tuple:
+        """The traversal at block length T, with its speed limit and step:
+        a block of T steps moves the parameter by at most half the
+        smallest certified radius."""
         limit = min(xis) / (2.0 * T)
         step = limit if step_rec == "auto" else step_rec
         if u1 > u0 and step > limit + 1e-15:
             raise ConfigError(
                 f"parameter step {step:.4g} exceeds the speed limit "
                 f"{limit:.4g} at block length T = {T}")
-        return limit, step
-
-    def schedule(T: int) -> MapSequence:
-        step = speed(T)[1]
         us = [min(u1, u0 + k * step) for k in range(cfg.horizon)]
-        return MapSequence(tuple(family(u) for u in us))
+        maps = MapSequence(tuple(family(u) for u in us))
+        return maps, {"sigma_estimate": limit, "step": step}
 
-    def finish(cp: ConeParams):
-        sigma_estimate, step = speed(cp.T)
-        return {"sigma_estimate": sigma_estimate, "step": step,
-                "xi_samples": xis, "sample_points": sample_us}, {
-            "per_sample": [{
-                "u": s, "ly": ly.to_config(),
-                "mixing": {"E": c.mixing.E, "ratio_min": c.mixing.ratio_min,
-                           "ratio_max": c.mixing.ratio_max},
-                "T": c.T, "a": c.a,
-            } for s, (ly, c) in zip(sample_us, samples)]}
-
-    return samples, schedule, finish
+    certificates = {"per_sample": [{
+        "u": s, "ly": ly.to_config(),
+        "mixing": {"E": c.mixing.E, "ratio_min": c.mixing.ratio_min,
+                   "ratio_max": c.mixing.ratio_max},
+        "T": c.T, "a": c.a,
+    } for s, (ly, c) in zip(sample_us, samples)]}
+    return (samples, schedule,
+            {"xi_samples": xis, "sample_points": sample_us}, certificates)
 
 
 def run_global(config) -> RunResult:

@@ -60,9 +60,10 @@ def find_mixing_time(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
                      zeta2: float, i_max: int = 24):
     """Smallest E <= i_max with all pair ratios inside (zeta1, zeta2) for
     every E <= i <= i_max, or None when the window never stabilizes."""
-    cert = closed_certificate(build_closed(mapspec, Q.grid), Q, zeta1, zeta2,
-                              i_max)
-    return None if cert is None else cert.E
+    try:
+        return certify_mixing(mapspec, Q, zeta1, zeta2, i_max).E
+    except CertificateError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +87,11 @@ class MixingCertificate:
 
 
 def closed_certificate(closed: UlamOperator, Q: PartitionSpec, zeta1: float,
-                       zeta2: float, i_max: int = 24):
-    """The mixing certificate of a closed operator on Q, or None when the
-    ratio profile over steps 1..i_max ends outside (zeta1, zeta2).  E is
-    the first step after the last one whose ratios leave the window."""
+                       zeta2: float, i_max: int = 24) -> MixingCertificate:
+    """The mixing certificate of a closed operator on Q; CertificateError
+    when the ratio profile over steps 1..i_max ends outside (zeta1,
+    zeta2).  E is the first step after the last one whose ratios leave
+    the window."""
     if not (0.0 < zeta1 < 1.0 < zeta2):
         raise ParameterError("need 0 < zeta1 < 1 < zeta2")
     profile = ratio_profile([closed] * i_max, Q)
@@ -97,19 +99,16 @@ def closed_certificate(closed: UlamOperator, Q: PartitionSpec, zeta1: float,
     bad = np.flatnonzero(~ok)
     E = int(bad.max()) + 2 if bad.size else 1
     if E > i_max:
-        return None
+        raise CertificateError(
+            f"no mixing time within i_max = {i_max} for ({zeta1}, {zeta2})")
     rmin, rmax = profile[E - 1].tolist()
     return MixingCertificate(zeta1, zeta2, Q, E, rmin, rmax, (1, i_max))
 
 
 def certify_mixing(mapspec: MapSpec, Q: PartitionSpec, zeta1: float,
                    zeta2: float, i_max: int = 24) -> MixingCertificate:
-    cert = closed_certificate(build_closed(mapspec, Q.grid), Q, zeta1, zeta2,
+    return closed_certificate(build_closed(mapspec, Q.grid), Q, zeta1, zeta2,
                               i_max)
-    if cert is None:
-        raise CertificateError(
-            f"no mixing time within i_max = {i_max} for ({zeta1}, {zeta2})")
-    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,11 @@ class OscParams:
 
 
 def _osc_rows(V: np.ndarray, grid: Grid, p: OscParams) -> tuple:
-    """(ladder scales eps, eps^(-alpha) * mean oscillation: rows x scales)."""
+    """(ladder scales eps, eps^(-alpha) * mean oscillation: rows x scales).
+
+    The ladder stops at the first scale whose window spans the grid:
+    there every cell's oscillation is the global range, so each larger
+    scale only divides it by a larger eps^alpha."""
     # imported here: ndimage pulls in scipy.special, and only osc needs it
     from scipy import ndimage
     h, diam = grid.spacing, grid.cell_diameter
@@ -81,10 +85,11 @@ def _osc_rows(V: np.ndarray, grid: Grid, p: OscParams) -> tuple:
     k, dim = V.shape[0], grid.dimension
     W = V.reshape((k,) + (grid.n,) * dim)
     scales, cols = [], []
-    eps = diam
-    while eps <= p.eps0 * (1.0 + 1e-12):
+    eps, width = diam, 0
+    while eps <= p.eps0 * (1.0 + 1e-12) and width < grid.n:
         # cells overlapping the open ball of radius eps around a cell center
-        size = (1,) + (2 * int(math.floor(eps / h + 0.5 - 1e-12)) + 1,) * dim
+        width = 2 * int(math.floor(eps / h + 0.5 - 1e-12)) + 1
+        size = (1,) + (width,) * dim
         osc = ndimage.maximum_filter(W, size=size, mode="wrap") \
             - ndimage.minimum_filter(W, size=size, mode="wrap")
         scales.append(eps)

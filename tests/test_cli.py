@@ -405,13 +405,16 @@ def test_blocks_that_never_mix_exit_2(tmp_path, capsys):
     assert "property violation" in capsys.readouterr().err
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = write(tmp_path, "local.json", LOCAL_CFG)
-    assert main(["simulate-local", cfg, "--out", str(tmp_path / "a")]) == 0
-    assert main(["simulate-local", cfg, "--out", str(tmp_path / "b")]) == 0
-    for name in ("report.csv", "report_summary.json"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+@pytest.mark.parametrize("name", ["local.json", "global.json",
+                                  "local_2d.json"])
+def test_rerun_is_byte_identical(tmp_path, name):
+    cfg = pathlib.Path(__file__).parents[1] / "configs" / name
+    command = f"simulate-{_shipped(name)['kind']}"
+    assert main([command, str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert main([command, str(cfg), "--out", str(tmp_path / "b")]) == 0
+    for report in ("report.csv", "report_summary.json"):
+        assert (tmp_path / "a" / report).read_bytes() == \
+            (tmp_path / "b" / report).read_bytes()
 
 
 CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.json"))

@@ -4,7 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -13,9 +13,9 @@ from opendyn.cone import (ConeParams, birkhoff_factor, c_lip, delta0,
                           hilbert_distance_bound, rate_constants,
                           sample_cone_density, select_parameters,
                           verify_cone_contraction)
-from opendyn.errors import (ConfigError, ParameterError, PreconditionError,
-                            SelectionError)
-from opendyn.maps import doubling_map, map_from_config
+from opendyn.errors import (CertificateError, ConfigError, ParameterError,
+                            PreconditionError, SelectionError)
+from opendyn.maps import doubling_map, full_branch_map, map_from_config
 from opendyn.mixing import certify_mixing
 from opendyn.phase import Grid, dyadic_partition, dyadic_pool
 from opendyn.seminorm import SeminormSpec, cone_member, estimate_LY
@@ -175,6 +175,36 @@ def test_select_parameters_draws_pool_lazily(monkeypatch, C, drawn, elements):
     assert lazy.mixing.to_config() == eager.mixing.to_config()
 
 
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.05, 0.9), C=st.floats(1e-3, 3.0),
+       zeta1=st.floats(0.6, 0.95), zeta2=st.floats(1.05, 2.0),
+       sigma=st.floats(0.3, 0.8), T1=st.integers(1, 3),
+       i_max=st.integers(6, 19),
+       cuts=st.lists(st.integers(1, 19), min_size=1, max_size=3, unique=True),
+       level=st.integers(8, 10))
+def test_select_parameters_returns_its_fixpoint(theta, C, zeta1, zeta2, sigma,
+                                                T1, i_max, cuts, level):
+    # the returned (T, a, Q) is a fixpoint of the ordered choice: a is the
+    # aperture at T, Q the first pool partition a admits, and T a block
+    # length past Q's mixing time
+    # branches at most 0.6 long expand by at least 5/3
+    assume(np.diff([0] + sorted(cuts) + [20]).max() <= 12)
+    g = Grid(1, 2 ** level)
+    pool = list(dyadic_pool(g, 8))
+    base = build_closed(full_branch_map(sorted(c / 20 for c in cuts)), g)
+    try:
+        cp = select_parameters(zeta1, zeta2, theta, C, T1, TV, pool, base,
+                               sigma, i_max)
+    except (SelectionError, CertificateError):
+        return
+    half = zeta1 / 2.0
+    assert cp.a == max(C / (sigma * half - theta ** cp.T), 1.0)
+    assert cp.Q is next(Q for Q in pool
+                        if zeta2 * cp.a * TV.diam(Q) / TV.M(Q) <= half)
+    assert cp.mixing.partition is cp.Q and cp.E == cp.mixing.E
+    assert cp.T >= cp.mixing.E and cp.T % T1 == 0
+
+
 def test_select_parameters_input_validation(deadline):
     with pytest.raises(ParameterError):
         select_parameters(0.9, 1.1, 1.5, 1.0, 1, TV)
@@ -194,7 +224,13 @@ def test_select_parameters_input_validation(deadline):
         select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
                           [dyadic_partition(Grid(1, 2048), L)
                            for L in range(1, 9)], base, 0.5, 16)
-    with pytest.raises(SelectionError, match="no mixing time"):
+    with pytest.raises(ConfigError):
+        # a rerun may pick any drawn partition, so each is checked
+        select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
+                          [dyadic_partition(Grid(1, 2048), 1)]
+                          + [dyadic_partition(g, L) for L in range(2, 9)],
+                          base, 0.5, 16)
+    with pytest.raises(CertificateError, match="no mixing time"):
         # no dyadic level of the doubling map mixes in one step
         g = Grid(1, 1024)
         select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,

@@ -1,7 +1,11 @@
 """Every demo script and every Python example in README.md runs to
-completion against the current API."""
+completion against the current API, and every API name README.md cites
+exists."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,10 +13,21 @@ from pathlib import Path
 
 import pytest
 
+import opendyn
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
-                           (ROOT / "README.md").read_text(), re.M | re.S)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+# backticked `name(...)` calls and `Class.attr` references outside the
+# fenced blocks; a code span may wrap a line
+README_REFS = sorted({
+    m.group(1) or m.group(2)
+    for span in re.findall(r"`([^`]+)`",
+                           re.sub(r"^```.*?^```", "", README, flags=re.M | re.S))
+    for m in [re.match(r"([A-Za-z_][\w.]*)\(|([A-Z]\w*\.\w+)$", span)] if m})
+MODULES = [opendyn] + [importlib.import_module(f"opendyn.{m.name}")
+                       for m in pkgutil.iter_modules(opendyn.__path__)]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -33,3 +48,24 @@ def test_readme_example_runs(k, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(README_BLOCKS[k], f"README.md python block {k + 1}",
                  "exec"), {})
+
+
+def _resolves(ref: str) -> bool:
+    """ref is an attribute path of opendyn or one of its modules, or a
+    bare method name that some opendyn class defines."""
+    head, *rest = ref.split(".")
+    for mod in MODULES:
+        obj = getattr(mod, head, None)
+        for attr in rest:
+            obj = getattr(obj, attr, None)
+        if obj is not None:
+            return True
+    return not rest and any(
+        hasattr(cls, head) for mod in MODULES
+        for _, cls in inspect.getmembers(mod, inspect.isclass)
+        if cls.__module__.startswith("opendyn"))
+
+
+@pytest.mark.parametrize("ref", README_REFS)
+def test_readme_reference_resolves(ref):
+    assert _resolves(ref), f"README.md cites `{ref}`, which opendyn lacks"

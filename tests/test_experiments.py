@@ -373,9 +373,9 @@ def test_run_builds_its_operators_once(monkeypatch):
     assert calls == [LOCAL_CFG["horizon"]]
 
 
-def test_certify_computes_each_mixing_window_once(monkeypatch):
-    # selection and the reported mixing certificate share one window per
-    # certified sample
+@pytest.fixture
+def certificates(monkeypatch):
+    """The partitions of every closed mixing certificate computed."""
     calls = []
     real = opendyn.mixing.closed_certificate
 
@@ -385,9 +385,27 @@ def test_certify_computes_each_mixing_window_once(monkeypatch):
 
     for mod in (opendyn.cone, opendyn.mixing):
         monkeypatch.setattr(mod, "closed_certificate", counting)
+    return calls
+
+
+def test_certify_computes_each_mixing_window_once(certificates):
+    # selection and the reported mixing certificate share one window per
+    # certified sample
     res = run_local(LOCAL_CFG)
-    assert len(calls) == 1
+    assert len(certificates) == 1
     assert res.certificates["mixing"]["E"] == res.certificates["cone_params"]["E"]
+
+
+@pytest.mark.parametrize("name, samples", [
+    ("local.json", 1), ("global.json", 5), ("local_2d.json", 1)])
+def test_shipped_run_certifies_each_sample_once(certificates, name, samples):
+    # a partition that selection picks again in a later round keeps its
+    # certificate, so a run computes one closed mixing certificate per
+    # certified sample
+    cfg = json.loads((pathlib.Path(__file__).parents[1] / "configs"
+                      / name).read_text())
+    (run_local if cfg["kind"] == "local" else run_global)(cfg)
+    assert len(certificates) == samples
 
 
 def test_family_registry_slopes():

@@ -93,6 +93,21 @@ def test_oscillation_alpha_scaling():
     assert abs(semh.value(step_density(g)) - 4.0 * np.sqrt(0.125)) < 1e-12
 
 
+@pytest.mark.parametrize("dimension, n, eps0, rungs", [
+    (1, 64, 1e5, 6), (2, 16, 1000.0, 4)])
+def test_oscillation_ladder_stops_once_a_window_covers_the_grid(
+        deadline, dimension, n, eps0, rungs):
+    # past the first scale whose window spans the grid every cell's
+    # oscillation is the global range, so no larger eps0 moves the value
+    rng = np.random.default_rng(5)
+    phi = GridDensity(Grid(dimension, n), rng.uniform(0.1, 2.0, n ** dimension))
+    with deadline(10):
+        val, profile = oscillation_seminorm(phi, OscParams(0.5, eps0),
+                                            return_profile=True)
+    assert len(profile) <= rungs
+    assert val == oscillation_seminorm(phi, OscParams(0.5, 1.0))
+
+
 def test_oscillation_eps0_below_grid_rejected():
     g = Grid(1, 64)
     sem = SeminormSpec.from_config({"kind": "osc", "alpha": 1.0, "eps0": 1e-4})
