@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (CertificateError, ConfigError, ParameterError,
-                     PreconditionError, SelectionError, TotalEscapeError)
+                     PreconditionError, TotalEscapeError)
 from .phase import (Grid, config_count, config_integer, config_number,
                     config_record, config_seed, dyadic_partition, dyadic_pool)
 from .maps import MapSequence, map_from_config
@@ -107,11 +107,9 @@ def _cmd_select_params(args) -> int:
     cfg = _load_config(args.config)
     sem = SeminormSpec.from_config(
         config_record(cfg, "seminorm", {"kind": "tv"}))
-    pool = base = None
-    if "map" in cfg:
-        grid = Grid.from_config(config_record(cfg, "grid", {}))
-        base = build_closed(map_from_config(cfg["map"]), grid)
-        pool = dyadic_pool(grid, config_integer(cfg, "max_level", 8))
+    grid = Grid.from_config(config_record(cfg, "grid", {}))
+    base = build_closed(map_from_config(cfg["map"]), grid)
+    pool = dyadic_pool(grid, config_integer(cfg, "max_level", 8))
     num = partial(config_number, cfg)
     cp = select_parameters(num("zeta1"), num("zeta2"), num("theta"), num("C"),
                            config_count(cfg, "T1", 1), sem, pool, base,
@@ -180,8 +178,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (CertificateError, SelectionError, PreconditionError,
-            TotalEscapeError) as exc:
+    except (CertificateError, PreconditionError, TotalEscapeError) as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ParameterError, KeyError) as exc:

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigError, ParameterError, PreconditionError,
-                     SelectionError)
+from .errors import (CertificateError, ConfigError, ParameterError,
+                     PreconditionError)
 from .phase import (Grid, PartitionSpec, config_integer, config_number,
                     config_record)
 from .mixing import MixingCertificate, closed_certificate
@@ -29,11 +29,11 @@ from .transfer import GridDensity, UlamOperator, push
 class ConeParams:
     """Aperture, contraction target, block length, and partition data.
 
-    Q is None in analytic mode (no partition selected yet); then `d`
-    records the largest admissible partition diameter instead of the
-    selected one.  E is the certified mixing time of the reference map
-    on Q when one was computed, and `mixing` the certificate selection
-    computed it in.
+    `d` is always the diameter of a partition, the selected Q's in a
+    record `select_parameters` returns.  Q is None only in a record read
+    back by `from_config`.  E is the certified mixing time of the
+    reference map on Q, and `mixing` the certificate selection computed
+    it in.
     """
 
     a: float
@@ -86,14 +86,14 @@ class ConeParams:
     @staticmethod
     def from_config(rec: dict) -> "ConeParams":
         """Inverse of `to_config` for the scalars and the seminorm; the
-        partition Q is not read back."""
+        partition Q, and with it its mixing time E, is not read back."""
         sem = SeminormSpec.from_config(
             config_record(rec, "seminorm", {"kind": "tv"}))
         num = partial(config_number, rec)
         return ConeParams(a=num("a"), sigma=num("sigma", 0.5),
                           T=config_integer(rec, "T"), zeta1=num("zeta1"),
                           zeta2=num("zeta2"), seminorm=sem, d=num("d", 0.0),
-                          M=num("M", 1.0), E=rec.get("E"))
+                          M=num("M", 1.0))
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,9 @@ class RateConstants:
 # parameter selection
 
 def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
-                      T1: int, sem: SeminormSpec,
-                      partition_family=None,
-                      base: UlamOperator | None = None,
-                      sigma: float = 0.5, i_max: int = 24) -> ConeParams:
+                      T1: int, sem: SeminormSpec, partition_family,
+                      base: UlamOperator, sigma: float = 0.5,
+                      i_max: int = 24) -> ConeParams:
     """Ordered selection of (sigma, T, a, Q):
 
     grow T until theta^T/(zeta1/2) < sigma; take the smallest aperture
@@ -129,12 +128,11 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
     partition it admits is among those drawn.  A partition picked again
     keeps its mixing certificate.
 
-    With partition_family=None (analytic mode) selection stops after the
-    aperture step and reports the admissible-diameter bound in `d`.  A
-    family needs `base`, the closed base-map operator on the family's
-    grid; the result carries its mixing certificate on Q (`mixing`), and
-    a selected partition without a mixing time within i_max raises
-    CertificateError.
+    `base` is the closed base-map operator on the family's grid; the
+    result carries its mixing certificate on Q (`mixing`).  No
+    admissible selection raises CertificateError: theta_LY too close to
+    1 for T to settle, a family with no partition the aperture admits,
+    or a selected partition without a mixing time within i_max.
     """
     if not 0.0 < theta_LY < 1.0:
         raise ParameterError("theta_LY must lie in (0, 1)")
@@ -152,29 +150,23 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
     while theta_LY ** T / half >= sigma:
         T += T1
         if T > 10_000 * T1:
-            raise SelectionError("theta_LY too close to 1: T diverges")
+            raise CertificateError("theta_LY too close to 1: T diverges")
 
     def aperture(T: int) -> float:
         return max(C_LY / (sigma * half - theta_LY ** T), 1.0)
 
     a = aperture(T)
-    if partition_family is None:
-        # analytic mode: report the diameter the partition must meet
-        alpha = 1.0 if sem.kind == "tv" else sem.osc.alpha
-        d_max = (half / (zeta2 * a)) ** (1.0 / alpha)
-        return ConeParams(a, sigma, T, zeta1, zeta2, sem, None, d_max, 1.0)
-
     drawn = []                    # (Q, d, M) up to the first admissible Q
     for Q in partition_family:
-        if base is None or base.grid != Q.grid:
-            raise ConfigError("a partition family needs the base operator "
-                              "on its grid")
+        if base.grid != Q.grid:
+            raise ConfigError("the base operator must act on the "
+                              "partition family's grid")
         d, M = sem.diam(Q), sem.M(Q)
         drawn.append((Q, d, M))
         if zeta2 * a * d / M <= half:
             break
     else:
-        raise SelectionError(
+        raise CertificateError(
             f"partition family exhausted: need zeta2*a*d/M <= "
             f"{half:.4g} with a = {a:.4g}")
 

@@ -13,12 +13,8 @@ class PreconditionError(ValueError):
     """A certified precondition (cone membership, mixing window) fails."""
 
 
-class SelectionError(RuntimeError):
-    """Parameter search exhausted its lattice or partition pool."""
-
-
 class CertificateError(RuntimeError):
-    """No admissible certificate exists on the searched lattice."""
+    """No admissible certificate or cone selection on the searched lattice."""
 
 
 class ConfigError(ValueError):

@@ -126,7 +126,7 @@ class ExperimentConfig:
 @dataclass
 class RunResult:
     records: list           # dicts: m, mass_phi, mass_psi, l1_distance
-    fit: tuple              # (C_fit, lambda_fit, r2)
+    fit: tuple | None       # (C_fit, lambda_fit, r2); None below the floor
     constants: dict
     certificates: dict
     flags: dict
@@ -178,9 +178,8 @@ def _hole_size(rec: dict, key: str) -> float:
 
 
 def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
-    kind = rec.get("kind", "uniform")
-    if kind == "uniform":
-        return GridDensity.uniform(grid)
+    """The second initial density psi; the first, phi, is uniform."""
+    kind = rec.get("kind")
     if kind == "cosine_bump":
         amp = config_number(rec, "amplitude", 0.5)
         x = grid.centers()
@@ -265,11 +264,17 @@ def _grid_budget(records, peaks, grid: Grid, c_lip_val: float) -> list:
 
 
 def _flags_and_fit(records, budget, rate):
+    """The decay fit and the two verdict flags.  With fewer than 3
+    distances above FIT_FLOOR the fit is None, and fit_ok holds when none
+    after the second step is: the run forgot faster than a fit resolves."""
     series = [(r["m"], r["l1_distance"]) for r in records]
-    fit = fit_exponential(series)
     bound_ok = all(
         r["l1_distance"] <= rate.c0 * rate.lam ** r["m"] + b + 1e-12
         for r, b in zip(records, budget))
+    try:
+        fit = fit_exponential(series)
+    except ParameterError:
+        return None, bound_ok, all(d <= FIT_FLOOR for _, d in series[2:])
     fit_ok = fit[2] >= FIT_R2_MIN and fit[1] < 1.0
     return fit, bound_ok, fit_ok
 
@@ -468,7 +473,8 @@ def emit_report(result: RunResult, out_dir: str) -> dict:
 
     CSV schema: m,mass_phi,mass_psi,l1_distance with full-precision
     floats.  Summary sections: config_echo, certificates, constants,
-    fit, verdict.  Identical results produce byte-identical files.
+    fit (null without one), verdict.  Identical results produce
+    byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
@@ -481,8 +487,8 @@ def emit_report(result: RunResult, out_dir: str) -> dict:
         "config_echo": result.config_echo,
         "certificates": result.certificates,
         "constants": dict(result.constants, grid_budget=result.budget),
-        "fit": {"C_fit": result.fit[0], "lambda_fit": result.fit[1],
-                "r2": result.fit[2]},
+        "fit": None if result.fit is None else dict(
+            zip(("C_fit", "lambda_fit", "r2"), result.fit)),
         "verdict": {"flags": result.flags, "pass": result.passed},
     }
     summary_path = os.path.join(out_dir, "report_summary.json")

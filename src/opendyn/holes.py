@@ -185,9 +185,7 @@ def disk_hole(cx: float, cy: float, r: float) -> HoleSpec:
     return HoleSpec(2, disks=((cx, cy, r),))
 
 
-def hole_from_config(rec: dict):
-    if rec is None:
-        return None
+def hole_from_config(rec: dict) -> HoleSpec:
     if not isinstance(rec, dict):
         raise ConfigError(f"a 'hole' record must be an object, got {rec!r}")
     if "dimension" not in rec:

@@ -1,8 +1,10 @@
+import inspect
 import json
 import pathlib
 
 import pytest
 
+from opendyn import cli, errors
 from opendyn.cli import main
 from opendyn.errors import ConfigError
 from opendyn.experiments import run_local
@@ -191,6 +193,8 @@ def _torus(**map_rec):
     (LOCAL_CFG, "intervals", _static(intervals=[[0.1, 0.2, 0.3]])),
     (LOCAL_CFG, "disks", _static(dimension=2, disks=[[0.5, 0.5]])),
     (LOCAL_CFG, "hole", {"holes": {"kind": "static", "hole": [1, 0.1, 0.2]}}),
+    # a static schedule without a hole is not a second spelling of "none"
+    (LOCAL_CFG, "hole", {"holes": {"kind": "static", "hole": None}}),
     (LOCAL_CFG, "map", {"map": ["full_branch_1d", [0.5]]}),
     (LOCAL_CFG, "branches", {"map": {"kind": "affine_1d",
                                      "branches": [[0, "x", [0, 2]]]}}),
@@ -240,8 +244,8 @@ def _torus(**map_rec):
         "float_cert_samples", "text_step", "text_cut", "text_beta",
         "text_osc_alpha", "list_grid", "list_holes", "text_interval",
         "nested_cuts", "flat_intervals", "three_end_interval",
-        "two_number_disk", "list_hole", "list_map", "text_branch_end",
-        "flat_branches", "text_matrix", "text_offset",
+        "two_number_disk", "list_hole", "null_hole", "list_map",
+        "text_branch_end", "flat_branches", "text_matrix", "text_offset",
         "negative_seed", "global_negative_seed",
         "measure_over_one", "negative_measure", "epsilon_over_one",
         "torus_negative_epsilon", "negative_delta", "torus_negative_delta",
@@ -272,9 +276,9 @@ def test_config_cannot_disable_expansion_check(tmp_path, capsys):
 
 MIXING_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
               "grid": {"dimension": 1, "n": 256}, "zeta1": 0.9, "zeta2": 1.1}
-SELECT_CFG = {"zeta1": 0.9, "zeta2": 1.1, "theta": 0.5, "C": 1.0}
 LY_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
           "grid": {"dimension": 1, "n": 256}}
+SELECT_CFG = dict(LY_CFG, zeta1=0.9, zeta2=1.1, theta=0.5, C=1.0)
 CONE_PARAMS = {"a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
                "d": 1.0 / 11, "M": 1.0}
 
@@ -316,8 +320,7 @@ CONE_PARAMS = {"a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
     ("certify-ly", dict(LY_CFG, T1=-1, maps=[LY_CFG["map"]] * 4), "T1"),
     ("certify-ly", dict(LY_CFG, ensemble_size=0), "ensemble_size"),
     ("certify-mixing", dict(MIXING_CFG, i_max=0), "i_max"),
-    ("select-params", dict(SELECT_CFG, map=LY_CFG["map"], grid=LY_CFG["grid"],
-                           i_max=-2), "i_max"),
+    ("select-params", dict(SELECT_CFG, i_max=-2), "i_max"),
     ("select-params", dict(SELECT_CFG, T1=0), "T1"),
 ], ids=["certify_ly_k_max", "certify_ly_ensemble", "mixing_i_max",
         "select_max_level", "mixing_list_map", "select_list_map",
@@ -348,6 +351,52 @@ def test_partition_level_above_grid_named(tmp_path, capsys, deadline):
         assert main(["certify-mixing", write(tmp_path, "c.json", cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "0 to 12" in err
+
+
+def test_select_params_needs_a_map(tmp_path, capsys):
+    # cone parameters come only from a selection, which needs the base map
+    cfg = {k: v for k, v in _shipped("select.json").items() if k != "map"}
+    assert main(["select-params", write(tmp_path, "c.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "'map'" in err
+
+
+# every exception class the library defines, by the outcome it maps to
+EXIT_OF = {errors.CertificateError: (2, "property violation"),
+           errors.PreconditionError: (2, "property violation"),
+           errors.TotalEscapeError: (2, "property violation"),
+           errors.ConfigError: (1, "configuration error"),
+           errors.ParameterError: (1, "configuration error")}
+
+
+@pytest.mark.parametrize("cls", [
+    c for _, c in inspect.getmembers(errors, inspect.isclass)
+    if c.__module__ == errors.__name__ and not issubclass(c, Warning)],
+    ids=lambda c: c.__name__)
+def test_every_library_error_has_an_exit_code(tmp_path, capsys, monkeypatch,
+                                              cls):
+    def raising(args):
+        raise cls("raised")
+
+    monkeypatch.setattr(cli, "_cmd_constants", raising)
+    code, prefix = EXIT_OF[cls]
+    assert main(["constants", write(tmp_path, "c.json", {})]) == code
+    assert capsys.readouterr().err == f"{prefix}: raised\n"
+
+
+def test_run_that_forgets_at_once_reports(tmp_path):
+    # unperturbed doubling annihilates cos 2 pi x in one step, so every
+    # distance is 0: too few points to fit, and nothing left to forget
+    cfg = dict(_shipped("local.json"), delta=0.0, horizon=60,
+               holes={"kind": "static",
+                      "hole": {"dimension": 1, "intervals": [[0.3, 0.31]]}})
+    out = tmp_path / "out"
+    assert main(["simulate-local", write(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 0
+    s = json.loads((out / "report_summary.json").read_text())
+    assert s["fit"] is None
+    assert s["verdict"] == {"flags": {"bound_dominated": True,
+                                      "fit_ok": True}, "pass": True}
 
 
 def test_deep_partition_pool_exhausts_promptly(tmp_path, capsys, deadline):

@@ -14,7 +14,7 @@ from opendyn.cone import (ConeParams, birkhoff_factor, c_lip, delta0,
                           sample_cone_density, select_parameters,
                           verify_cone_contraction)
 from opendyn.errors import (CertificateError, ConfigError, ParameterError,
-                            PreconditionError, SelectionError)
+                            PreconditionError)
 from opendyn.maps import doubling_map, full_branch_map, map_from_config
 from opendyn.mixing import certify_mixing
 from opendyn.phase import Grid, dyadic_partition, dyadic_pool
@@ -22,6 +22,10 @@ from opendyn.seminorm import SeminormSpec, cone_member, estimate_LY
 from opendyn.transfer import GridDensity, build_closed
 
 TV = SeminormSpec.from_config({"kind": "tv"})
+# x -> 256x mixes every dyadic level of n = 1024 in one step, so its
+# mixing time never lifts T above the theta-floor
+G1024 = Grid(1, 1024)
+X256 = build_closed(full_branch_map([k / 256 for k in range(1, 256)]), G1024)
 
 mp.dps = 60
 
@@ -50,12 +54,13 @@ def test_cone_params_validation():
 
 
 def test_cone_params_config_roundtrip():
-    # the scalars and the seminorm read back; the partition Q is not read
+    # the scalars and the seminorm read back; the partition Q and its
+    # mixing time E are not read
     osc = SeminormSpec.from_config({"kind": "osc", "alpha": 0.7, "eps0": 0.25})
     cp = ConeParams(a=2.5, sigma=0.4, T=6, zeta1=0.8, zeta2=1.2, seminorm=osc,
                     Q=dyadic_partition(Grid(1, 64), 2), d=0.25, M=0.5, E=3)
     again = ConeParams.from_config(json.loads(json.dumps(cp.to_config())))
-    assert again == dataclasses.replace(cp, Q=None)
+    assert again == dataclasses.replace(cp, Q=None, E=None)
 
 
 def test_audit_flags_each_inequality():
@@ -76,13 +81,14 @@ def test_audit_flags_each_inequality():
 
 def test_select_parameters_analytic_worked_case():
     # zeta = (0.9, 1.1), theta = 0.5, C = 1, T1 = 1, sigma = 0.5:
-    # T = 3 (0.125/0.45 < 0.5), a = 1/(0.225 - 0.125) = 10,
-    # admissible diameter bound = 0.45 / (1.1 * 10)
-    cp = select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV)
+    # T = 3 (0.125/0.45 < 0.5), a = 1/(0.225 - 0.125) = 10, so the
+    # diameter must be at most 0.45 / (1.1 * 10): 32 arcs, where x -> 256x
+    # mixes in one step
+    cp = select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV, dyadic_pool(G1024, 8),
+                           X256, 0.5, 2)
     assert cp.T == 3
     assert abs(cp.a - 10.0) < 1e-12
-    assert cp.Q is None
-    assert abs(cp.d - 0.45 / 11.0) < 1e-12
+    assert (cp.Q.n_elements, cp.d, cp.E) == (32, 1 / 32, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -95,7 +101,13 @@ def test_analytic_aperture_is_its_closed_form(theta, C, sigma, zeta1, zeta2,
     # T is the least multiple of T1 with theta^T/(zeta1/2) < sigma, and a
     # the least aperture meeting (a*theta^T + C)/(zeta1/2) <= sigma*a,
     # bit for bit, with no rounding step that could enlarge it
-    cp = select_parameters(zeta1, zeta2, theta, C, T1, TV, sigma=sigma)
+    try:
+        cp = select_parameters(zeta1, zeta2, theta, C, T1, TV,
+                               dyadic_pool(G1024, 8), X256, sigma, 2)
+    except CertificateError as exc:
+        # an aperture too wide for the finest level's 256 arcs
+        assert "partition family exhausted" in str(exc)
+        return
     half = zeta1 / 2.0
     assert cp.T % T1 == 0 and theta ** cp.T / half < sigma
     assert cp.T == T1 or theta ** (cp.T - T1) / half >= sigma
@@ -195,7 +207,7 @@ def test_select_parameters_returns_its_fixpoint(theta, C, zeta1, zeta2, sigma,
     try:
         cp = select_parameters(zeta1, zeta2, theta, C, T1, TV, pool, base,
                                sigma, i_max)
-    except (SelectionError, CertificateError):
+    except CertificateError:
         return
     half = zeta1 / 2.0
     assert cp.a == max(C / (sigma * half - theta ** cp.T), 1.0)
@@ -206,16 +218,19 @@ def test_select_parameters_returns_its_fixpoint(theta, C, zeta1, zeta2, sigma,
 
 
 def test_select_parameters_input_validation(deadline):
-    with pytest.raises(ParameterError):
-        select_parameters(0.9, 1.1, 1.5, 1.0, 1, TV)
-    with pytest.raises(ParameterError):
-        select_parameters(0.0, 1.1, 0.5, 1.0, 1, TV)
-    # a block of T1 = 0 steps would grow T by nothing, forever
-    with deadline(10), pytest.raises(ParameterError, match="T1"):
-        select_parameters(0.9, 1.1, 0.5, 1.0, 0, TV)
     g = Grid(1, 4096)
     base = build_closed(doubling_map(), g)
-    with pytest.raises(SelectionError):
+    with pytest.raises(ParameterError):
+        select_parameters(0.9, 1.1, 1.5, 1.0, 1, TV, dyadic_pool(g, 8), base)
+    with pytest.raises(ParameterError):
+        select_parameters(0.0, 1.1, 0.5, 1.0, 1, TV, dyadic_pool(g, 8), base)
+    # a block of T1 = 0 steps would grow T by nothing, forever
+    with deadline(10), pytest.raises(ParameterError, match="T1"):
+        select_parameters(0.9, 1.1, 0.5, 1.0, 0, TV, dyadic_pool(g, 8), base)
+    with pytest.raises(CertificateError, match="T diverges"):
+        select_parameters(0.9, 1.1, 1.0 - 1e-9, 1.0, 1, TV,
+                          dyadic_pool(g, 8), base)
+    with pytest.raises(CertificateError, match="partition family exhausted"):
         # pool has only partitions too coarse for the required diameter
         select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
                           [dyadic_partition(g, 1)], base, 0.5, 16)
@@ -236,10 +251,6 @@ def test_select_parameters_input_validation(deadline):
         select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
                           [dyadic_partition(g, L) for L in range(1, 9)],
                           build_closed(doubling_map(), g), 0.5, 1)
-    with pytest.raises(ConfigError):
-        # a partition pool needs the base operator
-        select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV,
-                          [dyadic_partition(g, L) for L in range(1, 9)])
 
 
 def test_constants_worked_oracle():

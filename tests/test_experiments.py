@@ -92,15 +92,15 @@ def test_hole_schedule_kinds_and_cap():
 def test_build_density_kinds():
     g = Grid(1, 512)
     rng = np.random.default_rng(0)
-    u = build_density({"kind": "uniform"}, g, rng)
-    assert abs(u.mass - 1.0) < 1e-15
     b = build_density({"kind": "cosine_bump", "amplitude": 0.3}, g, rng)
     assert abs(b.mass - 1.0) < 1e-12
     assert b.values.min() > 0.0
     blocks = build_density({"kind": "blocks", "blocks": 8}, g, rng)
     assert abs(blocks.mass - 1.0) < 1e-12
-    with pytest.raises(ConfigError):
-        build_density({"kind": "what"}, g, rng)
+    # psi = phi0 would leave nothing to forget, so psi is never uniform
+    for rec in ({"kind": "what"}, {"kind": "uniform"}, {}):
+        with pytest.raises(ConfigError, match="unknown density kind"):
+            build_density(rec, g, rng)
 
 
 def test_config_validation():
