@@ -7,8 +7,7 @@ contraction rates, and reproducible experiment runs.
 """
 
 from .errors import (CertificateError, ConfigError,
-                     DegenerateParametersWarning, ParameterError,
-                     PreconditionError, TotalEscapeError)
+                     DegenerateParametersWarning, TotalEscapeError)
 from .phase import (Grid, PartitionSpec, diam_lambda, dyadic_partition,
                     metric_diam, partition_from_labels, torus_delta)
 from .maps import (Branch1D, MapSequence, MapSpec, affine_map, balance_check,

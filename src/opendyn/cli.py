@@ -24,8 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (CertificateError, ConfigError, ParameterError,
-                     PreconditionError, TotalEscapeError)
+from .errors import CertificateError, ConfigError, TotalEscapeError
 from .phase import (Grid, config_count, config_integer, config_number,
                     config_record, config_seed, dyadic_partition, dyadic_pool)
 from .maps import MapSequence, map_from_config
@@ -178,10 +177,10 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (CertificateError, PreconditionError, TotalEscapeError) as exc:
+    except (CertificateError, TotalEscapeError) as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ParameterError, KeyError) as exc:
+    except (ConfigError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as exc:

@@ -16,8 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CertificateError, ConfigError, ParameterError,
-                     PreconditionError)
+from .errors import CertificateError, ConfigError
 from .phase import (Grid, PartitionSpec, config_integer, config_number,
                     config_record)
 from .mixing import MixingCertificate, closed_certificate
@@ -51,11 +50,11 @@ class ConeParams:
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
-            raise ParameterError("sigma must lie in (0, 1)")
+            raise ConfigError("sigma must lie in (0, 1)")
         if self.a <= 0.0 or self.T < 1:
-            raise ParameterError("need a > 0 and T >= 1")
+            raise ConfigError("need a > 0 and T >= 1")
         if not (0.0 < self.zeta1 < 1.0 < self.zeta2):
-            raise ParameterError("need 0 < zeta1 < 1 < zeta2")
+            raise ConfigError("need 0 < zeta1 < 1 < zeta2")
 
     @property
     def adM(self) -> float:
@@ -135,15 +134,15 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
     or a selected partition without a mixing time within i_max.
     """
     if not 0.0 < theta_LY < 1.0:
-        raise ParameterError("theta_LY must lie in (0, 1)")
+        raise ConfigError("theta_LY must lie in (0, 1)")
     if C_LY < 0.0:
-        raise ParameterError("C_LY must be nonnegative")
+        raise ConfigError("C_LY must be nonnegative")
     if not (0.0 < zeta1 < 1.0 < zeta2):
-        raise ParameterError("need 0 < zeta1 < 1 < zeta2")
+        raise ConfigError("need 0 < zeta1 < 1 < zeta2")
     if not 0.0 < sigma < 1.0:
-        raise ParameterError("sigma must lie in (0, 1)")
+        raise ConfigError("sigma must lie in (0, 1)")
     if T1 < 1:
-        raise ParameterError("T1 must be at least 1")
+        raise ConfigError("T1 must be at least 1")
 
     half = zeta1 / 2.0
     T = T1
@@ -184,11 +183,11 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
 # constants
 
 def _lower(cp: ConeParams) -> float:
-    """The lower control coefficient zeta1 - zeta2*a*d/M; ParameterError
+    """The lower control coefficient zeta1 - zeta2*a*d/M; ConfigError
     unless it is positive."""
     lo = cp.zeta1 - cp.zeta2 * cp.adM
     if lo <= 0.0:
-        raise ParameterError("zeta1 - zeta2*a*d/M must be positive")
+        raise ConfigError("zeta1 - zeta2*a*d/M must be positive")
     return lo
 
 
@@ -202,7 +201,7 @@ def birkhoff_factor(delta: float) -> float:
     """Contraction factor tanh(delta/4) of a positive map with image
     diameter delta; an infinite diameter contracts nothing."""
     if delta < 0.0:
-        raise ParameterError("delta must be nonnegative")
+        raise ConfigError("delta must be nonnegative")
     if math.isinf(delta):
         return 1.0
     return math.tanh(delta / 4.0)
@@ -234,12 +233,12 @@ def hilbert_distance_bound(phi_star: GridDensity, psi_star: GridDensity,
     for name, phi in (("phi", phi_star), ("psi", psi_star)):
         chk = cone_member(phi, cp.sigma * cp.a, cp.Q, cp.seminorm)
         if not chk.ok:
-            raise PreconditionError(
+            raise CertificateError(
                 f"{name} not in the contracted cone: margin {chk.margin:.3g}")
     e_phi = element_expectations(phi_star, cp.Q)
     e_psi = element_expectations(psi_star, cp.Q)
     if (e_phi <= 0.0).any() or (e_psi <= 0.0).any():
-        raise PreconditionError("zero conditional expectation on an element")
+        raise CertificateError("zero conditional expectation on an element")
     r = e_psi / e_phi
     return 2.0 * math.log((1.0 + cp.sigma) / (1.0 - cp.sigma)) \
         + math.log(float(r.max())) - math.log(float(r.min()))
@@ -269,7 +268,10 @@ def sample_cone_density(grid: Grid, Q: PartitionSpec, a: float,
     c_pos = 0.99 / abs(float(u.min())) if u.min() < 0.0 else np.inf
     c = min(c_cone, c_pos)
     phi = GridDensity(grid, 1.0 + c * u)
-    assert cone_member(phi, a, Q, sem).ok
+    check = cone_member(phi, a, Q, sem)
+    if not check.ok:
+        raise CertificateError(f"sampled density not in the aperture-{a:.4g}"
+                               f" cone: margin {check.margin:.3g}")
     return phi
 
 
@@ -292,7 +294,7 @@ def verify_cone_contraction(ops: list, cp: ConeParams, samples: int = 100,
         raise ConfigError(f"block of {len(ops)} operators, need T = {cp.T}")
     fails = cp.audit(theta_LY, C_LY, T1)
     if fails:
-        raise PreconditionError("; ".join(fails))
+        raise CertificateError("; ".join(fails))
     rng = np.random.default_rng(seed)
     grid = cp.Q.grid
     V = np.column_stack([sample_cone_density(grid, cp.Q, cp.a, cp.seminorm,

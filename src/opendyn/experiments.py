@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CertificateError, ConfigError, ParameterError,
-                     TotalEscapeError)
+from .errors import CertificateError, ConfigError, TotalEscapeError
 from .phase import (Grid, config_count, config_integer, config_number,
                     config_record, config_seed, dyadic_pool)
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
@@ -100,15 +99,18 @@ class ExperimentConfig:
             T1 = config_count(cfg, "T1", 1)
             delta = config_number(cfg, "delta", 0.0)
             _check(delta >= 0.0, "delta", "be non-negative", delta)
+            zeta1 = config_number(cfg, "zeta1", 0.8)
+            zeta2 = config_number(cfg, "zeta2", 1.2)
+            sigma = config_number(cfg, "sigma", 0.5)
+            _check(0.0 < zeta1 < 1.0, "zeta1", "lie in (0, 1)", zeta1)
+            _check(zeta2 > 1.0, "zeta2", "exceed 1", zeta2)
+            _check(0.0 < sigma < 1.0, "sigma", "lie in (0, 1)", sigma)
             sem = SeminormSpec.from_config(
                 config_record(cfg, "seminorm", {"kind": "tv"}))
             out = ExperimentConfig(
                 kind=kind, grid=grid, horizon=horizon,
-                seed=config_seed(cfg, "seed", 0),
-                zeta1=config_number(cfg, "zeta1", 0.8),
-                zeta2=config_number(cfg, "zeta2", 1.2),
-                sigma=config_number(cfg, "sigma", 0.5),
-                T1=T1, seminorm=sem, delta=delta,
+                seed=config_seed(cfg, "seed", 0), zeta1=zeta1, zeta2=zeta2,
+                sigma=sigma, T1=T1, seminorm=sem, delta=delta,
                 holes=config_record(cfg, "holes", {"kind": "none"}),
                 psi=config_record(cfg, "psi", {"kind": "cosine_bump",
                                                "amplitude": 0.15}),
@@ -273,7 +275,7 @@ def _flags_and_fit(records, budget, rate):
         for r, b in zip(records, budget))
     try:
         fit = fit_exponential(series)
-    except ParameterError:
+    except ConfigError:
         return None, bound_ok, all(d <= FIT_FLOOR for _, d in series[2:])
     fit_ok = fit[2] >= FIT_R2_MIN and fit[1] < 1.0
     return fit, bound_ok, fit_ok
@@ -454,7 +456,7 @@ def fit_exponential(series) -> tuple:
     ignoring entries at or below the 1e-14 floor."""
     pts = [(float(m), float(d)) for m, d in series if d > FIT_FLOOR]
     if len(pts) < 3:
-        raise ParameterError("need at least 3 points above the fit floor")
+        raise ConfigError("need at least 3 points above the fit floor")
     mm = np.array([p[0] for p in pts])
     dd = np.log(np.array([p[1] for p in pts]))
     if np.ptp(dd) == 0.0:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .phase import Grid, config_numbers, torus_delta
+from .phase import (Grid, config_integer, config_numbers, is_integer,
+                    torus_delta)
 
 
 def _normalize_intervals(intervals) -> tuple:
@@ -91,6 +92,9 @@ class HoleSpec:
     disks: tuple = ()         # ((cx, cy, r), ...)
 
     def __post_init__(self):
+        if not is_integer(self.dimension):
+            raise ConfigError(f"hole dimension must be an integer, "
+                              f"got {self.dimension!r}")
         if self.dimension == 1:
             if self.rects or self.disks:
                 raise ConfigError("1D holes take intervals only")
@@ -190,7 +194,7 @@ def hole_from_config(rec: dict) -> HoleSpec:
         raise ConfigError(f"a 'hole' record must be an object, got {rec!r}")
     if "dimension" not in rec:
         raise ConfigError("hole config missing key 'dimension'")
-    return HoleSpec(rec["dimension"],
+    return HoleSpec(config_integer(rec, "dimension"),
                     intervals=config_numbers(rec, "intervals", (), width=2),
                     rects=config_numbers(rec, "rects", (), width=4),
                     disks=config_numbers(rec, "disks", (), width=3))

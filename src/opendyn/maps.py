@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .phase import config_number, config_numbers, finite_float, torus_delta
 
 
@@ -126,7 +126,7 @@ class MapSpec:
             raise ConfigError("dimension must be 1 or 2")
         # not s < 1 rather than s >= 1: a NaN s is not expanding either
         if self.check_expanding and not self.s < 1.0:
-            raise ParameterError(f"map is not uniformly expanding: s = {self.s:.6g}")
+            raise ConfigError(f"map is not uniformly expanding: s = {self.s:.6g}")
 
     # -- basic data ---------------------------------------------------------
 
@@ -322,9 +322,9 @@ def balance_check(s_T: float, kappa_T: float, alpha: float, N: int) -> tuple:
         s_T^alpha + (4 s_T kappa_T / (1 - s_T)) * xi_{N-1}/xi_N  <  1.
     """
     if not 0.0 < s_T < 1.0:
-        raise ParameterError("need 0 < s_T < 1")
+        raise ConfigError("need 0 < s_T < 1")
     if kappa_T < 0 or N < 1 or not 0.0 < alpha <= 1.0:
-        raise ParameterError("bad kappa, alpha, or dimension")
+        raise ConfigError("bad kappa, alpha, or dimension")
     value = s_T ** alpha + (4.0 * s_T * kappa_T / (1.0 - s_T)) \
         * unit_ball_volume(N - 1) / unit_ball_volume(N)
     return value, value < 1.0

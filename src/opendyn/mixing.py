@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, ConfigError, ParameterError
+from .errors import CertificateError, ConfigError
 from .maps import (Branch1D, MapSpec, full_branch_map, is_perturbation,
                    matrix_map)
 from .holes import HoleSpec
@@ -93,7 +93,7 @@ def closed_certificate(closed: UlamOperator, Q: PartitionSpec, zeta1: float,
     zeta2).  E is the first step after the last one whose ratios leave
     the window."""
     if not (0.0 < zeta1 < 1.0 < zeta2):
-        raise ParameterError("need 0 < zeta1 < 1 < zeta2")
+        raise ConfigError("need 0 < zeta1 < 1 < zeta2")
     profile = ratio_profile([closed] * i_max, Q)
     ok = (zeta1 < profile[:, 0]) & (profile[:, 1] < zeta2)
     bad = np.flatnonzero(~ok)

@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CertificateError, ConfigError, DegenerateParametersWarning,
-                     ParameterError, PreconditionError)
+from .errors import CertificateError, ConfigError, DegenerateParametersWarning
 from .mixing import ratio_profile
 from .phase import (Grid, PartitionSpec, config_number, diam_lambda,
                     metric_diam)
@@ -186,7 +185,7 @@ def cone_member(phi: GridDensity, a: float, Q: PartitionSpec,
     (the per-element form: the seminorm is dominated by a times the
     smallest conditional expectation).  Margin = a*minE - |phi|_s."""
     if a <= 0.0:
-        raise ParameterError("aperture a must be positive")
+        raise ConfigError("aperture a must be positive")
     vmin = float(phi.values.min())
     sval = sem.value(phi)
     emin = float(element_expectations(phi, Q).min())
@@ -219,10 +218,10 @@ def control_bounds_check(ops: list, Q: PartitionSpec, zeta1: float,
     the block mixes on Q within (zeta1, zeta2)."""
     check = cone_member(phi, a, Q, sem)
     if not check.ok:
-        raise PreconditionError(f"phi not in the cone: margin {check.margin:.3g}")
+        raise CertificateError(f"phi not in the cone: margin {check.margin:.3g}")
     rmin, rmax = ratio_profile(ops, Q)[-1]
     if not (zeta1 < rmin and rmax < zeta2):
-        raise PreconditionError(
+        raise CertificateError(
             f"block ratios [{rmin:.4g}, {rmax:.4g}] escape ({zeta1}, {zeta2})")
     d = sem.diam(Q)
     lo_coef = zeta1 - zeta2 * (a / M) * d

@@ -72,8 +72,11 @@ class GridDensity:
 
 
 def normalize(phi: GridDensity) -> GridDensity:
-    """Rescale to unit mass; TotalEscapeError at or below MASS_FLOOR."""
+    """Rescale to unit mass; ConfigError when the mass is NaN or infinite,
+    TotalEscapeError at or below MASS_FLOOR."""
     m = phi.mass
+    if not math.isfinite(m):
+        raise ConfigError(f"cannot normalize: mass {m} is not finite")
     if m <= MASS_FLOOR:
         raise TotalEscapeError(f"cannot normalize: mass {m:.3g} at or below floor")
     return GridDensity(phi.grid, phi.values / m)

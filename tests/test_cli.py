@@ -1,6 +1,9 @@
 import inspect
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -239,6 +242,13 @@ def _torus(**map_rec):
     (LOCAL_CFG, "kind", {"seminorm": {"kind": "l2", "alpha": 1,
                                       "eps0": 0.1}}),
     (LOCAL_CFG, "kind", {"seminorm": {"kind": "l2"}}),
+    # the mixing window is 0 < zeta1 < 1 < zeta2 and the cone contracts by
+    # sigma in (0, 1); refused before any operator is built
+    (LOCAL_CFG, "zeta1", {"zeta1": 1.2}),
+    (LOCAL_CFG, "zeta2", {"zeta2": 0.9}),
+    (LOCAL_CFG, "sigma", {"sigma": 1.5}),
+    (LOCAL_CFG, "sigma", {"sigma": 0}),
+    (GLOBAL_CFG, "zeta1", {"zeta1": 0.0}),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
         "float_cert_samples", "text_step", "text_cut", "text_beta",
@@ -253,7 +263,8 @@ def _torus(**map_rec):
         "backward_traversal", "zero_cert_samples", "negative_cert_samples",
         "zero_T1", "repeated_cuts", "unsorted_cuts", "u_start_over_one",
         "u_end_over_one", "negative_u_start", "unknown_seminorm_kind",
-        "bare_unknown_seminorm_kind"])
+        "bare_unknown_seminorm_kind", "zeta1_over_one", "zeta2_under_one",
+        "sigma_over_one", "zero_sigma", "global_zero_zeta1"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     # local and global runs refuse a bad value by name, with no traceback
     # and no later failure that hides the cause
@@ -363,10 +374,8 @@ def test_select_params_needs_a_map(tmp_path, capsys):
 
 # every exception class the library defines, by the outcome it maps to
 EXIT_OF = {errors.CertificateError: (2, "property violation"),
-           errors.PreconditionError: (2, "property violation"),
            errors.TotalEscapeError: (2, "property violation"),
-           errors.ConfigError: (1, "configuration error"),
-           errors.ParameterError: (1, "configuration error")}
+           errors.ConfigError: (1, "configuration error")}
 
 
 @pytest.mark.parametrize("cls", [
@@ -464,6 +473,24 @@ def test_rerun_is_byte_identical(tmp_path, name):
     for report in ("report.csv", "report_summary.json"):
         assert (tmp_path / "a" / report).read_bytes() == \
             (tmp_path / "b" / report).read_bytes()
+
+
+def test_reports_do_not_depend_on_hash_order(tmp_path):
+    # a rerun inside one process shares its string-hash seed, so run the
+    # CLI in two fresh interpreters that hash differently
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    for seed in ("0", "1"):
+        subprocess.run([sys.executable, "-m", "opendyn.cli", "simulate-local",
+                        str(root / "configs" / "local.json"),
+                        "--out", str(tmp_path / seed)], check=True,
+                       timeout=120, capture_output=True,
+                       env=dict(os.environ, PYTHONPATH=path,
+                                PYTHONHASHSEED=seed))
+    for report in ("report.csv", "report_summary.json"):
+        assert (tmp_path / "0" / report).read_bytes() == \
+            (tmp_path / "1" / report).read_bytes()
 
 
 CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.json"))

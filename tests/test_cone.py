@@ -8,17 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from opendyn import phase
+from opendyn import cone, phase
 from opendyn.cone import (ConeParams, birkhoff_factor, c_lip, delta0,
                           hilbert_distance_bound, rate_constants,
                           sample_cone_density, select_parameters,
                           verify_cone_contraction)
-from opendyn.errors import (CertificateError, ConfigError, ParameterError,
-                            PreconditionError)
+from opendyn.errors import CertificateError, ConfigError
 from opendyn.maps import doubling_map, full_branch_map, map_from_config
 from opendyn.mixing import certify_mixing
 from opendyn.phase import Grid, dyadic_partition, dyadic_pool
-from opendyn.seminorm import SeminormSpec, cone_member, estimate_LY
+from opendyn.seminorm import (ConeCheck, SeminormSpec, cone_member,
+                              estimate_LY)
 from opendyn.transfer import GridDensity, build_closed
 
 TV = SeminormSpec.from_config({"kind": "tv"})
@@ -45,11 +45,11 @@ def mp_rate(sigma, zeta1, zeta2, adm, T):
 
 
 def test_cone_params_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         ConeParams(a=1.0, sigma=1.5, T=1, zeta1=0.9, zeta2=1.1, seminorm=TV)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         ConeParams(a=-1.0, sigma=0.5, T=1, zeta1=0.9, zeta2=1.1, seminorm=TV)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         ConeParams(a=1.0, sigma=0.5, T=1, zeta1=1.1, zeta2=0.9, seminorm=TV)
 
 
@@ -220,12 +220,12 @@ def test_select_parameters_returns_its_fixpoint(theta, C, zeta1, zeta2, sigma,
 def test_select_parameters_input_validation(deadline):
     g = Grid(1, 4096)
     base = build_closed(doubling_map(), g)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         select_parameters(0.9, 1.1, 1.5, 1.0, 1, TV, dyadic_pool(g, 8), base)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         select_parameters(0.0, 1.1, 0.5, 1.0, 1, TV, dyadic_pool(g, 8), base)
     # a block of T1 = 0 steps would grow T by nothing, forever
-    with deadline(10), pytest.raises(ParameterError, match="T1"):
+    with deadline(10), pytest.raises(ConfigError, match="T1"):
         select_parameters(0.9, 1.1, 0.5, 1.0, 0, TV, dyadic_pool(g, 8), base)
     with pytest.raises(CertificateError, match="T diverges"):
         select_parameters(0.9, 1.1, 1.0 - 1e-9, 1.0, 1, TV,
@@ -290,14 +290,14 @@ def test_constants_against_high_precision():
 def test_birkhoff_factor_edges():
     assert birkhoff_factor(np.inf) == 1.0
     assert birkhoff_factor(0.0) == 0.0
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         birkhoff_factor(-1.0)
 
 
 def test_delta0_requires_positive_lower_coefficient():
     cp = ConeParams(a=10.0, sigma=0.5, T=1, zeta1=0.9, zeta2=1.1, seminorm=TV,
                     d=0.25, M=1.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         delta0(cp)
 
 
@@ -321,7 +321,7 @@ def test_hilbert_distance_bound_preconditions():
     cp = ConeParams(a=1.0, sigma=0.5, T=1, zeta1=0.9, zeta2=1.1, seminorm=TV,
                     Q=Q)
     spiky = GridDensity.from_function(g, lambda x: 1.0 + 5.0 * (x < 0.01))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(CertificateError, match="contracted cone"):
         hilbert_distance_bound(spiky, GridDensity.uniform(g), cp)
     cp_noq = ConeParams(a=1.0, sigma=0.5, T=1, zeta1=0.9, zeta2=1.1,
                         seminorm=TV)
@@ -340,6 +340,16 @@ def test_sample_cone_density_membership():
             chk = cone_member(phi, a, Q, TV)
             assert chk.ok
             assert phi.values.min() >= 0.0
+
+
+def test_sample_cone_density_checks_membership(monkeypatch):
+    # the membership check is a raise, not an assert, so it holds under -O
+    g = Grid(1, 256)
+    monkeypatch.setattr(cone, "cone_member",
+                        lambda *args: ConeCheck(False, -1.0, 2.0, 1.0))
+    with pytest.raises(CertificateError, match="not in the aperture-2 cone"):
+        sample_cone_density(g, dyadic_partition(g, 2), 2.0, TV,
+                            np.random.default_rng(0))
 
 
 def test_verify_cone_contraction_certified():
@@ -366,6 +376,6 @@ def test_verify_cone_contraction_rejects_bad_params():
     ops = [build_closed(doubling_map(), g)] * 2
     bad = ConeParams(a=10.0, sigma=0.5, T=2, zeta1=0.9, zeta2=1.1, seminorm=TV,
                      Q=dyadic_partition(g, 2), d=0.25, M=1.0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(CertificateError, match=r"\(P3\)"):
         verify_cone_contraction(ops, bad, samples=5, seed=0,
                                 theta_LY=0.5, C_LY=1.0, T1=1)

@@ -10,8 +10,7 @@ import opendyn.cone
 import opendyn.experiments
 import opendyn.mixing
 import opendyn.seminorm
-from opendyn.errors import (CertificateError, ConfigError, ParameterError,
-                            TotalEscapeError)
+from opendyn.errors import CertificateError, ConfigError, TotalEscapeError
 from opendyn.experiments import (FAMILIES, ExperimentConfig, _execute,
                                  build_density, emit_report, fit_exponential,
                                  hole_schedule, run_global,
@@ -55,14 +54,14 @@ def test_fit_exponential_constant_series():
 
 
 def test_fit_exponential_floor_and_minimum_points():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         fit_exponential([(1, 0.5), (2, 0.25)])
     # values at or below 1e-14 are ignored
     series = [(m, 5.0 * 0.5 ** m) for m in range(1, 10)]
     series += [(99, 1e-15), (100, 0.0)]
     C, lam, r2 = fit_exponential(series)
     assert abs(lam - 0.5) < 1e-9
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         fit_exponential([(1, 0.0), (2, 0.0), (3, 1e-16)])
 
 

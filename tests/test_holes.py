@@ -164,6 +164,15 @@ def test_hole_config_roundtrip():
         assert h2 == h
 
 
+@pytest.mark.parametrize("dimension", [True, 1.0], ids=["bool", "float"])
+def test_hole_dimension_is_an_integer(dimension):
+    # the configuration integer rule Grid applies to its own dimension
+    with pytest.raises(ConfigError, match="'dimension'"):
+        hole_from_config({"dimension": dimension, "intervals": [[0.1, 0.2]]})
+    with pytest.raises(ConfigError, match="hole dimension"):
+        HoleSpec(dimension, intervals=((0.1, 0.2),))
+
+
 def test_hole_sequence_indexing():
     h = interval_hole(0.0, 0.5)
     seq = HoleSequence.static(h, 3)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opendyn import maps
-from opendyn.errors import ConfigError, ParameterError
+from opendyn.errors import ConfigError
 from opendyn.maps import (Branch1D, MapSequence, MapSpec, affine_map,
                           balance_check, beta_map, doubling_map,
                           full_branch_map, is_perturbation, map_from_config,
@@ -55,7 +55,7 @@ def test_branch_tiling_validation():
 
 
 def test_non_expanding_rejected():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         affine_map([0.5], [1.0, 1.0], [0.0, 0.5])
     # same data accepted with the check off
     m = affine_map([0.5], [1.0, 1.0], [0.0, 0.5], check_expanding=False)
@@ -63,7 +63,7 @@ def test_non_expanding_rejected():
     # a NaN slope makes s NaN, on either branch, and NaN is not below 1
     nan = float("nan")
     for slopes in ([nan, 2.0], [2.0, nan]):
-        with pytest.raises(ParameterError, match="s = nan"):
+        with pytest.raises(ConfigError, match="s = nan"):
             affine_map([0.5], slopes, [0.0, -1.0])
 
 
@@ -92,7 +92,7 @@ def test_expansion_bound_oracles():
     # [[2,1],[1,1]] is not expanding: 1/sigma_min = (3+sqrt 5)/2 > 1
     mm = matrix_map([[2, 1], [1, 1]], check_expanding=False)
     assert abs(mm.s - GOLDEN_MEAN_SQ) < 1e-12
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         matrix_map([[2, 1], [1, 1]])
 
 

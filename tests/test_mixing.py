@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opendyn.errors import CertificateError, ConfigError, ParameterError
+from opendyn.errors import CertificateError, ConfigError
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import (MapSequence, beta_map, doubling_map,
                           full_branch_map, is_perturbation, matrix_map,
@@ -53,9 +53,9 @@ def test_mixing_time_not_found():
 def test_mixing_window_validation():
     g = Grid(1, 1024)
     Q = dyadic_partition(g, 2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         find_mixing_time(doubling_map(), Q, 0.0, 1.1, 5)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         find_mixing_time(doubling_map(), Q, 0.9, 0.95, 5)
 
 

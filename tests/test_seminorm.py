@@ -14,8 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from opendyn.errors import (CertificateError, ConfigError,
-                            DegenerateParametersWarning, ParameterError,
-                            PreconditionError)
+                            DegenerateParametersWarning)
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import MapSequence, doubling_map, tripling_map
 from opendyn.phase import Grid, dyadic_partition, partition_from_labels
@@ -266,7 +265,7 @@ def test_cone_member_margin():
     assert not cone_member(tight, 2.0, Q, TV).ok
     neg = GridDensity.from_function(g, lambda x: np.cos(2 * np.pi * x))
     assert not cone_member(neg, 100.0, Q, TV).ok
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         cone_member(phi, 0.0, Q, TV)
 
 
@@ -291,7 +290,7 @@ def test_control_bounds_cone_precondition():
     Q = dyadic_partition(g, 2)
     ops = [build_closed(doubling_map(), g)] * 3
     spike = GridDensity.from_function(g, lambda x: 1.0 + 50.0 * (x < 0.01))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(CertificateError, match="not in the cone"):
         control_bounds_check(ops, Q, 0.9, 1.1, a=1.0, M=1.0, phi=spike,
                              sem=TV)
 
@@ -302,7 +301,7 @@ def test_control_bounds_mixing_precondition():
     ops = [build_closed(doubling_map(), g)]
     phi = GridDensity.uniform(g)
     # one doubling step cannot mix 16 arcs into a (0.9, 1.1) window
-    with pytest.raises(PreconditionError):
+    with pytest.raises(CertificateError, match="block ratios"):
         control_bounds_check(ops, Q, 0.9, 1.1, a=50.0, M=1.0, phi=phi,
                              sem=TV)
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -311,6 +312,19 @@ def test_escape_everything_first_step():
     assert abs(es[1]) < 1e-12 and abs(es[2]) < 1e-12
     with pytest.raises(TotalEscapeError):
         normalize(traj[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus_inf"])
+def test_normalize_refuses_non_finite_mass(bad):
+    # a NaN or infinite cell is malformed input, not escaped mass: no NaN
+    # density, no RuntimeWarning, no TotalEscapeError
+    values = np.ones(64)
+    values[5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="not finite"):
+            normalize(GridDensity(Grid(1, 64), values))
 
 
 def test_closed_run_conserves_mass():
