@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import CertificateError, ConfigError, TotalEscapeError
-from .phase import (Grid, config_count, config_integer, config_number,
+from .phase import (Grid, config_count, config_integer, config_parameter,
                     config_record, config_seed, dyadic_partition, dyadic_pool)
 from .maps import MapSequence, map_from_config
 from .seminorm import SeminormSpec, estimate_LY
@@ -67,8 +67,8 @@ def _cmd_certify_mixing(args) -> int:
     mapspec = map_from_config(cfg["map"])
     Q = dyadic_partition(grid, config_integer(
         config_record(cfg, "partition", {}), "level", 4))
-    cert = certify_mixing(mapspec, Q, config_number(cfg, "zeta1"),
-                          config_number(cfg, "zeta2"),
+    cert = certify_mixing(mapspec, Q, config_parameter(cfg, "zeta1"),
+                          config_parameter(cfg, "zeta2"),
                           config_count(cfg, "i_max", 24))
     _emit(cert.to_config(), args.out, "mixing_certificate.json")
     print(f"mixing time E = {cert.E}")
@@ -109,7 +109,7 @@ def _cmd_select_params(args) -> int:
     grid = Grid.from_config(config_record(cfg, "grid", {}))
     base = build_closed(map_from_config(cfg["map"]), grid)
     pool = dyadic_pool(grid, config_integer(cfg, "max_level", 8))
-    num = partial(config_number, cfg)
+    num = partial(config_parameter, cfg)
     cp = select_parameters(num("zeta1"), num("zeta2"), num("theta"), num("C"),
                            config_count(cfg, "T1", 1), sem, pool, base,
                            num("sigma", 0.5), config_count(cfg, "i_max", 24))
@@ -120,7 +120,12 @@ def _cmd_select_params(args) -> int:
 
 def _cmd_constants(args) -> int:
     cfg = _load_config(args.config)
-    cp = ConeParams.from_config(config_record(cfg, "cone_params", cfg))
+    rec = config_record(cfg, "cone_params", cfg)
+    # ConeParams checks these ranges too, but without naming the key
+    config_parameter(rec, "sigma", 0.5)
+    config_parameter(rec, "zeta1")
+    config_parameter(rec, "zeta2")
+    cp = ConeParams.from_config(rec)
     rate = rate_constants(cp)
     out = {"delta0": rate.delta0, "c_lip": rate.c_lip, "lambda": rate.lam,
            "c0": rate.c0, "birkhoff_factor": birkhoff_factor(rate.delta0),

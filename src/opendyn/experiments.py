@@ -1,11 +1,13 @@
 """Experiment orchestration: certified memory-loss runs and reports.
 
-Both regimes run one pipeline, `_run`: certify, draw the hole schedule,
-grow T, while two blocks fit the horizon, until every block of the run's
-schedule for T mixes, audit the cone, push both densities, then budget,
-fit and report.  A regime only supplies a plan: its per-sample
-certificates, its map schedule for each T with the constants that T
-sets, and its own constants and certificates.
+Both regimes run one pipeline, `_run`: certify, draw the hole schedule
+and psi, then walk the schedule once, a block of T steps at a time,
+window-checking each full block, pushing both densities through it and
+discarding its open operators (T grows, while two blocks fit the
+horizon, until every full block mixes); audit the parameters and the
+cone, then budget, fit and report.  A regime only supplies a plan: its
+per-sample certificates, its map schedule for each T with the constants
+that T sets, and its own constants and certificates.
 A local run perturbs one base map; a global run traverses a map curve
 slowly enough that per-sample certificates chain along it.
 """
@@ -21,12 +23,13 @@ import numpy as np
 
 from .errors import CertificateError, ConfigError, TotalEscapeError
 from .phase import (Grid, config_count, config_integer, config_number,
-                    config_record, config_seed, dyadic_pool)
+                    config_parameter, config_record, config_seed,
+                    dyadic_pool)
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
                    is_perturbation, map_from_config)
 from .holes import HoleSequence, HoleSpec, hole_from_config
 from .transfer import (MASS_FLOOR, GridDensity, OperatorCache, normalize,
-                       push, schedule_operators)
+                       push)
 from .seminorm import SeminormSpec, cone_member, estimate_LY
 from .cone import RateConstants, rate_constants, select_parameters
 from .mixing import default_perturbation, random_hole, ratio_profile
@@ -99,12 +102,9 @@ class ExperimentConfig:
             T1 = config_count(cfg, "T1", 1)
             delta = config_number(cfg, "delta", 0.0)
             _check(delta >= 0.0, "delta", "be non-negative", delta)
-            zeta1 = config_number(cfg, "zeta1", 0.8)
-            zeta2 = config_number(cfg, "zeta2", 1.2)
-            sigma = config_number(cfg, "sigma", 0.5)
-            _check(0.0 < zeta1 < 1.0, "zeta1", "lie in (0, 1)", zeta1)
-            _check(zeta2 > 1.0, "zeta2", "exceed 1", zeta2)
-            _check(0.0 < sigma < 1.0, "sigma", "lie in (0, 1)", sigma)
+            zeta1 = config_parameter(cfg, "zeta1", 0.8)
+            zeta2 = config_parameter(cfg, "zeta2", 1.2)
+            sigma = config_parameter(cfg, "sigma", 0.5)
             sem = SeminormSpec.from_config(
                 config_record(cfg, "seminorm", {"kind": "tv"}))
             out = ExperimentConfig(
@@ -228,33 +228,61 @@ def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> tuple:
 # ---------------------------------------------------------------------------
 # evolution core
 
-def _execute(ops: list, phi0: GridDensity, psi0: GridDensity,
-             sem: SeminormSpec):
-    """Push phi and psi as one block and record masses, normalized L1 and
-    the seminorm peak per step.  Exact power-of-two rescaling of each
-    column (exponent carried) keeps long runs from underflowing."""
-    peak = max(sem.value(normalize(phi0)), sem.value(normalize(psi0)))
-    V = np.column_stack([phi0.values, psi0.values])
-    mass_in = np.array([phi0.mass, psi0.mass])
-    exponent = np.zeros(2, dtype=int)
-    records, peaks = [], []
-    for k, V in enumerate(push(ops, V, phi0.grid), start=1):
-        W = np.ascontiguousarray(V.T)
-        mass = W.mean(axis=1)
-        if (mass <= MASS_FLOOR * mass_in).any():
-            raise TotalEscapeError(
-                f"total escape at step {k}: a density kept at most "
-                f"{MASS_FLOOR:.3g} of its mass")
-        W /= mass[:, None]
-        peak = max(peak, float(sem.rows(W, phi0.grid).max()))
-        mass_phi, mass_psi = np.ldexp(mass, exponent).tolist()
-        records.append({"m": k, "mass_phi": mass_phi, "mass_psi": mass_psi,
-                        "l1_distance": float(np.abs(W[0] - W[1]).mean())})
-        peaks.append(peak)
-        mass_in, shift = np.frexp(mass)
-        V *= np.ldexp(1.0, -shift)
-        exponent += shift
-    return records, peaks
+class _Pair:
+    """phi and psi pushed together as one two-column block, a block of
+    steps at a time, with masses, normalized L1 and the seminorm peak
+    recorded per step.  Exact power-of-two rescaling of each column
+    (exponent carried) keeps long runs from underflowing.  A total escape
+    is kept in `escape`, and nothing is pushed after it.
+
+    A run pushes its pair one block at a time during its walk (`_walk`),
+    so it holds at most one block of open operators, and the numbers are
+    bit for bit those of one push over the whole schedule.  The steps
+    after the last full block are pushed but not window-checked."""
+
+    def __init__(self, phi0: GridDensity, psi0: GridDensity,
+                 sem: SeminormSpec):
+        self.grid, self.sem = phi0.grid, sem
+        self.peak = max(sem.value(normalize(phi0)), sem.value(normalize(psi0)))
+        self.V = np.column_stack([phi0.values, psi0.values])
+        self.mass_in = np.array([phi0.mass, psi0.mass])
+        self.exponent = np.zeros(2, dtype=int)
+        self.records, self.peaks = [], []
+        self.escape = None
+
+    def advance(self, ops) -> None:
+        """Push both densities through ops, the steps after those pushed
+        so far; after a total escape, push nothing."""
+        if self.escape is not None:
+            return
+        for V in push(ops, self.V, self.grid):
+            k = len(self.records) + 1
+            W = np.ascontiguousarray(V.T)
+            mass = W.mean(axis=1)
+            if (mass <= MASS_FLOOR * self.mass_in).any():
+                self.escape = TotalEscapeError(
+                    f"total escape at step {k}: a density kept at most "
+                    f"{MASS_FLOOR:.3g} of its mass")
+                return
+            W /= mass[:, None]
+            self.peak = max(self.peak,
+                            float(self.sem.rows(W, self.grid).max()))
+            mass_phi, mass_psi = np.ldexp(mass, self.exponent).tolist()
+            self.records.append({
+                "m": k, "mass_phi": mass_phi, "mass_psi": mass_psi,
+                "l1_distance": float(np.abs(W[0] - W[1]).mean())})
+            self.peaks.append(self.peak)
+            self.mass_in, shift = np.frexp(mass)
+            V *= np.ldexp(1.0, -shift)
+            self.exponent += shift
+            self.V = V
+
+    def result(self) -> tuple:
+        """(records, peaks) of every step pushed; TotalEscapeError after
+        a total escape."""
+        if self.escape is not None:
+            raise self.escape
+        return self.records, self.peaks
 
 
 def _grid_budget(records, peaks, grid: Grid, c_lip_val: float) -> list:
@@ -284,6 +312,34 @@ def _flags_and_fit(records, budget, rate):
 # ---------------------------------------------------------------------------
 # runs
 
+def _walk(cfg: ExperimentConfig, cp, maps, hseq, cache: OperatorCache,
+          pair: _Pair) -> bool:
+    """One walk over the run's schedule at block length cp.T, a block of
+    T steps at a time: take the block's operators from the cache, check
+    the mixing window on a full block (`ratio_profile` of its element
+    indicators), push pair through it, then discard the block's open
+    operators.  So a run holds at most one block of open operators; a
+    step repeated in a later block is assembled again.  The steps after
+    the last full block are pushed but not window-checked.  False at the
+    first block outside the window, whose operators are discarded too."""
+    grid, T = cfg.grid, cp.T
+    for start in range(0, cfg.horizon, T):
+        steps = [(maps.at(i), hseq.at(i))
+                 for i in range(start + 1, min(start + T, cfg.horizon) + 1)]
+        ops = cache.get_many(steps, grid)
+        if len(ops) == T:
+            lo, hi = ratio_profile(ops, cp.Q)[-1]
+            if not (cfg.zeta1 < lo and hi < cfg.zeta2):
+                cache.discard(steps, grid)
+                return False
+        pair.advance(ops)
+        # drop the block before the next one is assembled, so no two
+        # blocks of open operators are alive at once
+        del ops
+        cache.discard(steps, grid)
+    return True
+
+
 def _run(config, kind: str, plan) -> RunResult:
     """The certified pipeline both regimes share.
 
@@ -293,6 +349,14 @@ def _run(config, kind: str, plan) -> RunResult:
     regime's own constants and certificates.  The report takes the
     constants of the last schedule, the one at the final T.  Holes and
     psi are drawn from rng after the plan's own draws.
+
+    The run walks its schedule once, one block of T steps at a time
+    (`_walk`): each block is window-checked, pushed and discarded, so the
+    run holds at most one block of open operators.  The steps after the
+    last full block are pushed but not window-checked.  A block outside
+    the window restarts the walk at T + T1.  Errors keep one order: the
+    horizon and window errors, the parameter audit, the cone audit of
+    the initial densities, then a total escape during the walk.
     """
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
@@ -304,19 +368,20 @@ def _run(config, kind: str, plan) -> RunResult:
         plan(cfg, rng, cache)
     hseq = hole_schedule(cfg.holes, cfg.horizon, grid.dimension, rng)
 
+    ly, cp = samples[0]
+    if cfg.horizon < 2 * cp.T:
+        raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
+    phi0 = GridDensity.uniform(grid)
+    psi0 = build_density(cfg.psi, grid, rng)
+
     # the block length is the smallest T, growing from the selected one in
     # steps of T1 while two blocks still fit the horizon, at which every
     # block of the run's own schedule for that T (a traversal's speed
     # limit depends on T) keeps its pair ratios inside the mixing window
-    ly, cp = samples[0]
-    if cfg.horizon < 2 * cp.T:
-        raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
     while True:
         maps, schedule_constants = schedule(cp.T)
-        ops = schedule_operators(maps, hseq, cfg.horizon, grid, cache)
-        if all(cfg.zeta1 < lo and hi < cfg.zeta2 for lo, hi in (
-                ratio_profile(ops[b * cp.T:(b + 1) * cp.T], cp.Q)[-1]
-                for b in range(cfg.horizon // cp.T))):
+        pair = _Pair(phi0, psi0, cfg.seminorm)
+        if _walk(cfg, cp, maps, hseq, cache, pair):
             break
         if cfg.horizon < 2 * (cp.T + cfg.T1):
             raise CertificateError(
@@ -333,13 +398,11 @@ def _run(config, kind: str, plan) -> RunResult:
         dataclasses.replace(c, T=cp.T))) for _, c in samples]
     rate = RateConstants(*map(max, zip(*rates)))
 
-    phi0 = GridDensity.uniform(grid)
-    psi0 = build_density(cfg.psi, grid, rng)
     for dens in (phi0, psi0):
         if not cone_member(dens, cp.a, cp.Q, cfg.seminorm).ok:
             raise ConfigError("initial densities fail the cone audit")
 
-    records, peaks = _execute(ops, phi0, psi0, cfg.seminorm)
+    records, peaks = pair.result()
     budget = _grid_budget(records, peaks, grid, rate.c_lip)
     fit, bound_ok, fit_ok = _flags_and_fit(records, budget, rate)
 
@@ -495,6 +558,5 @@ def emit_report(result: RunResult, out_dir: str) -> dict:
     }
     summary_path = os.path.join(out_dir, "report_summary.json")
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return {"csv": csv_path, "summary": summary_path}

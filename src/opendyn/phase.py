@@ -80,6 +80,27 @@ def config_number(rec: dict, key: str, *default) -> float:
                           f"got {value!r}") from exc
 
 
+# the range of each mixing-window and cone parameter: its rule, its test
+_PARAMETER_RANGES = {
+    "zeta1": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "zeta2": ("exceed 1", lambda v: v > 1.0),
+    "sigma": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "theta": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "C": ("be non-negative", lambda v: v >= 0.0),
+}
+
+
+def config_parameter(rec: dict, key: str, *default) -> float:
+    """config_number of a mixing-window or cone parameter (zeta1, zeta2,
+    sigma, theta or C); ConfigError naming the key unless it lies in its
+    range.  KeyError when the key is absent and no default is given."""
+    value = config_number(rec, key, *default)
+    rule, ok = _PARAMETER_RANGES[key]
+    if not ok(value):
+        raise ConfigError(f"config key {key!r} must {rule}, got {value!r}")
+    return value
+
+
 def config_numbers(rec: dict, key: str, *default, width=None) -> tuple:
     """rec[key] (or the default when given and the key is absent) as a
     tuple of finite floats or, with a `width`, as a tuple of rows of

@@ -462,7 +462,11 @@ class OperatorCache:
     value.  An open operator whose closed operator is already stored is
     opened from it (`_open`) instead of reassembled.  Closed operators are
     stored only when asked for, so a long open schedule does not keep the
-    closed parent of every step."""
+    closed parent of every step.  `discard` forgets open operators and
+    keeps closed ones: a certified run walks its schedule one block at a
+    time and discards each block after use, so it holds at most one block
+    of open operators, while certification and `_open` still read the
+    closed ones."""
 
     def __init__(self):
         self._store = {}
@@ -491,6 +495,13 @@ class OperatorCache:
                            for mapspec, hole in missing.values()], grid)
         self._store.update(zip(missing, built))
         return [self._store[key] for key in keys]
+
+    def discard(self, steps, grid: Grid) -> None:
+        """Forget the open operator of every (map, hole) step; closed steps
+        (hole None) and steps not stored are left as they are."""
+        for mapspec, hole in steps:
+            if hole is not None:
+                self._store.pop(self._key(mapspec, hole, grid), None)
 
     def _build(self, mapspec: MapSpec, hole, grid: Grid) -> UlamOperator:
         closed = self._store.get(self._key(mapspec, None, grid))

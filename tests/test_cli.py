@@ -173,6 +173,24 @@ def _torus(**map_rec):
                          "offset": [0.1, 0.2]}, **map_rec)}
 
 
+MIXING_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
+              "grid": {"dimension": 1, "n": 256}, "zeta1": 0.9, "zeta2": 1.1}
+LY_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
+          "grid": {"dimension": 1, "n": 256}}
+SELECT_CFG = dict(LY_CFG, zeta1=0.9, zeta2=1.1, theta=0.5, C=1.0)
+CONE_PARAMS = {"a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
+               "d": 1.0 / 11, "M": 1.0}
+
+
+# the configs of the subcommands that are not runs, by command
+SUBCOMMAND_CFG = {"certify-mixing": MIXING_CFG, "select-params": SELECT_CFG,
+                  "constants": {"cone_params": CONE_PARAMS}}
+
+
+def _cone_params(**patch):
+    return {"cone_params": dict(CONE_PARAMS, **patch)}
+
+
 @pytest.mark.parametrize("base, key, patch", [
     (LOCAL_CFG, "measure", {"holes": dict(LOCAL_CFG["holes"], measure="x")}),
     (LOCAL_CFG, "amplitude", {"psi": {"kind": "cosine_bump",
@@ -249,6 +267,19 @@ def _torus(**map_rec):
     (LOCAL_CFG, "sigma", {"sigma": 1.5}),
     (LOCAL_CFG, "sigma", {"sigma": 0}),
     (GLOBAL_CFG, "zeta1", {"zeta1": 0.0}),
+    # the other subcommands check the same ranges, and theta and C, by
+    # name before the library call
+    ("select-params", "theta", {"theta": 1.5}),
+    ("select-params", "theta", {"theta": 0.0}),
+    ("select-params", "C", {"C": -1.0}),
+    ("select-params", "zeta1", {"zeta1": 0.0}),
+    ("select-params", "zeta2", {"zeta2": 1.0}),
+    ("select-params", "sigma", {"sigma": 1.0}),
+    ("certify-mixing", "zeta1", {"zeta1": 1.2}),
+    ("certify-mixing", "zeta2", {"zeta2": 0.9}),
+    ("constants", "sigma", _cone_params(sigma=1.0)),
+    ("constants", "zeta1", _cone_params(zeta1=0.0)),
+    ("constants", "zeta2", _cone_params(zeta2=1.0)),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
         "float_cert_samples", "text_step", "text_cut", "text_beta",
@@ -264,12 +295,20 @@ def _torus(**map_rec):
         "zero_T1", "repeated_cuts", "unsorted_cuts", "u_start_over_one",
         "u_end_over_one", "negative_u_start", "unknown_seminorm_kind",
         "bare_unknown_seminorm_kind", "zeta1_over_one", "zeta2_under_one",
-        "sigma_over_one", "zero_sigma", "global_zero_zeta1"])
+        "sigma_over_one", "zero_sigma", "global_zero_zeta1",
+        "select_theta_over_one", "select_zero_theta", "select_negative_C",
+        "select_zero_zeta1", "select_zeta2_one", "select_sigma_one",
+        "mixing_zeta1_over_one", "mixing_zeta2_under_one",
+        "constants_sigma_one", "constants_zero_zeta1",
+        "constants_zeta2_one"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
-    # local and global runs refuse a bad value by name, with no traceback
-    # and no later failure that hides the cause
+    # runs, and the subcommands named by a string base, refuse a bad value
+    # by name, with no traceback and no later failure that hides the cause
+    if isinstance(base, str):
+        command, base = base, SUBCOMMAND_CFG[base]
+    else:
+        command = f"simulate-{base['kind']}"
     cfg = write(tmp_path, "c.json", dict(base, **patch))
-    command = f"simulate-{base['kind']}"
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and f"'{key}'" in err
@@ -283,15 +322,6 @@ def test_config_cannot_disable_expansion_check(tmp_path, capsys):
     assert main(["simulate-local", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "s = " in err
-
-
-MIXING_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
-              "grid": {"dimension": 1, "n": 256}, "zeta1": 0.9, "zeta2": 1.1}
-LY_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
-          "grid": {"dimension": 1, "n": 256}}
-SELECT_CFG = dict(LY_CFG, zeta1=0.9, zeta2=1.1, theta=0.5, C=1.0)
-CONE_PARAMS = {"a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
-               "d": 1.0 / 11, "M": 1.0}
 
 
 @pytest.mark.parametrize("command, cfg, key", [

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import opendyn.experiments
 import opendyn.mixing
 import opendyn.seminorm
 from opendyn.errors import CertificateError, ConfigError, TotalEscapeError
-from opendyn.experiments import (FAMILIES, ExperimentConfig, _execute,
+from opendyn.experiments import (FAMILIES, ExperimentConfig, _Pair,
                                  build_density, emit_report, fit_exponential,
                                  hole_schedule, run_global,
                                  run_local)
@@ -19,8 +20,8 @@ from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import MapSequence, doubling_map
 from opendyn.phase import Grid
 from opendyn.seminorm import SeminormSpec
-from opendyn.transfer import (GridDensity, build_closed, evolve, normalize,
-                              schedule_operators)
+from opendyn.transfer import (GridDensity, OperatorCache, build_closed,
+                              evolve, normalize, schedule_operators)
 
 
 LOCAL_CFG = {
@@ -233,6 +234,13 @@ def test_closed_unperturbed_run_matches_matrix_power():
         assert abs(rec["mass_phi"] - phi.mass) < 1e-12
 
 
+def _execute(ops, phi0, psi0, sem):
+    """Records and peaks of phi and psi pushed through ops in one pair."""
+    pair = _Pair(phi0, psi0, sem)
+    pair.advance(ops)
+    return pair.result()
+
+
 def test_execute_survives_underflow():
     # doubling with a static hole [0.3, 0.4): the unnormalized masses fall
     # below 1e-15 near step 315 and below 1e-19 by step 400
@@ -354,22 +362,99 @@ def test_global_speed_limit_at_final_T():
         run_global(cfg)
 
 
-def test_run_builds_its_operators_once(monkeypatch):
-    # the run's own schedule (length = horizon) is assembled into an
-    # operator list once; the block checks and the evolution share it
-    calls = []
-    real = opendyn.experiments.schedule_operators
+@pytest.fixture
+def builds(monkeypatch):
+    """Every open operator the cache assembles, in order, as (step key,
+    open operators alive once it is built)."""
+    out, refs = [], []
+    real = OperatorCache._build
 
-    def counting(map_seq, hole_seq, m, grid, cache=None):
-        if len(map_seq) == LOCAL_CFG["horizon"]:
-            calls.append(m)
-        return real(map_seq, hole_seq, m, grid, cache)
+    def counting(self, mapspec, hole, grid):
+        op = real(self, mapspec, hole, grid)
+        if hole is not None:
+            refs.append(weakref.ref(op))
+            out.append(((mapspec, hole), sum(r() is not None for r in refs)))
+        return op
 
-    # seminorm, cone and mixing take operator lists and assemble none
-    # themselves
-    monkeypatch.setattr(opendyn.experiments, "schedule_operators", counting)
-    assert run_local(LOCAL_CFG).passed
-    assert calls == [LOCAL_CFG["horizon"]]
+    monkeypatch.setattr(OperatorCache, "_build", counting)
+    return out
+
+
+def test_run_builds_its_operators_once(monkeypatch, builds):
+    # each step's operator is assembled once, and the window check of a
+    # full block and the evolution push the same operator objects
+    checked, pushed = [], []
+    real_profile = opendyn.experiments.ratio_profile
+    real_push = opendyn.experiments.push
+
+    def profile(ops, Q):
+        checked.extend(ops)
+        return real_profile(ops, Q)
+
+    def push(ops, V, grid):
+        pushed.extend(ops)
+        return real_push(ops, V, grid)
+
+    monkeypatch.setattr(opendyn.experiments, "ratio_profile", profile)
+    monkeypatch.setattr(opendyn.experiments, "push", push)
+    res = run_local(LOCAL_CFG)
+    assert res.passed
+    horizon, T = LOCAL_CFG["horizon"], res.constants["T"]
+    keys = [key for key, _ in builds]
+    assert len(keys) == len(set(keys)) == horizon
+    assert len(pushed) == horizon
+    assert len(checked) == horizon // T * T
+    assert all(a is b for a, b in zip(checked, pushed))
+
+
+def test_run_holds_one_block_of_open_operators(builds):
+    # the walk discards each block before it assembles the next, so over
+    # a horizon of many blocks no more than T open operators are alive
+    res = run_local(_shipped_local(grid={"dimension": 1, "n": 1024}))
+    T = res.constants["T"]
+    assert len(builds) == 40 >= 10 * T
+    assert max(alive for _, alive in builds) <= T
+
+
+# configs/local.json whose static hole covers every cell centre of its
+# 4096 cells: both densities escape at the first step, and no open block
+# mixes
+ESCAPING = {"horizon": 6, "holes": {"kind": "static", "hole": {
+    "dimension": 1, "intervals": [[0.0, 0.99999]]}}}
+
+
+def test_window_error_comes_before_an_escape():
+    with pytest.raises(CertificateError, match="never satisfied the mixing"):
+        run_local(_shipped_local(**ESCAPING))
+
+
+def test_psi_record_is_read_before_the_walk():
+    # psi is drawn before the walk, so its configuration error comes
+    # before the window error of the same run
+    with pytest.raises(ConfigError, match="unknown density kind"):
+        run_local(_shipped_local(**ESCAPING, psi={"kind": "none"}))
+
+
+@pytest.mark.parametrize("windows, psi, error, match", [
+    # every block mixes: the escape of the first block is raised last
+    ([True], None, TotalEscapeError, "total escape at step 1"),
+    # the cone audit comes before the escape
+    ([True], {"kind": "cosine_bump", "amplitude": 0.9}, ConfigError,
+     "initial densities fail the cone"),
+    # the walk goes on window-checking after the escape, and a later
+    # block's miss comes first
+    ([True, False], None, CertificateError, "never satisfied the mixing"),
+], ids=["escape_last", "cone_audit_first", "later_window_miss_first"])
+def test_escape_is_raised_after_the_audits(monkeypatch, windows, psi, error,
+                                           match):
+    answers = iter(windows + [windows[-1]] * 10)
+    monkeypatch.setattr(
+        opendyn.experiments, "ratio_profile",
+        lambda ops, Q: np.array([[1.0, 1.0] if next(answers) else
+                                 [0.0, 2.0]]))
+    cfg = _shipped_local(**ESCAPING)
+    with pytest.raises(error, match=match):
+        run_local(cfg if psi is None else dict(cfg, psi=psi))
 
 
 @pytest.fixture
