@@ -325,6 +325,16 @@ def _ly_excess(s0, mass0, svals, T1: int, theta, C: float) -> np.ndarray:
     return svals - (s0[:, None] * powers + C * mass0[:, None])
 
 
+def _ly_needed(lattice, mass0) -> np.ndarray:
+    """The constant each candidate needs: the worst excess per unit mass
+    over (member, k) of its C = 0 lattice excess, at least +0.0.
+
+    np.maximum keeps a NaN, so a NaN replay makes the candidate's constant
+    NaN; it may also return -0.0 for an excess of -0.0, which adding 0.0
+    makes +0.0, as the scalar max(0.0, x) of a per-candidate loop gives."""
+    return np.maximum(0.0, (lattice / mass0[:, None]).max(axis=(1, 2))) + 0.0
+
+
 def estimate_LY(ops: list, T1: int, sem: SeminormSpec, ensemble_size: int,
                 seed: int = 0) -> LYCertificate:
     """Smallest lattice (theta, C) making the block inequality hold for
@@ -344,9 +354,8 @@ def estimate_LY(ops: list, T1: int, sem: SeminormSpec, ensemble_size: int,
     grid = ops[0].grid
     s0, mass0, svals = _ly_replay(ops, T1, sem,
                                   ly_ensemble(grid, ensemble_size, seed))
-    # np.maximum keeps a NaN, so a NaN replay makes c_star NaN
-    excess = _ly_excess(s0, mass0, svals, T1, THETA_LATTICE, 0.0)
-    c_needed = np.maximum(0.0, (excess / mass0[:, None]).max(axis=(1, 2)))
+    c_needed = _ly_needed(
+        _ly_excess(s0, mass0, svals, T1, THETA_LATTICE, 0.0), mass0)
     c_star = c_needed.min()
     if not np.isfinite(c_star) or c_star > 1e9:
         j_bad = int(np.unravel_index(np.argmax(svals), svals.shape)[0])

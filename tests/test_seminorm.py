@@ -19,7 +19,8 @@ from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import MapSequence, doubling_map, tripling_map
 from opendyn.phase import Grid, dyadic_partition, partition_from_labels
 from opendyn.seminorm import (THETA_LATTICE, LYCertificate, OscParams,
-                              SeminormSpec, _ly_excess, _tv_rows, cone_member,
+                              SeminormSpec, _ly_excess, _ly_needed,
+                              _tv_rows, cone_member,
                               control_bounds_check, element_expectations,
                               estimate_LY, ly_ensemble, oscillation_seminorm,
                               total_variation, verify_ly)
@@ -421,11 +422,20 @@ def test_ly_lattice_broadcast_matches_per_theta_loop(T1, data):
     if C == 0.0:
         # the constant each candidate needs, reduced over (member, k) at
         # once, is the one the per-theta loop takes
-        needed = np.maximum(0.0, (lattice / mass0[:, None]).max(axis=(1, 2)))
+        needed = _ly_needed(lattice, mass0)
         loop = [max(0.0, float((_ly_excess_one(s0, mass0, svals, T1, theta, C)
                                 / mass0[:, None]).max()))
                 for theta in THETA_LATTICE]
         assert needed.tobytes() == np.array(loop).tobytes()
+
+
+def test_ly_needed_is_plus_zero_when_no_excess_is_positive():
+    # a subnormal seminorm whose powers underflow leaves an excess of -0.0;
+    # np.maximum(0.0, -0.0) may give -0.0, the per-theta max(0.0, x) +0.0
+    s0, mass0, svals = np.array([2.2e-309]), np.array([2.0]), np.zeros((1, 8))
+    lattice = _ly_excess(s0, mass0, svals, 1, THETA_LATTICE, 0.0)
+    needed = _ly_needed(lattice, mass0)
+    assert (needed == 0.0).all() and not np.signbit(needed).any()
 
 
 def test_ly_never_certifies_nan():
