@@ -108,7 +108,7 @@ def _cmd_select_params(args) -> int:
         config_record(cfg, "seminorm", {"kind": "tv"}))
     grid = Grid.from_config(config_record(cfg, "grid", {}))
     base = build_closed(map_from_config(cfg["map"]), grid)
-    pool = dyadic_pool(grid, config_integer(cfg, "max_level", 8))
+    pool = dyadic_pool(grid, config_count(cfg, "max_level", 8))
     num = partial(config_parameter, cfg)
     cp = select_parameters(num("zeta1"), num("zeta2"), num("theta"), num("C"),
                            config_count(cfg, "T1", 1), sem, pool, base,
@@ -120,12 +120,11 @@ def _cmd_select_params(args) -> int:
 
 def _cmd_constants(args) -> int:
     cfg = _load_config(args.config)
-    rec = config_record(cfg, "cone_params", cfg)
-    # ConeParams checks these ranges too, but without naming the key
-    config_parameter(rec, "sigma", 0.5)
-    config_parameter(rec, "zeta1")
-    config_parameter(rec, "zeta2")
-    cp = ConeParams.from_config(rec)
+    cp = ConeParams.from_config(config_record(cfg, "cone_params", cfg))
+    if cp.zeta1 - cp.zeta2 * cp.adM <= 0.0:
+        raise ConfigError(
+            "config key 'd' must lie below zeta1*M/(zeta2*a) = "
+            f"{cp.zeta1 * cp.M / (cp.zeta2 * cp.a):.6g}, got {cp.d!r}")
     rate = rate_constants(cp)
     out = {"delta0": rate.delta0, "c_lip": rate.c_lip, "lambda": rate.lam,
            "c0": rate.c0, "birkhoff_factor": birkhoff_factor(rate.delta0),

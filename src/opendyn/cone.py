@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CertificateError, ConfigError
-from .phase import (Grid, PartitionSpec, config_integer, config_number,
+from .phase import (Grid, PartitionSpec, config_count, config_parameter,
                     config_record)
 from .mixing import MixingCertificate, closed_certificate
 from .seminorm import (SeminormSpec, cone_member, element_expectations)
@@ -55,6 +55,8 @@ class ConeParams:
             raise ConfigError("need a > 0 and T >= 1")
         if not (0.0 < self.zeta1 < 1.0 < self.zeta2):
             raise ConfigError("need 0 < zeta1 < 1 < zeta2")
+        if self.d < 0.0 or self.M <= 0.0:
+            raise ConfigError("need d >= 0 and M > 0")
 
     @property
     def adM(self) -> float:
@@ -85,12 +87,13 @@ class ConeParams:
     @staticmethod
     def from_config(rec: dict) -> "ConeParams":
         """Inverse of `to_config` for the scalars and the seminorm; the
-        partition Q, and with it its mixing time E, is not read back."""
+        partition Q, and with it its mixing time E, is not read back.
+        ConfigError naming the key of a scalar out of its range."""
         sem = SeminormSpec.from_config(
             config_record(rec, "seminorm", {"kind": "tv"}))
-        num = partial(config_number, rec)
+        num = partial(config_parameter, rec)
         return ConeParams(a=num("a"), sigma=num("sigma", 0.5),
-                          T=config_integer(rec, "T"), zeta1=num("zeta1"),
+                          T=config_count(rec, "T"), zeta1=num("zeta1"),
                           zeta2=num("zeta2"), seminorm=sem, d=num("d", 0.0),
                           M=num("M", 1.0))
 

@@ -1,13 +1,14 @@
 """Experiment orchestration: certified memory-loss runs and reports.
 
 Both regimes run one pipeline, `_run`: certify, draw the hole schedule
-and psi, then walk the schedule once, a block of T steps at a time,
-window-checking each full block, pushing both densities through it and
-discarding its open operators (T grows, while two blocks fit the
-horizon, until every full block mixes); audit the parameters and the
-cone, then budget, fit and report.  A regime only supplies a plan: its
-per-sample certificates, its map schedule for each T with the constants
-that T sets, and its own constants and certificates.
+and psi, audit the initial densities' cone, then walk the schedule
+once, a block of T steps at a time, window-checking each full block,
+pushing both densities through it and discarding its open operators
+(T grows, while two blocks fit the horizon, until every full block
+mixes); audit the parameters, then budget, fit and report.  A regime
+only supplies a plan: its per-sample certificates, its map schedule for
+each T with the constants that T sets, and its own constants and
+certificates.
 A local run perturbs one base map; a global run traverses a map curve
 slowly enough that per-sample certificates chain along it.
 """
@@ -228,63 +229,6 @@ def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> tuple:
 # ---------------------------------------------------------------------------
 # evolution core
 
-class _Pair:
-    """phi and psi pushed together as one two-column block, a block of
-    steps at a time, with masses, normalized L1 and the seminorm peak
-    recorded per step.  Exact power-of-two rescaling of each column
-    (exponent carried) keeps long runs from underflowing.  A total escape
-    is kept in `escape`, and nothing is pushed after it.
-
-    A run pushes its pair one block at a time during its walk (`_walk`),
-    so it holds at most one block of open operators, and the numbers are
-    bit for bit those of one push over the whole schedule.  The steps
-    after the last full block are pushed but not window-checked."""
-
-    def __init__(self, phi0: GridDensity, psi0: GridDensity,
-                 sem: SeminormSpec):
-        self.grid, self.sem = phi0.grid, sem
-        self.peak = max(sem.value(normalize(phi0)), sem.value(normalize(psi0)))
-        self.V = np.column_stack([phi0.values, psi0.values])
-        self.mass_in = np.array([phi0.mass, psi0.mass])
-        self.exponent = np.zeros(2, dtype=int)
-        self.records, self.peaks = [], []
-        self.escape = None
-
-    def advance(self, ops) -> None:
-        """Push both densities through ops, the steps after those pushed
-        so far; after a total escape, push nothing."""
-        if self.escape is not None:
-            return
-        for V in push(ops, self.V, self.grid):
-            k = len(self.records) + 1
-            W = np.ascontiguousarray(V.T)
-            mass = W.mean(axis=1)
-            if (mass <= MASS_FLOOR * self.mass_in).any():
-                self.escape = TotalEscapeError(
-                    f"total escape at step {k}: a density kept at most "
-                    f"{MASS_FLOOR:.3g} of its mass")
-                return
-            W /= mass[:, None]
-            self.peak = max(self.peak,
-                            float(self.sem.rows(W, self.grid).max()))
-            mass_phi, mass_psi = np.ldexp(mass, self.exponent).tolist()
-            self.records.append({
-                "m": k, "mass_phi": mass_phi, "mass_psi": mass_psi,
-                "l1_distance": float(np.abs(W[0] - W[1]).mean())})
-            self.peaks.append(self.peak)
-            self.mass_in, shift = np.frexp(mass)
-            V *= np.ldexp(1.0, -shift)
-            self.exponent += shift
-            self.V = V
-
-    def result(self) -> tuple:
-        """(records, peaks) of every step pushed; TotalEscapeError after
-        a total escape."""
-        if self.escape is not None:
-            raise self.escape
-        return self.records, self.peaks
-
-
 def _grid_budget(records, peaks, grid: Grid, c_lip_val: float) -> list:
     """Reported discretization budget: each projection step displaces a
     seminorm-V density by at most V*h/2 in L1, and normalization is
@@ -313,31 +257,61 @@ def _flags_and_fit(records, budget, rate):
 # runs
 
 def _walk(cfg: ExperimentConfig, cp, maps, hseq, cache: OperatorCache,
-          pair: _Pair) -> bool:
+          phi0: GridDensity, psi0: GridDensity):
     """One walk over the run's schedule at block length cp.T, a block of
     T steps at a time: take the block's operators from the cache, check
     the mixing window on a full block (`ratio_profile` of its element
-    indicators), push pair through it, then discard the block's open
-    operators.  So a run holds at most one block of open operators; a
-    step repeated in a later block is assembled again.  The steps after
-    the last full block are pushed but not window-checked.  False at the
-    first block outside the window, whose operators are discarded too."""
-    grid, T = cfg.grid, cp.T
-    for start in range(0, cfg.horizon, T):
-        steps = [(maps.at(i), hseq.at(i))
-                 for i in range(start + 1, min(start + T, cfg.horizon) + 1)]
+    indicators), push phi and psi through it as one two-column block,
+    then discard the block's open operators that the next block does not
+    request.  So a run holds at most one block of open operators, and a
+    step repeated in the next block is assembled once.  The steps after
+    the last full block are pushed but not window-checked.
+
+    Every step records the masses, the normalized L1 distance and the
+    seminorm peak so far; an exact power-of-two rescaling of each column
+    (exponent carried) keeps long runs from underflowing.  Returns
+    (records, peaks), or None at the first block outside the window,
+    whose open operators are all discarded; raises TotalEscapeError at
+    the step where a density keeps at most MASS_FLOOR of its mass."""
+    grid, sem, T = cfg.grid, cfg.seminorm, cp.T
+    peak = max(sem.value(normalize(phi0)), sem.value(normalize(psi0)))
+    V = np.column_stack([phi0.values, psi0.values])
+    mass_in = np.array([phi0.mass, psi0.mass])
+    exponent = np.zeros(2, dtype=int)
+    records, peaks = [], []
+    blocks = [[(maps.at(i), hseq.at(i))
+               for i in range(start + 1, min(start + T, cfg.horizon) + 1)]
+              for start in range(0, cfg.horizon, T)]
+    for steps, later in zip(blocks, blocks[1:] + [[]]):
         ops = cache.get_many(steps, grid)
         if len(ops) == T:
             lo, hi = ratio_profile(ops, cp.Q)[-1]
             if not (cfg.zeta1 < lo and hi < cfg.zeta2):
                 cache.discard(steps, grid)
-                return False
-        pair.advance(ops)
+                return None
+        for V in push(ops, V, grid):
+            k = len(records) + 1
+            W = np.ascontiguousarray(V.T)
+            mass = W.mean(axis=1)
+            if (mass <= MASS_FLOOR * mass_in).any():
+                raise TotalEscapeError(
+                    f"total escape at step {k}: a density kept at most "
+                    f"{MASS_FLOOR:.3g} of its mass")
+            W /= mass[:, None]
+            peak = max(peak, float(sem.rows(W, grid).max()))
+            mass_phi, mass_psi = np.ldexp(mass, exponent).tolist()
+            records.append({
+                "m": k, "mass_phi": mass_phi, "mass_psi": mass_psi,
+                "l1_distance": float(np.abs(W[0] - W[1]).mean())})
+            peaks.append(peak)
+            mass_in, shift = np.frexp(mass)
+            V *= np.ldexp(1.0, -shift)
+            exponent += shift
         # drop the block before the next one is assembled, so no two
         # blocks of open operators are alive at once
         del ops
-        cache.discard(steps, grid)
-    return True
+        cache.discard(set(steps).difference(later), grid)
+    return records, peaks
 
 
 def _run(config, kind: str, plan) -> RunResult:
@@ -350,13 +324,12 @@ def _run(config, kind: str, plan) -> RunResult:
     constants of the last schedule, the one at the final T.  Holes and
     psi are drawn from rng after the plan's own draws.
 
-    The run walks its schedule once, one block of T steps at a time
-    (`_walk`): each block is window-checked, pushed and discarded, so the
-    run holds at most one block of open operators.  The steps after the
-    last full block are pushed but not window-checked.  A block outside
-    the window restarts the walk at T + T1.  Errors keep one order: the
-    horizon and window errors, the parameter audit, the cone audit of
-    the initial densities, then a total escape during the walk.
+    After the horizon check and psi, the initial densities are
+    cone-audited (growing T changes neither a nor Q).  The run then
+    walks its schedule once (`_walk`), a block of T steps at a time; a
+    block outside the window restarts the walk at T + T1, and a total
+    escape ends the run at its step.  The parameters are audited last,
+    at the final T.
     """
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
@@ -373,6 +346,9 @@ def _run(config, kind: str, plan) -> RunResult:
         raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
     phi0 = GridDensity.uniform(grid)
     psi0 = build_density(cfg.psi, grid, rng)
+    for dens in (phi0, psi0):
+        if not cone_member(dens, cp.a, cp.Q, cfg.seminorm).ok:
+            raise ConfigError("initial densities fail the cone audit")
 
     # the block length is the smallest T, growing from the selected one in
     # steps of T1 while two blocks still fit the horizon, at which every
@@ -380,8 +356,8 @@ def _run(config, kind: str, plan) -> RunResult:
     # limit depends on T) keeps its pair ratios inside the mixing window
     while True:
         maps, schedule_constants = schedule(cp.T)
-        pair = _Pair(phi0, psi0, cfg.seminorm)
-        if _walk(cfg, cp, maps, hseq, cache, pair):
+        walked = _walk(cfg, cp, maps, hseq, cache, phi0, psi0)
+        if walked is not None:
             break
         if cfg.horizon < 2 * (cp.T + cfg.T1):
             raise CertificateError(
@@ -398,11 +374,7 @@ def _run(config, kind: str, plan) -> RunResult:
         dataclasses.replace(c, T=cp.T))) for _, c in samples]
     rate = RateConstants(*map(max, zip(*rates)))
 
-    for dens in (phi0, psi0):
-        if not cone_member(dens, cp.a, cp.Q, cfg.seminorm).ok:
-            raise ConfigError("initial densities fail the cone audit")
-
-    records, peaks = pair.result()
+    records, peaks = walked
     budget = _grid_budget(records, peaks, grid, rate.c_lip)
     fit, bound_ok, fit_ok = _flags_and_fit(records, budget, rate)
 

@@ -87,13 +87,16 @@ _PARAMETER_RANGES = {
     "sigma": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
     "theta": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
     "C": ("be non-negative", lambda v: v >= 0.0),
+    "a": ("be positive", lambda v: v > 0.0),
+    "d": ("be non-negative", lambda v: v >= 0.0),
+    "M": ("be positive", lambda v: v > 0.0),
 }
 
 
 def config_parameter(rec: dict, key: str, *default) -> float:
     """config_number of a mixing-window or cone parameter (zeta1, zeta2,
-    sigma, theta or C); ConfigError naming the key unless it lies in its
-    range.  KeyError when the key is absent and no default is given."""
+    sigma, theta, C, a, d or M); ConfigError naming the key unless it
+    lies in its range.  KeyError when the key is absent and no default is given."""
     value = config_number(rec, key, *default)
     rule, ok = _PARAMETER_RANGES[key]
     if not ok(value):

@@ -464,9 +464,9 @@ class OperatorCache:
     stored only when asked for, so a long open schedule does not keep the
     closed parent of every step.  `discard` forgets open operators and
     keeps closed ones: a certified run walks its schedule one block at a
-    time and discards each block after use, so it holds at most one block
-    of open operators, while certification and `_open` still read the
-    closed ones."""
+    time and discards what the next block does not use, so it holds at
+    most one block of open operators, while certification and `_open`
+    still read the closed ones."""
 
     def __init__(self):
         self._store = {}

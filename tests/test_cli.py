@@ -280,6 +280,17 @@ def _cone_params(**patch):
     ("constants", "sigma", _cone_params(sigma=1.0)),
     ("constants", "zeta1", _cone_params(zeta1=0.0)),
     ("constants", "zeta2", _cone_params(zeta2=1.0)),
+    # the other cone scalars too: a, T, d and M, and a d that leaves
+    # zeta1 - zeta2*a*d/M no longer positive
+    ("constants", "a", _cone_params(a=0.0)),
+    ("constants", "T", _cone_params(T=0)),
+    ("constants", "d", _cone_params(d=1.0)),
+    ("constants", "d", _cone_params(d=-0.5)),
+    ("constants", "M", _cone_params(M=0.0)),
+    ("constants", "M", _cone_params(M=-1.0)),
+    # max_level counts the dyadic levels of the partition pool
+    ("select-params", "max_level", {"max_level": 0}),
+    ("select-params", "max_level", {"max_level": -1}),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
         "float_cert_samples", "text_step", "text_cut", "text_beta",
@@ -300,7 +311,10 @@ def _cone_params(**patch):
         "select_zero_zeta1", "select_zeta2_one", "select_sigma_one",
         "mixing_zeta1_over_one", "mixing_zeta2_under_one",
         "constants_sigma_one", "constants_zero_zeta1",
-        "constants_zeta2_one"])
+        "constants_zeta2_one", "constants_zero_a", "constants_zero_T",
+        "constants_d_too_large", "constants_negative_d", "constants_zero_M",
+        "constants_negative_M", "select_zero_max_level",
+        "select_negative_max_level"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     # runs, and the subcommands named by a string base, refuse a bad value
     # by name, with no traceback and no later failure that hides the cause

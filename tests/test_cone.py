@@ -51,6 +51,10 @@ def test_cone_params_validation():
         ConeParams(a=-1.0, sigma=0.5, T=1, zeta1=0.9, zeta2=1.1, seminorm=TV)
     with pytest.raises(ConfigError):
         ConeParams(a=1.0, sigma=0.5, T=1, zeta1=1.1, zeta2=0.9, seminorm=TV)
+    for d, M in ((-0.5, 1.0), (0.1, 0.0), (0.1, -1.0)):
+        with pytest.raises(ConfigError, match="d >= 0 and M > 0"):
+            ConeParams(a=1.0, sigma=0.5, T=1, zeta1=0.9, zeta2=1.1,
+                       seminorm=TV, d=d, M=M)
 
 
 def test_cone_params_config_roundtrip():

@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import json
 import math
 import pathlib
+import types
 import weakref
 
 import numpy as np
@@ -12,16 +14,15 @@ import opendyn.experiments
 import opendyn.mixing
 import opendyn.seminorm
 from opendyn.errors import CertificateError, ConfigError, TotalEscapeError
-from opendyn.experiments import (FAMILIES, ExperimentConfig, _Pair,
+from opendyn.experiments import (FAMILIES, ExperimentConfig, _walk,
                                  build_density, emit_report, fit_exponential,
-                                 hole_schedule, run_global,
-                                 run_local)
+                                 hole_schedule, run_global, run_local)
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import MapSequence, doubling_map
 from opendyn.phase import Grid
 from opendyn.seminorm import SeminormSpec
 from opendyn.transfer import (GridDensity, OperatorCache, build_closed,
-                              evolve, normalize, schedule_operators)
+                              build_open, normalize)
 
 
 LOCAL_CFG = {
@@ -234,26 +235,29 @@ def test_closed_unperturbed_run_matches_matrix_power():
         assert abs(rec["mass_phi"] - phi.mass) < 1e-12
 
 
-def _execute(ops, phi0, psi0, sem):
-    """Records and peaks of phi and psi pushed through ops in one pair."""
-    pair = _Pair(phi0, psi0, sem)
-    pair.advance(ops)
-    return pair.result()
+def _execute(maps, holes, phi0, psi0, sem):
+    """Records and peaks of phi and psi walked through every step of maps
+    and holes; a block length past the horizon checks no window."""
+    horizon = len(maps)
+    cfg = dataclasses.replace(ExperimentConfig.from_dict(LOCAL_CFG),
+                              grid=phi0.grid, horizon=horizon, seminorm=sem)
+    cp = types.SimpleNamespace(T=horizon + 1, Q=None)
+    return _walk(cfg, cp, maps, holes, OperatorCache(), phi0, psi0)
 
 
 def test_execute_survives_underflow():
     # doubling with a static hole [0.3, 0.4): the unnormalized masses fall
     # below 1e-15 near step 315 and below 1e-19 by step 400
     g, m = Grid(1, 1024), 400
-    ops = schedule_operators(MapSequence.constant(doubling_map(), m),
-                             HoleSequence.static(interval_hole(0.3, 0.4), m),
-                             m, g)
+    hole = interval_hole(0.3, 0.4)
     phi0 = GridDensity.uniform(g)
     psi0 = GridDensity(g, 1.0 + 0.3 * (g.centers() - 0.5))
-    records, _ = _execute(ops, phi0, psi0, SeminormSpec("tv"))
+    records, _ = _execute(MapSequence.constant(doubling_map(), m),
+                          HoleSequence.static(hole, m), phi0, psi0,
+                          SeminormSpec("tv"))
     assert [r["m"] for r in records] == list(range(1, m + 1))
     # reference: renormalize every step and carry the log-mass
-    op = ops[0].matrix
+    op = build_open(doubling_map(), hole, g).matrix
     for key, dens in (("mass_phi", phi0), ("mass_psi", psi0)):
         v, log_mass = dens.values, 0.0
         for r in records:
@@ -276,11 +280,10 @@ def test_execute_total_escape_names_step():
     # a hole over every cell centre at step 3 removes all mass
     g = Grid(1, 64)
     holes = HoleSequence((None, None, interval_hole(0.0, 0.999), None))
-    ops = schedule_operators(MapSequence.constant(doubling_map(), 4), holes,
-                             4, g)
     dens = GridDensity.uniform(g)
     with pytest.raises(TotalEscapeError, match="step 3"):
-        _execute(ops, dens, dens, SeminormSpec("tv"))
+        _execute(MapSequence.constant(doubling_map(), 4), holes, dens, dens,
+                 SeminormSpec("tv"))
 
 
 def test_global_constant_family_reduces_to_local():
@@ -416,6 +419,17 @@ def test_run_holds_one_block_of_open_operators(builds):
     assert max(alive for _, alive in builds) <= T
 
 
+def test_walk_builds_a_recurring_step_once(builds):
+    # with no perturbation and a static hole every step is the same open
+    # operator: the walk keeps it for the next block instead of
+    # assembling it once per block
+    hole = {"dimension": 1, "intervals": [[0.3, 0.31]]}
+    res = run_local(_shipped_local(delta=0.0, holes={"kind": "static",
+                                                      "hole": hole}))
+    assert res.records[-1]["m"] == 40
+    assert len(builds) == 1
+
+
 # configs/local.json whose static hole covers every cell centre of its
 # 4096 cells: both densities escape at the first step, and no open block
 # mixes
@@ -436,14 +450,13 @@ def test_psi_record_is_read_before_the_walk():
 
 
 @pytest.mark.parametrize("windows, psi, error, match", [
-    # every block mixes: the escape of the first block is raised last
+    # every block mixes: the escape ends the walk at its step
     ([True], None, TotalEscapeError, "total escape at step 1"),
-    # the cone audit comes before the escape
+    # the cone audit comes before the walk, so before the escape
     ([True], {"kind": "cosine_bump", "amplitude": 0.9}, ConfigError,
      "initial densities fail the cone"),
-    # the walk goes on window-checking after the escape, and a later
-    # block's miss comes first
-    ([True, False], None, CertificateError, "never satisfied the mixing"),
+    # the escape at step 1 ends the walk before a later block is checked
+    ([True, False], None, TotalEscapeError, "total escape at step 1"),
 ], ids=["escape_last", "cone_audit_first", "later_window_miss_first"])
 def test_escape_is_raised_after_the_audits(monkeypatch, windows, psi, error,
                                            match):

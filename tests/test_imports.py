@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-top-level name or public UPPER_CASE constant of the package goes unread.
+"""No module of the package imports a name it never uses, no private
+top-level name or public UPPER_CASE constant of the package goes unread,
+and no module checks anything with `assert`, which `python -O` strips.
 
 The package's `__init__.py` imports names only to re-export them, so its
 imports are not checked; its reads still count for the private names."""
@@ -116,3 +117,21 @@ def test_package_has_no_unread_private_name():
 def test_package_reads_every_public_constant():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unread_public_constants(sources) == []
+
+
+def assert_lines(source: str) -> list:
+    """Line numbers of the assert statements in a source."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Assert)]
+
+
+def test_checker_finds_an_assert():
+    source = ("def f(x):\n    if x:\n        assert x > 0, 'x'\n"
+              "    return 'assert x'\n")
+    assert assert_lines(source) == [3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_has_no_assert(path):
+    assert assert_lines(path.read_text()) == []
