@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CertificateError, ConfigError
-from .phase import (Grid, PartitionSpec, config_count, config_parameter,
-                    config_record)
+from .phase import Grid, PartitionSpec
 from .mixing import MixingCertificate, closed_certificate
 from .seminorm import (SeminormSpec, cone_member, element_expectations)
 from .transfer import GridDensity, UlamOperator, push
@@ -29,10 +27,10 @@ class ConeParams:
     """Aperture, contraction target, block length, and partition data.
 
     `d` is always the diameter of a partition, the selected Q's in a
-    record `select_parameters` returns.  Q is None only in a record read
-    back by `from_config`.  E is the certified mixing time of the
-    reference map on Q, and `mixing` the certificate selection computed
-    it in.
+    record `select_parameters` returns.  Q is None only in a record built
+    by hand, which prices rate constants but checks no cone membership.
+    E is the certified mixing time of the reference map on Q, and
+    `mixing` the certificate selection computed it in.
     """
 
     a: float
@@ -83,19 +81,6 @@ class ConeParams:
                 "seminorm": self.seminorm.to_config(), "d": self.d,
                 "M": self.M, "E": self.E,
                 "Q": None if self.Q is None else self.Q.to_config()}
-
-    @staticmethod
-    def from_config(rec: dict) -> "ConeParams":
-        """Inverse of `to_config` for the scalars and the seminorm; the
-        partition Q, and with it its mixing time E, is not read back.
-        ConfigError naming the key of a scalar out of its range."""
-        sem = SeminormSpec.from_config(
-            config_record(rec, "seminorm", {"kind": "tv"}))
-        num = partial(config_parameter, rec)
-        return ConeParams(a=num("a"), sigma=num("sigma", 0.5),
-                          T=config_count(rec, "T"), zeta1=num("zeta1"),
-                          zeta2=num("zeta2"), seminorm=sem, d=num("d", 0.0),
-                          M=num("M", 1.0))
 
 
 @dataclass(frozen=True)

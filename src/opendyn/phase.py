@@ -85,18 +85,13 @@ _PARAMETER_RANGES = {
     "zeta1": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
     "zeta2": ("exceed 1", lambda v: v > 1.0),
     "sigma": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "theta": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "C": ("be non-negative", lambda v: v >= 0.0),
-    "a": ("be positive", lambda v: v > 0.0),
-    "d": ("be non-negative", lambda v: v >= 0.0),
-    "M": ("be positive", lambda v: v > 0.0),
 }
 
 
 def config_parameter(rec: dict, key: str, *default) -> float:
-    """config_number of a mixing-window or cone parameter (zeta1, zeta2,
-    sigma, theta, C, a, d or M); ConfigError naming the key unless it
-    lies in its range.  KeyError when the key is absent and no default is given."""
+    """config_number of a mixing-window or cone parameter (zeta1, zeta2
+    or sigma); ConfigError naming the key unless it lies in its range.
+    KeyError when the key is absent and no default is given."""
     value = config_number(rec, key, *default)
     rule, ok = _PARAMETER_RANGES[key]
     if not ok(value):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from opendyn import cli, errors
+from opendyn import errors, experiments
 from opendyn.cli import main
 from opendyn.errors import ConfigError
 from opendyn.experiments import run_local
@@ -51,79 +51,23 @@ def test_simulate_local_end_to_end(tmp_path, capsys):
     assert summary["verdict"]["pass"] is True
 
 
-def test_certify_mixing_exit_codes(tmp_path):
-    good = write(tmp_path, "mix.json", {
-        "map": {"kind": "full_branch_1d", "cuts": [0.5]},
-        "grid": {"dimension": 1, "n": 1024},
-        "partition": {"level": 3}, "zeta1": 0.9, "zeta2": 1.1, "i_max": 12})
-    assert main(["certify-mixing", good]) == 0
-    hopeless = write(tmp_path, "bad.json", {
-        "map": {"kind": "full_branch_1d", "cuts": [0.5]},
-        "grid": {"dimension": 1, "n": 1024},
-        "partition": {"level": 3}, "zeta1": 0.999, "zeta2": 1.001,
-        "i_max": 1})
-    assert main(["certify-mixing", hopeless]) == 2
-
-
-def test_certify_ly_writes_artifact(tmp_path):
-    cfg = write(tmp_path, "ly.json", {
-        "map": {"kind": "full_branch_1d", "cuts": [0.5]},
-        "grid": {"dimension": 1, "n": 1024},
-        "T1": 1, "k_max": 4, "ensemble_size": 12, "seed": 11,
-        "seminorm": {"kind": "tv"}})
-    code = main(["certify-ly", cfg, "--out", str(tmp_path / "arts")])
-    assert code == 0
-    cert = json.loads((tmp_path / "arts" / "ly_certificate.json").read_text())
-    assert cert["theta"] <= 0.5 + 1e-9
-    assert cert["C"] > 0.0
-
-
-def test_select_params_and_constants(tmp_path, capsys):
-    sel = write(tmp_path, "sel.json", {
-        "zeta1": 0.9, "zeta2": 1.1, "theta": 0.5, "C": 1.0, "T1": 1,
-        "sigma": 0.5, "seminorm": {"kind": "tv"},
-        "map": {"kind": "full_branch_1d", "cuts": [0.5]},
-        "grid": {"dimension": 1, "n": 2048}, "max_level": 8, "i_max": 16})
-    assert main(["select-params", sel, "--out", str(tmp_path / "arts")]) == 0
-    cp = json.loads((tmp_path / "arts" / "cone_params.json").read_text())
-    assert cp["T"] == 5
-    assert abs(cp["a"] - 5.161290322580645) < 1e-12
-    con = write(tmp_path, "con.json", {"cone_params": {
-        "a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
-        "d": 1.0 / 11, "M": 1.0, "seminorm": {"kind": "tv"}}})
-    assert main(["constants", con]) == 0
-    out = capsys.readouterr().out
-    assert "3.008154793552548" in out
-    assert "376.0577185154148" in out
-
-
-@pytest.mark.parametrize("map_rec, grid", [
-    ({"kind": "affine_2d", "matrix": [[3, 1], [1, 2]], "offset": [0.1, 0.2]},
-     {"dimension": 2, "n": 16}),
-    ({"kind": "full_branch_1d", "cuts": [0.5]}, {"dimension": 1, "n": 1000}),
-])
-def test_select_params_caps_levels_at_grid(tmp_path, map_rec, grid):
-    # the default max_level 8 exceeds what either grid resolves; the pool
-    # keeps only the dyadic levels that divide n
-    sel = write(tmp_path, "sel.json", {
-        "zeta1": 0.8, "zeta2": 1.2, "theta": 0.5, "C": 0.1, "T1": 1,
-        "seminorm": {"kind": "tv"}, "map": map_rec, "grid": grid})
-    assert main(["select-params", sel]) == 0
-
-
 def test_usage_and_config_errors(tmp_path):
     assert main(["no-such-command", "x.json"]) == 1
     assert main([]) == 1
+    shipped = str(pathlib.Path(__file__).parents[1] / "configs" / "local.json")
+    # the CLI runs run configs only; certificates come from a run
+    for retired in ("certify-mixing", "certify-ly", "select-params",
+                    "constants"):
+        assert main([retired, shipped]) == 1
+    out = ["--out", str(tmp_path / "out")]
     missing = str(tmp_path / "nope.json")
-    assert main(["certify-mixing", missing]) == 1
+    assert main(["simulate-local", missing, *out]) == 1
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    assert main(["certify-mixing", str(broken)]) == 1
-    badmap = write(tmp_path, "badmap.json", {
-        "map": {"kind": "full_branch_1d", "cuts": [0.9, 0.2]},
-        "grid": {"dimension": 1, "n": 256},
-        "partition": {"level": 2}, "zeta1": 0.9, "zeta2": 1.1})
-    assert main(["certify-mixing", badmap]) == 1
+    assert main(["simulate-local", str(broken), *out]) == 1
+    badmap = write(tmp_path, "badmap.json", dict(LOCAL_CFG, map={
+        "kind": "full_branch_1d", "cuts": [0.9, 0.2]}))
+    assert main(["simulate-local", badmap, *out]) == 1
 
 
 @pytest.mark.parametrize("key, patch", [
@@ -171,24 +115,6 @@ def _torus(**map_rec):
     return {"grid": {"dimension": 2, "n": 16},
             "map": dict({"kind": "affine_2d", "matrix": [[3, 1], [1, 2]],
                          "offset": [0.1, 0.2]}, **map_rec)}
-
-
-MIXING_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
-              "grid": {"dimension": 1, "n": 256}, "zeta1": 0.9, "zeta2": 1.1}
-LY_CFG = {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
-          "grid": {"dimension": 1, "n": 256}}
-SELECT_CFG = dict(LY_CFG, zeta1=0.9, zeta2=1.1, theta=0.5, C=1.0)
-CONE_PARAMS = {"a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
-               "d": 1.0 / 11, "M": 1.0}
-
-
-# the configs of the subcommands that are not runs, by command
-SUBCOMMAND_CFG = {"certify-mixing": MIXING_CFG, "select-params": SELECT_CFG,
-                  "constants": {"cone_params": CONE_PARAMS}}
-
-
-def _cone_params(**patch):
-    return {"cone_params": dict(CONE_PARAMS, **patch)}
 
 
 @pytest.mark.parametrize("base, key, patch", [
@@ -267,30 +193,6 @@ def _cone_params(**patch):
     (LOCAL_CFG, "sigma", {"sigma": 1.5}),
     (LOCAL_CFG, "sigma", {"sigma": 0}),
     (GLOBAL_CFG, "zeta1", {"zeta1": 0.0}),
-    # the other subcommands check the same ranges, and theta and C, by
-    # name before the library call
-    ("select-params", "theta", {"theta": 1.5}),
-    ("select-params", "theta", {"theta": 0.0}),
-    ("select-params", "C", {"C": -1.0}),
-    ("select-params", "zeta1", {"zeta1": 0.0}),
-    ("select-params", "zeta2", {"zeta2": 1.0}),
-    ("select-params", "sigma", {"sigma": 1.0}),
-    ("certify-mixing", "zeta1", {"zeta1": 1.2}),
-    ("certify-mixing", "zeta2", {"zeta2": 0.9}),
-    ("constants", "sigma", _cone_params(sigma=1.0)),
-    ("constants", "zeta1", _cone_params(zeta1=0.0)),
-    ("constants", "zeta2", _cone_params(zeta2=1.0)),
-    # the other cone scalars too: a, T, d and M, and a d that leaves
-    # zeta1 - zeta2*a*d/M no longer positive
-    ("constants", "a", _cone_params(a=0.0)),
-    ("constants", "T", _cone_params(T=0)),
-    ("constants", "d", _cone_params(d=1.0)),
-    ("constants", "d", _cone_params(d=-0.5)),
-    ("constants", "M", _cone_params(M=0.0)),
-    ("constants", "M", _cone_params(M=-1.0)),
-    # max_level counts the dyadic levels of the partition pool
-    ("select-params", "max_level", {"max_level": 0}),
-    ("select-params", "max_level", {"max_level": -1}),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
         "float_cert_samples", "text_step", "text_cut", "text_beta",
@@ -306,22 +208,11 @@ def _cone_params(**patch):
         "zero_T1", "repeated_cuts", "unsorted_cuts", "u_start_over_one",
         "u_end_over_one", "negative_u_start", "unknown_seminorm_kind",
         "bare_unknown_seminorm_kind", "zeta1_over_one", "zeta2_under_one",
-        "sigma_over_one", "zero_sigma", "global_zero_zeta1",
-        "select_theta_over_one", "select_zero_theta", "select_negative_C",
-        "select_zero_zeta1", "select_zeta2_one", "select_sigma_one",
-        "mixing_zeta1_over_one", "mixing_zeta2_under_one",
-        "constants_sigma_one", "constants_zero_zeta1",
-        "constants_zeta2_one", "constants_zero_a", "constants_zero_T",
-        "constants_d_too_large", "constants_negative_d", "constants_zero_M",
-        "constants_negative_M", "select_zero_max_level",
-        "select_negative_max_level"])
+        "sigma_over_one", "zero_sigma", "global_zero_zeta1"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
-    # runs, and the subcommands named by a string base, refuse a bad value
-    # by name, with no traceback and no later failure that hides the cause
-    if isinstance(base, str):
-        command, base = base, SUBCOMMAND_CFG[base]
-    else:
-        command = f"simulate-{base['kind']}"
+    # a run refuses a bad value by name, with no traceback and no later
+    # failure that hides the cause
+    command = f"simulate-{base['kind']}"
     cfg = write(tmp_path, "c.json", dict(base, **patch))
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -338,84 +229,6 @@ def test_config_cannot_disable_expansion_check(tmp_path, capsys):
     assert err.startswith("configuration error") and "s = " in err
 
 
-@pytest.mark.parametrize("command, cfg, key", [
-    ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
-                    "grid": {"dimension": 1, "n": 256}, "k_max": 4.7}, "k_max"),
-    ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
-                    "grid": {"dimension": 1, "n": 256},
-                    "ensemble_size": "4"}, "ensemble_size"),
-    ("certify-mixing", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
-                        "grid": {"dimension": 1, "n": 256}, "zeta1": 0.9,
-                        "zeta2": 1.1, "i_max": 12.0}, "i_max"),
-    ("select-params", {"zeta1": 0.9, "zeta2": 1.1, "theta": 0.5, "C": 1.0,
-                       "map": {"kind": "full_branch_1d", "cuts": [0.5]},
-                       "grid": {"dimension": 1, "n": 256},
-                       "max_level": 8.0}, "max_level"),
-    ("certify-mixing", {"map": ["full_branch_1d", [0.5]]}, "map"),
-    ("select-params", {"zeta1": 0.9, "zeta2": 1.1, "theta": 0.5, "C": 1.0,
-                       "map": ["full_branch_1d", [0.5]]}, "map"),
-    ("certify-ly", {"map": ["full_branch_1d", [0.5]]}, "map"),
-    ("certify-ly", {"maps": [["full_branch_1d", [0.5]]] * 4}, "map"),
-    ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
-                    "holes": ["static"]}, "holes"),
-    ("certify-mixing", dict(MIXING_CFG, zeta1="x"), "zeta1"),
-    ("certify-mixing", dict(MIXING_CFG, map=_torus(offset="x")["map"]),
-     "offset"),
-    ("select-params", dict(SELECT_CFG, theta="x"), "theta"),
-    ("select-params", dict(SELECT_CFG, sigma="x"), "sigma"),
-    ("constants", {"cone_params": dict(CONE_PARAMS, a="x")}, "a"),
-    ("constants", {"cone_params": dict(CONE_PARAMS, T=8.0)}, "T"),
-    ("certify-mixing", dict(MIXING_CFG, partition=[3]), "partition"),
-    ("certify-ly", {"map": {"kind": "full_branch_1d", "cuts": [0.5]},
-                    "grid": {"dimension": 1, "n": 256}, "seed": -3}, "seed"),
-    ("certify-ly", {"maps": 3, "grid": {"dimension": 1, "n": 256}}, "maps"),
-    # step and member counts are at least 1
-    ("certify-ly", dict(LY_CFG, T1=0), "T1"),
-    ("certify-ly", dict(LY_CFG, k_max=0), "k_max"),
-    ("certify-ly", dict(LY_CFG, T1=-1, maps=[LY_CFG["map"]] * 4), "T1"),
-    ("certify-ly", dict(LY_CFG, ensemble_size=0), "ensemble_size"),
-    ("certify-mixing", dict(MIXING_CFG, i_max=0), "i_max"),
-    ("select-params", dict(SELECT_CFG, i_max=-2), "i_max"),
-    ("select-params", dict(SELECT_CFG, T1=0), "T1"),
-], ids=["certify_ly_k_max", "certify_ly_ensemble", "mixing_i_max",
-        "select_max_level", "mixing_list_map", "select_list_map",
-        "certify_ly_list_map", "certify_ly_list_maps_entry",
-        "certify_ly_list_holes", "mixing_text_zeta1", "mixing_text_offset",
-        "select_text_theta", "select_text_sigma", "constants_text_a",
-        "constants_float_T", "mixing_list_partition", "certify_ly_negative_seed",
-        "certify_ly_number_maps", "certify_ly_zero_T1",
-        "certify_ly_zero_k_max", "certify_ly_maps_negative_T1",
-        "certify_ly_zero_ensemble", "mixing_zero_i_max",
-        "select_negative_i_max", "select_zero_T1"])
-def test_subcommand_integer_keys(tmp_path, capsys, deadline, command, cfg,
-                                key):
-    # a float or text count, a count below 1, or a list where a record
-    # belongs, is refused by name, not truncated, crashed or spun on (a
-    # select-params T1 of 0 once grew T by 0 forever)
-    with deadline(10):
-        assert main([command, write(tmp_path, "c.json", cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error") and f"'{key}'" in err
-
-
-def test_partition_level_above_grid_named(tmp_path, capsys, deadline):
-    # n = 4096 resolves dyadic levels up to 12; a deeper level is refused
-    # by name before 2^level is formed
-    cfg = dict(_shipped("mixing.json"), partition={"level": 10 ** 6})
-    with deadline(10):
-        assert main(["certify-mixing", write(tmp_path, "c.json", cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error") and "0 to 12" in err
-
-
-def test_select_params_needs_a_map(tmp_path, capsys):
-    # cone parameters come only from a selection, which needs the base map
-    cfg = {k: v for k, v in _shipped("select.json").items() if k != "map"}
-    assert main(["select-params", write(tmp_path, "c.json", cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error") and "'map'" in err
-
-
 # every exception class the library defines, by the outcome it maps to
 EXIT_OF = {errors.CertificateError: (2, "property violation"),
            errors.TotalEscapeError: (2, "property violation"),
@@ -428,12 +241,13 @@ EXIT_OF = {errors.CertificateError: (2, "property violation"),
     ids=lambda c: c.__name__)
 def test_every_library_error_has_an_exit_code(tmp_path, capsys, monkeypatch,
                                               cls):
-    def raising(args):
+    def raising(cfg):
         raise cls("raised")
 
-    monkeypatch.setattr(cli, "_cmd_constants", raising)
+    monkeypatch.setattr(experiments, "run_local", raising)
     code, prefix = EXIT_OF[cls]
-    assert main(["constants", write(tmp_path, "c.json", {})]) == code
+    assert main(["simulate-local", write(tmp_path, "c.json", {}),
+                 "--out", str(tmp_path / "out")]) == code
     assert capsys.readouterr().err == f"{prefix}: raised\n"
 
 
@@ -450,15 +264,6 @@ def test_run_that_forgets_at_once_reports(tmp_path):
     assert s["fit"] is None
     assert s["verdict"] == {"flags": {"bound_dominated": True,
                                       "fit_ok": True}, "pass": True}
-
-
-def test_deep_partition_pool_exhausts_promptly(tmp_path, capsys, deadline):
-    # a pool asked for 10^6 levels ends at the grid's 12, so a C that no
-    # level admits is a prompt selection failure
-    cfg = dict(_shipped("select.json"), max_level=10 ** 6, C=1e6)
-    with deadline(10):
-        assert main(["select-params", write(tmp_path, "c.json", cfg)]) == 2
-    assert "partition family exhausted" in capsys.readouterr().err
 
 
 NAN, INF = float("nan"), float("inf")
@@ -486,15 +291,6 @@ def test_non_finite_number_names_its_key(tmp_path, capsys, key, patch):
     assert err.startswith("configuration error") and f"'{key}'" in err
 
 
-def test_certify_ly_short_schedule_is_config_error(tmp_path, capsys):
-    cfg = write(tmp_path, "ly.json", {
-        "maps": [{"kind": "full_branch_1d", "cuts": [0.5]}] * 3,
-        "grid": {"dimension": 1, "n": 256}, "T1": 1, "k_max": 4,
-        "ensemble_size": 4, "seminorm": {"kind": "tv"}})
-    assert main(["certify-ly", cfg]) == 1
-    assert capsys.readouterr().err.startswith("configuration error")
-
-
 def test_blocks_that_never_mix_exit_2(tmp_path, capsys):
     # configs/local.json with a static third-of-the-circle hole: no T with
     # two blocks in the horizon mixes, a property violation, not a config error
@@ -508,7 +304,7 @@ def test_blocks_that_never_mix_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["local.json", "global.json",
-                                  "local_2d.json"])
+                                  "local_2d.json", "doubling_closed.json"])
 def test_rerun_is_byte_identical(tmp_path, name):
     cfg = pathlib.Path(__file__).parents[1] / "configs" / name
     command = f"simulate-{_shipped(name)['kind']}"
@@ -538,14 +334,12 @@ def test_reports_do_not_depend_on_hash_order(tmp_path):
 
 
 CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.json"))
-# shipped configs without a "kind" entry, by file name
-SUBCOMMAND = {"constants.json": "constants", "ly.json": "certify-ly",
-              "mixing.json": "certify-mixing", "select.json": "select-params"}
 
 
-# each simulate config's certificate: T, a, E, |Q|, LY theta and C, the
+# each shipped config's certificate: T, a, E, |Q|, LY theta and C, the
 # verdict flags exactly; lambda and c0 to 1e-12 relative.  Fits are left
-# out: a one-ulp change in the distances moves lambda_fit by about 1e-6.
+# out where the rate is not exact: a one-ulp change in the distances moves
+# lambda_fit by about 1e-6.
 PINNED = {
     "local.json": (3, 1.0, 2, 4, 0.5, 1e-12, 0.9283177667225558,
                    {"bound_dominated": True, "fit_ok": True}),
@@ -553,6 +347,8 @@ PINNED = {
                     {"bound_dominated": True, "fit_ok": True}),
     "local_2d.json": (4, 1.0, 1, 4, 0.64, 1e-12, 0.9457416090031758,
                       {"bound_dominated": True, "fit_ok": True}),
+    "doubling_closed.json": (3, 1.0, 2, 4, 0.5, 1e-12, 0.9283177667225558,
+                             {"bound_dominated": True, "fit_ok": True}),
 }
 PINNED_C0 = 2224.6898845529226
 # global.json's stability radii at its five sample points, exactly
@@ -563,12 +359,8 @@ GLOBAL_XI_SAMPLES = [0.026086926460266113, 0.02933400869369507,
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_shipped_config_runs(tmp_path, capsys, path):
-    cfg = json.loads(path.read_text())
-    command = SUBCOMMAND.get(path.name) or f"simulate-{cfg['kind']}"
-    argv = [command, str(path), "--out", str(tmp_path / "out")]
-    assert main(argv) == 0
-    if not command.startswith("simulate-"):
-        return
+    command = f"simulate-{json.loads(path.read_text())['kind']}"
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 0
     assert "verdict: pass" in capsys.readouterr().out
     s = json.loads((tmp_path / "out" / "report_summary.json").read_text())
     cp, const = s["certificates"]["cone_params"], s["constants"]
@@ -584,3 +376,8 @@ def test_shipped_config_runs(tmp_path, capsys, path):
         # the slow-traversal step and the radii it is taken from
         assert const["xi_samples"] == GLOBAL_XI_SAMPLES
         assert const["step"] == 0.004347821076711019
+    if path.name == "doubling_closed.json":
+        # the sawtooth is an eigenfunction of the closed doubling operator
+        # with eigenvalue 1/2, so the fit recovers that rate to rounding
+        assert s["fit"]["lambda_fit"] == pytest.approx(0.5, rel=0.0,
+                                                       abs=1e-12)

@@ -1,6 +1,4 @@
 import dataclasses
-import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from opendyn.cone import (ConeParams, birkhoff_factor, c_lip, delta0,
                           sample_cone_density, select_parameters,
                           verify_cone_contraction)
 from opendyn.errors import CertificateError, ConfigError
-from opendyn.maps import doubling_map, full_branch_map, map_from_config
+from opendyn.maps import doubling_map, full_branch_map
 from opendyn.mixing import certify_mixing
 from opendyn.phase import Grid, dyadic_partition, dyadic_pool
 from opendyn.seminorm import (ConeCheck, SeminormSpec, cone_member,
@@ -51,20 +49,13 @@ def test_cone_params_validation():
         ConeParams(a=-1.0, sigma=0.5, T=1, zeta1=0.9, zeta2=1.1, seminorm=TV)
     with pytest.raises(ConfigError):
         ConeParams(a=1.0, sigma=0.5, T=1, zeta1=1.1, zeta2=0.9, seminorm=TV)
+    for a, T in ((0.0, 1), (1.0, 0)):
+        with pytest.raises(ConfigError, match="a > 0 and T >= 1"):
+            ConeParams(a=a, sigma=0.5, T=T, zeta1=0.9, zeta2=1.1, seminorm=TV)
     for d, M in ((-0.5, 1.0), (0.1, 0.0), (0.1, -1.0)):
         with pytest.raises(ConfigError, match="d >= 0 and M > 0"):
             ConeParams(a=1.0, sigma=0.5, T=1, zeta1=0.9, zeta2=1.1,
                        seminorm=TV, d=d, M=M)
-
-
-def test_cone_params_config_roundtrip():
-    # the scalars and the seminorm read back; the partition Q and its
-    # mixing time E are not read
-    osc = SeminormSpec.from_config({"kind": "osc", "alpha": 0.7, "eps0": 0.25})
-    cp = ConeParams(a=2.5, sigma=0.4, T=6, zeta1=0.8, zeta2=1.2, seminorm=osc,
-                    Q=dyadic_partition(Grid(1, 64), 2), d=0.25, M=0.5, E=3)
-    again = ConeParams.from_config(json.loads(json.dumps(cp.to_config())))
-    assert again == dataclasses.replace(cp, Q=None, E=None)
 
 
 def test_audit_flags_each_inequality():
@@ -120,16 +111,12 @@ def test_analytic_aperture_is_its_closed_form(theta, C, sigma, zeta1, zeta2,
 
 
 def test_select_parameters_exact_aperture_admits_shorter_block():
-    # select.json's doubling map and pool with theta = 0.4, C = 0.1: T = 2,
+    # the doubling map and its dyadic pool with theta = 0.4, C = 0.1: T = 2,
     # a = 0.1/(0.225 - 0.16) = 1.538..., so 4 arcs (1.1*a/4 <= 0.45) with
     # E = 2 <= T; a doubled aperture would need 8 arcs, E = 3, and T = 3
-    sel = json.loads((pathlib.Path(__file__).parents[1] / "configs"
-                      / "select.json").read_text())
-    g = Grid(1, sel["grid"]["n"])
-    cp = select_parameters(0.9, 1.1, 0.4, 0.1, 1, TV,
-                           dyadic_pool(g, sel["max_level"]),
-                           build_closed(map_from_config(sel["map"]), g),
-                           0.5, sel["i_max"])
+    g = Grid(1, 4096)
+    cp = select_parameters(0.9, 1.1, 0.4, 0.1, 1, TV, dyadic_pool(g, 8),
+                           build_closed(doubling_map(), g), 0.5, 16)
     assert cp.T == 2
     assert cp.a == 0.1 / (0.225 - 0.4 ** 2)
     assert (cp.Q.n_elements, cp.E) == (4, 2)
@@ -228,6 +215,12 @@ def test_select_parameters_input_validation(deadline):
         select_parameters(0.9, 1.1, 1.5, 1.0, 1, TV, dyadic_pool(g, 8), base)
     with pytest.raises(ConfigError):
         select_parameters(0.0, 1.1, 0.5, 1.0, 1, TV, dyadic_pool(g, 8), base)
+    for theta, C, zeta2, sigma, match in (
+            (0.0, 1.0, 1.1, 0.5, "theta_LY"), (0.5, -1.0, 1.1, 0.5, "C_LY"),
+            (0.5, 1.0, 1.0, 0.5, "zeta2"), (0.5, 1.0, 1.1, 1.0, "sigma")):
+        with pytest.raises(ConfigError, match=match):
+            select_parameters(0.9, zeta2, theta, C, 1, TV, dyadic_pool(g, 8),
+                              base, sigma)
     # a block of T1 = 0 steps would grow T by nothing, forever
     with deadline(10), pytest.raises(ConfigError, match="T1"):
         select_parameters(0.9, 1.1, 0.5, 1.0, 0, TV, dyadic_pool(g, 8), base)

@@ -1,6 +1,6 @@
-"""Every demo script and every Python example in README.md runs to
-completion against the current API, and every API name README.md cites
-exists."""
+"""Every demo script, every Python example and every `opendyn` command
+line in README.md runs to completion against the current API and CLI,
+and every API name README.md cites exists."""
 
 import importlib
 import inspect
@@ -14,11 +14,18 @@ from pathlib import Path
 import pytest
 
 import opendyn
+from opendyn import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = (ROOT / "README.md").read_text()
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+# the argument lists of the `opendyn ...` lines in README's shell blocks
+README_COMMANDS = [
+    line.split()[1:]
+    for lang, block in re.findall(r"^```(\w*)\n(.*?)^```", README,
+                                  re.M | re.S) if not lang
+    for line in block.splitlines() if line.startswith("opendyn ")]
 # backticked `name(...)` calls and `Class.attr` references outside the
 # fenced blocks; a code span may wrap a line
 README_REFS = sorted({
@@ -48,6 +55,17 @@ def test_readme_example_runs(k, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(README_BLOCKS[k], f"README.md python block {k + 1}",
                  "exec"), {})
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS,
+                         ids=[" ".join(a[:2]) for a in README_COMMANDS])
+def test_readme_command_runs(argv, tmp_path, monkeypatch):
+    # config paths are relative to the repository root; each --out
+    # directory moves into the scratch directory
+    monkeypatch.chdir(ROOT)
+    argv = [str(tmp_path / a) if prev == "--out" else a
+            for prev, a in zip([None] + argv, argv)]
+    assert cli.main(argv) == 0
 
 
 def _resolves(ref: str) -> bool:
