@@ -9,8 +9,14 @@ import pytest
 
 from opendyn import errors, experiments
 from opendyn.cli import main
-from opendyn.errors import ConfigError
+from opendyn.cone import ConeParams, rate_constants, select_parameters
+from opendyn.errors import CertificateError, ConfigError
 from opendyn.experiments import run_local
+from opendyn.maps import doubling_map, full_branch_map, map_from_config
+from opendyn.mixing import certify_mixing
+from opendyn.phase import Grid, dyadic_partition, dyadic_pool
+from opendyn.seminorm import SeminormSpec
+from opendyn.transfer import build_closed
 
 LOCAL_CFG = {
     "kind": "local",
@@ -117,6 +123,36 @@ def _torus(**map_rec):
                          "offset": [0.1, 0.2]}, **map_rec)}
 
 
+TV = SeminormSpec.from_config({"kind": "tv"})
+G256 = Grid(1, 256)
+CONE_PARAMS = {"a": 1.0, "sigma": 0.5, "T": 8, "zeta1": 0.9, "zeta2": 1.1,
+               "d": 1.0 / 11, "M": 1.0}
+
+
+def _select(**patch):
+    kw = dict(zeta1=0.9, zeta2=1.1, theta_LY=0.5, C_LY=1.0, T1=1, sem=TV,
+              partition_family=dyadic_pool(G256, 8),
+              base=build_closed(doubling_map(), G256))
+    return select_parameters(**dict(kw, **patch))
+
+
+def _mixing(**patch):
+    kw = dict(mapspec=doubling_map(), Q=dyadic_partition(G256, 3),
+              zeta1=0.9, zeta2=1.1)
+    return certify_mixing(**dict(kw, **patch))
+
+
+def _constants(**patch):
+    return rate_constants(ConeParams(**dict(CONE_PARAMS, seminorm=TV,
+                                            **patch)))
+
+
+# the library entry points a string base names, each called on a worked
+# case with the patch applied by keyword
+LIBRARY = {"select_parameters": _select, "certify_mixing": _mixing,
+           "rate_constants": _constants}
+
+
 @pytest.mark.parametrize("base, key, patch", [
     (LOCAL_CFG, "measure", {"holes": dict(LOCAL_CFG["holes"], measure="x")}),
     (LOCAL_CFG, "amplitude", {"psi": {"kind": "cosine_bump",
@@ -193,6 +229,26 @@ def _torus(**map_rec):
     (LOCAL_CFG, "sigma", {"sigma": 1.5}),
     (LOCAL_CFG, "sigma", {"sigma": 0}),
     (GLOBAL_CFG, "zeta1", {"zeta1": 0.0}),
+    # the library checks the same ranges, and theta_LY and C_LY, by name
+    ("select_parameters", "theta_LY", {"theta_LY": 1.5}),
+    ("select_parameters", "theta_LY", {"theta_LY": 0.0}),
+    ("select_parameters", "C_LY", {"C_LY": -1.0}),
+    ("select_parameters", "zeta1", {"zeta1": 0.0}),
+    ("select_parameters", "zeta2", {"zeta2": 1.0}),
+    ("select_parameters", "sigma", {"sigma": 1.0}),
+    ("certify_mixing", "zeta1", {"zeta1": 1.2}),
+    ("certify_mixing", "zeta2", {"zeta2": 0.9}),
+    ("rate_constants", "sigma", {"sigma": 1.0}),
+    ("rate_constants", "zeta1", {"zeta1": 0.0}),
+    ("rate_constants", "zeta2", {"zeta2": 1.0}),
+    # the other cone scalars too: a, T, d and M, and a d that leaves
+    # zeta1 - zeta2*a*d/M no longer positive
+    ("rate_constants", "a", {"a": 0.0}),
+    ("rate_constants", "T", {"T": 0}),
+    ("rate_constants", "d", {"d": 1.0}),
+    ("rate_constants", "d", {"d": -0.5}),
+    ("rate_constants", "M", {"M": 0.0}),
+    ("rate_constants", "M", {"M": -1.0}),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
         "float_cert_samples", "text_step", "text_cut", "text_beta",
@@ -208,10 +264,22 @@ def _torus(**map_rec):
         "zero_T1", "repeated_cuts", "unsorted_cuts", "u_start_over_one",
         "u_end_over_one", "negative_u_start", "unknown_seminorm_kind",
         "bare_unknown_seminorm_kind", "zeta1_over_one", "zeta2_under_one",
-        "sigma_over_one", "zero_sigma", "global_zero_zeta1"])
+        "sigma_over_one", "zero_sigma", "global_zero_zeta1",
+        "select_theta_over_one", "select_zero_theta", "select_negative_C",
+        "select_zero_zeta1", "select_zeta2_one", "select_sigma_one",
+        "mixing_zeta1_over_one", "mixing_zeta2_under_one",
+        "constants_sigma_one", "constants_zero_zeta1",
+        "constants_zeta2_one", "constants_zero_a", "constants_zero_T",
+        "constants_d_too_large", "constants_negative_d", "constants_zero_M",
+        "constants_negative_M"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
-    # a run refuses a bad value by name, with no traceback and no later
-    # failure that hides the cause
+    # a run, and the library entry point a string base names, refuses a
+    # bad value by name, with no traceback and no later failure that hides
+    # the cause
+    if isinstance(base, str):
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            LIBRARY[base](**patch)
+        return
     command = f"simulate-{base['kind']}"
     cfg = write(tmp_path, "c.json", dict(base, **patch))
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
@@ -227,6 +295,50 @@ def test_config_cannot_disable_expansion_check(tmp_path, capsys):
     assert main(["simulate-local", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "s = " in err
+
+
+def test_partition_level_above_grid_named(deadline):
+    # n = 4096 resolves dyadic levels up to 12; a deeper level is refused
+    # by name before 2^level is formed
+    with deadline(10), pytest.raises(ConfigError, match="0 to 12"):
+        dyadic_partition(Grid(1, 4096), 10 ** 6)
+
+
+def test_select_params_and_constants():
+    # the doubling map's selection at theta 0.5, C 1, and the rate
+    # constants of a hand-built cone record
+    g = Grid(1, 2048)
+    cp = select_parameters(0.9, 1.1, 0.5, 1.0, 1, TV, dyadic_pool(g, 8),
+                           build_closed(full_branch_map([0.5]), g), 0.5, 16)
+    assert cp.T == 5
+    assert abs(cp.a - 5.161290322580645) < 1e-12
+    rate = rate_constants(ConeParams(seminorm=TV, **CONE_PARAMS))
+    assert rate.delta0 == 3.008154793552548
+    assert rate.c0 == 376.0577185154148
+
+
+@pytest.mark.parametrize("map_rec, grid", [
+    ({"kind": "affine_2d", "matrix": [[3, 1], [1, 2]], "offset": [0.1, 0.2]},
+     {"dimension": 2, "n": 16}),
+    ({"kind": "full_branch_1d", "cuts": [0.5]}, {"dimension": 1, "n": 1000}),
+])
+def test_select_params_caps_levels_at_grid(map_rec, grid):
+    # a pool of 8 levels exceeds what either grid resolves; it keeps only
+    # the dyadic levels that divide n
+    g = Grid.from_config(grid)
+    cp = select_parameters(0.8, 1.2, 0.5, 0.1, 1, TV, dyadic_pool(g, 8),
+                           build_closed(map_from_config(map_rec), g))
+    assert cp.Q.grid == g
+
+
+def test_deep_partition_pool_exhausts_promptly(deadline):
+    # a pool asked for 10^6 levels ends at the grid's 12, so a C that no
+    # level admits is a prompt selection failure
+    g = Grid(1, 4096)
+    with deadline(10), pytest.raises(CertificateError,
+                                     match="partition family exhausted"):
+        select_parameters(0.9, 1.1, 0.5, 1e6, 1, TV, dyadic_pool(g, 10 ** 6),
+                          build_closed(doubling_map(), g), 0.5, 16)
 
 
 # every exception class the library defines, by the outcome it maps to
