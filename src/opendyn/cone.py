@@ -9,6 +9,7 @@ expectation on a reference partition Q.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -27,7 +28,7 @@ class ConeParams:
     """Aperture, contraction target, block length, and partition data.
 
     `d` is always the diameter of a partition, the selected Q's in a
-    record `select_parameters` returns.  Q is None only in a record built
+    rung of `parameter_ladder`.  Q is None only in a record built
     by hand, which prices rate constants but checks no cone membership.
     E is the certified mixing time of the reference map on Q, and
     `mixing` the certificate selection computed it in.
@@ -94,32 +95,31 @@ class RateConstants:
 # ---------------------------------------------------------------------------
 # parameter selection
 
-def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
-                      T1: int, sem: SeminormSpec, partition_family,
-                      base: UlamOperator, sigma: float = 0.5,
-                      i_max: int = 24) -> ConeParams:
-    """Ordered selection of (sigma, T, a, Q):
+def parameter_ladder(zeta1: float, zeta2: float, theta_LY: float,
+                     C_LY: float, T1: int, sem: SeminormSpec,
+                     partition_family, base: UlamOperator,
+                     sigma: float = 0.5, i_max: int = 24):
+    """The cone parameters at every admissible block length, shortest
+    first: one selection rule applied at each T it visits.
 
-    grow T until theta^T/(zeta1/2) < sigma; take the smallest aperture
+    T starts at the theta floor, the first multiple of T1 with
+    theta^T/(zeta1/2) < sigma.  At each T the aperture is the smallest
     with (a*theta^T + C)/(zeta1/2) <= sigma*a, the closed form
-    a = max(C/(sigma*zeta1/2 - theta^T), 1); take the first partition in
-    the family with zeta2*a*d/M <= zeta1/2; grow T to at least the mixing
-    time E of the base map on it.  Growing T shrinks the required
-    aperture, so the procedure reruns from the larger T.  It ends: each
-    rerun picks a partition earlier in the family or keeps its partition,
-    and a kept partition's E is already covered.
+    a(T) = max(C/(sigma*zeta1/2 - theta^T), 1), and Q(T) is the first
+    partition in the family with zeta2*a*d/M <= zeta1/2.  A T below the
+    mixing time E of the base map on Q(T) jumps to the next multiple of
+    T1 at or past E; an admissible T yields its ConeParams, carrying
+    Q(T)'s mixing certificate (`mixing`), and the ladder goes on at
+    T + T1.  It never ends: the caller stops climbing.
 
     The family is any iterable of partitions, coarsest first, such as the
-    generator `dyadic_pool`.  It is drawn up to the first partition the
-    first aperture admits: a later aperture is no larger, so the first
-    partition it admits is among those drawn.  A partition picked again
-    keeps its mixing certificate.
-
-    `base` is the closed base-map operator on the family's grid; the
-    result carries its mixing certificate on Q (`mixing`).  No
-    admissible selection raises CertificateError: theta_LY too close to
-    1 for T to settle, a family with no partition the aperture admits,
-    or a selected partition without a mixing time within i_max.
+    generator `dyadic_pool`.  a(T) never grows with T, so the family is
+    drawn only up to the first partition the first aperture admits.
+    Each distinct partition's closed mixing is certified once.  `base`
+    is the closed base-map operator on the family's grid.  No admissible
+    selection raises CertificateError: theta_LY too close to 1 for T to
+    settle, a family with no partition the aperture admits, or a
+    selected partition without a mixing time within i_max.
     """
     if not 0.0 < theta_LY < 1.0:
         raise ConfigError("theta_LY must lie in (0, 1)")
@@ -139,32 +139,38 @@ def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
         if T > 10_000 * T1:
             raise CertificateError("theta_LY too close to 1: T diverges")
 
-    def aperture(T: int) -> float:
-        return max(C_LY / (sigma * half - theta_LY ** T), 1.0)
+    pool, drawn = iter(partition_family), []    # (Q, d, M) as drawn
+    certify = functools.cache(lambda i: closed_certificate(
+        base, drawn[i][0], zeta1, zeta2, i_max))
+    while True:
+        a = max(C_LY / (sigma * half - theta_LY ** T), 1.0)
+        while not drawn or zeta2 * a * drawn[-1][1] / drawn[-1][2] > half:
+            Q = next(pool, None)
+            if Q is None:
+                raise CertificateError(
+                    f"partition family exhausted: need zeta2*a*d/M <= "
+                    f"{half:.4g} with a = {a:.4g}")
+            if base.grid != Q.grid:
+                raise ConfigError("the base operator must act on the "
+                                  "partition family's grid")
+            drawn.append((Q, sem.diam(Q), sem.M(Q)))
+        i = next(i for i, (_, d, M) in enumerate(drawn)
+                 if zeta2 * a * d / M <= half)
+        (Q, d, M), mix = drawn[i], certify(i)
+        if T >= mix.E:
+            yield ConeParams(a, sigma, T, zeta1, zeta2, sem, Q, d, M,
+                             mix.E, mix)
+        T = max(T + T1, T1 * math.ceil(mix.E / T1))
 
-    a = aperture(T)
-    drawn = []                    # (Q, d, M) up to the first admissible Q
-    for Q in partition_family:
-        if base.grid != Q.grid:
-            raise ConfigError("the base operator must act on the "
-                              "partition family's grid")
-        d, M = sem.diam(Q), sem.M(Q)
-        drawn.append((Q, d, M))
-        if zeta2 * a * d / M <= half:
-            break
-    else:
-        raise CertificateError(
-            f"partition family exhausted: need zeta2*a*d/M <= "
-            f"{half:.4g} with a = {a:.4g}")
 
-    mix = closed_certificate(base, Q, zeta1, zeta2, i_max)
-    while T < mix.E:
-        T = T1 * math.ceil(mix.E / T1)
-        a = aperture(T)
-        Q, d, M = next(p for p in drawn if zeta2 * a * p[1] / p[2] <= half)
-        if mix.partition is not Q:
-            mix = closed_certificate(base, Q, zeta1, zeta2, i_max)
-    return ConeParams(a, sigma, T, zeta1, zeta2, sem, Q, d, M, mix.E, mix)
+def select_parameters(zeta1: float, zeta2: float, theta_LY: float, C_LY: float,
+                      T1: int, sem: SeminormSpec, partition_family,
+                      base: UlamOperator, sigma: float = 0.5,
+                      i_max: int = 24) -> ConeParams:
+    """The first rung of `parameter_ladder`: the shortest admissible block
+    length T, its aperture a(T), partition Q(T) and mixing time E."""
+    return next(parameter_ladder(zeta1, zeta2, theta_LY, C_LY, T1, sem,
+                                 partition_family, base, sigma, i_max))
 
 
 # ---------------------------------------------------------------------------

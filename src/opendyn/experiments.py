@@ -1,14 +1,14 @@
 """Experiment orchestration: certified memory-loss runs and reports.
 
 Both regimes run one pipeline, `_run`: certify, draw the hole schedule
-and psi, audit the initial densities' cone, then walk the schedule
-once, a block of T steps at a time, window-checking each full block,
-pushing both densities through it and discarding its open operators
-(T grows, while two blocks fit the horizon, until every full block
-mixes); audit the parameters, then budget, fit and report.  A regime
-only supplies a plan: its per-sample certificates, its map schedule for
-each T with the constants that T sets, and its own constants and
-certificates.
+and psi, then climb the ladder of cone parameters (`parameter_ladder`)
+rung by rung, while two blocks fit the horizon: cone-audit the initial
+densities at the rung, walk its schedule a block of T steps at a time,
+window-checking each full block, pushing both densities through it and
+discarding its open operators, and stop at the first rung whose full
+blocks all mix; audit the parameters, then budget, fit and report.  A
+regime only supplies a plan: its per-sample certificates and, for each
+rung, its map schedule with the constants and certificates it reports.
 A local run perturbs one base map; a global run traverses a map curve
 slowly enough that per-sample certificates chain along it.
 """
@@ -23,16 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, ConfigError, TotalEscapeError
-from .phase import (Grid, config_count, config_integer, config_number,
-                    config_parameter, config_record, config_seed,
-                    dyadic_pool)
+from .phase import (Grid, config_count, config_integer, config_keys,
+                    config_number, config_parameter, config_record,
+                    config_seed, dyadic_pool)
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
                    is_perturbation, map_from_config)
 from .holes import HoleSequence, HoleSpec, hole_from_config
 from .transfer import (MASS_FLOOR, GridDensity, OperatorCache, normalize,
                        push)
 from .seminorm import SeminormSpec, cone_member, estimate_LY
-from .cone import RateConstants, rate_constants, select_parameters
+from .cone import RateConstants, parameter_ladder, rate_constants
 from .mixing import default_perturbation, random_hole, ratio_profile
 
 FIT_FLOOR = 1e-14
@@ -96,6 +96,11 @@ class ExperimentConfig:
             kind = cfg["kind"]
             if kind not in ("local", "global"):
                 raise ConfigError(f"unknown experiment kind {kind!r}")
+            # a certificates record is accepted and ignored: every run
+            # certifies with one fixed recipe
+            config_keys(cfg, "kind", "grid", "horizon", "seed", "T1",
+                        "delta", "zeta1", "zeta2", "sigma", "seminorm",
+                        "holes", "psi", "map", "family", "certificates")
             grid = Grid.from_config(config_record(cfg, "grid", {}))
             horizon = config_integer(cfg, "horizon")
             if horizon < 2:
@@ -147,11 +152,14 @@ class RunResult:
 def hole_schedule(rec: dict, m: int, dimension: int, rng) -> HoleSequence:
     kind = rec.get("kind", "none")
     if kind == "none":
+        config_keys(rec, "kind")
         return HoleSequence.closed(m)
     try:
         if kind == "static":
+            config_keys(rec, "kind", "hole")
             seq = HoleSequence.static(hole_from_config(rec["hole"]), m)
         elif kind == "drifting_interval":
+            config_keys(rec, "kind", "measure", "center", "velocity")
             w = _hole_size(rec, "measure")
             c0 = config_number(rec, "center", 0.3)
             v = config_number(rec, "velocity", 0.137)
@@ -162,6 +170,7 @@ def hole_schedule(rec: dict, m: int, dimension: int, rng) -> HoleSequence:
                                                      (c + w / 2) % 1.0),)))
             seq = HoleSequence(tuple(holes))
         elif kind == "random_intervals":
+            config_keys(rec, "kind", "epsilon")
             eps = _hole_size(rec, "epsilon")
             seq = HoleSequence(tuple(random_hole(dimension, eps, rng)
                                      for _ in range(m)))
@@ -183,6 +192,8 @@ def _hole_size(rec: dict, key: str) -> float:
 def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
     """The second initial density psi; the first, phi, is uniform."""
     kind = rec.get("kind")
+    if kind in ("cosine_bump", "sawtooth"):
+        config_keys(rec, "kind", "amplitude")
     if kind == "cosine_bump":
         amp = config_number(rec, "amplitude", 0.5)
         x = grid.centers()
@@ -201,6 +212,7 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
             raise ConfigError("sawtooth density is one-dimensional")
         return GridDensity(grid, 1.0 + amp * (x - 0.5))
     if kind == "blocks":
+        config_keys(rec, "kind", "blocks")
         nb = config_integer(rec, "blocks", 16)
         if not 1 <= nb <= grid.total_cells:
             raise ConfigError("config key 'blocks' must lie in "
@@ -216,14 +228,15 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
 # certification pipeline
 
 def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> tuple:
-    """(LY certificate, cone parameters) of the closed base operator."""
+    """The closed base operator's LY certificate and its ladder of cone
+    parameters (`parameter_ladder`): (ly, first rung, later rungs)."""
     closed = cache.get(base, None, grid)
     ly = estimate_LY([closed] * (K_MAX * cfg.T1), cfg.T1, cfg.seminorm,
                      ENSEMBLE_SIZE, seed=LY_SEED)
-    cp = select_parameters(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
-                           cfg.seminorm, dyadic_pool(grid, MAX_LEVEL), closed,
-                           cfg.sigma, I_MAX)
-    return ly, cp
+    rungs = parameter_ladder(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
+                             cfg.seminorm, dyadic_pool(grid, MAX_LEVEL),
+                             closed, cfg.sigma, I_MAX)
+    return ly, next(rungs), rungs
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +331,19 @@ def _run(config, kind: str, plan) -> RunResult:
     """The certified pipeline both regimes share.
 
     plan(cfg, rng, cache) returns the regime's per-sample _certify
-    results (the first one sets the cone), a function from the block
-    length T to its map schedule and the constants that T sets, and the
-    regime's own constants and certificates.  The report takes the
-    constants of the last schedule, the one at the final T.  Holes and
-    psi are drawn from rng after the plan's own draws.
+    results, (ly, first rung, later rungs) each, and a function from a
+    rung's cone parameters to the map schedule, constants and
+    certificates the run reports at that rung.  Holes and psi are drawn
+    from rng after the plan's own draws.
 
-    After the horizon check and psi, the initial densities are
-    cone-audited (growing T changes neither a nor Q).  The run then
-    walks its schedule once (`_walk`), a block of T steps at a time; a
-    block outside the window restarts the walk at T + T1, and a total
-    escape ends the run at its step.  The parameters are audited last,
-    at the final T.
+    After the horizon check at the first rung and psi, the run climbs the
+    first sample's ladder.  At each rung it cone-audits the initial
+    densities at the rung's (a, Q) and walks the rung's schedule
+    (`_walk`), a block of T steps at a time; a block outside the window
+    sends it to the next rung while two of its blocks fit the horizon,
+    and a total escape ends the run at its step.  The parameters are
+    audited last, at the final rung, which prices the first sample; the
+    other samples are priced at its T.
     """
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
@@ -337,42 +351,36 @@ def _run(config, kind: str, plan) -> RunResult:
         raise ConfigError(f"run_{kind} needs a {kind} config")
     rng = np.random.default_rng(cfg.seed)
     grid, cache = cfg.grid, OperatorCache()
-    samples, schedule, own_constants, own_certificates = \
-        plan(cfg, rng, cache)
+    samples, schedule = plan(cfg, rng, cache)
     hseq = hole_schedule(cfg.holes, cfg.horizon, grid.dimension, rng)
 
-    ly, cp = samples[0]
+    ly, cp, rungs = samples[0]
     if cfg.horizon < 2 * cp.T:
         raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
     phi0 = GridDensity.uniform(grid)
     psi0 = build_density(cfg.psi, grid, rng)
-    for dens in (phi0, psi0):
-        if not cone_member(dens, cp.a, cp.Q, cfg.seminorm).ok:
-            raise ConfigError("initial densities fail the cone audit")
-
-    # the block length is the smallest T, growing from the selected one in
-    # steps of T1 while two blocks still fit the horizon, at which every
-    # block of the run's own schedule for that T (a traversal's speed
-    # limit depends on T) keeps its pair ratios inside the mixing window
     while True:
-        maps, schedule_constants = schedule(cp.T)
+        for dens in (phi0, psi0):
+            if not cone_member(dens, cp.a, cp.Q, cfg.seminorm).ok:
+                raise ConfigError("initial densities fail the cone audit")
+        maps, schedule_constants, certificates = schedule(cp)
         walked = _walk(cfg, cp, maps, hseq, cache, phi0, psi0)
         if walked is not None:
             break
-        if cfg.horizon < 2 * (cp.T + cfg.T1):
+        T, cp = cp.T, next(rungs)
+        if cfg.horizon < 2 * cp.T:
             raise CertificateError(
                 f"open blocks never satisfied the mixing window up to "
-                f"T = {cp.T}; two blocks of T = {cp.T + cfg.T1} exceed "
-                f"the horizon {cfg.horizon}")
-        cp = dataclasses.replace(cp, T=cp.T + cfg.T1)
+                f"T = {T}; two blocks of T = {cp.T} exceed the horizon "
+                f"{cfg.horizon}")
     fails = cp.audit(ly.theta, ly.C, cfg.T1)
     if fails:
         raise CertificateError("; ".join(fails))
-    # price every sample at the block length the run uses, then take the
-    # worst value of each constant
-    rates = [dataclasses.astuple(rate_constants(
-        dataclasses.replace(c, T=cp.T))) for _, c in samples]
-    rate = RateConstants(*map(max, zip(*rates)))
+    # price the run's cone and every other sample's at its T, then take
+    # the worst value of each constant
+    priced = [cp] + [dataclasses.replace(c, T=cp.T) for _, c, _ in samples[1:]]
+    rate = RateConstants(*map(max, zip(*(
+        dataclasses.astuple(rate_constants(c)) for c in priced))))
 
     records, peaks = walked
     budget = _grid_budget(records, peaks, grid, rate.c_lip)
@@ -383,24 +391,27 @@ def _run(config, kind: str, plan) -> RunResult:
                  "c_lip": rate.c_lip, "a": cp.a, "sigma": cp.sigma, "T": cp.T,
                  "zeta1": cp.zeta1, "zeta2": cp.zeta2, "grid_n": grid.n,
                  "budget_formula": "c_lip*m*h*peak_seminorm/2",
-                 **own_constants, **schedule_constants}
-    certificates = {"cone_params": cp.to_config(), **own_certificates}
+                 **schedule_constants}
+    certificates = {"cone_params": cp.to_config(), **certificates}
     return RunResult(records, fit, constants, certificates, flags, budget,
                      cfg.raw)
 
 
 def _local_plan(cfg: ExperimentConfig, rng, cache):
     base = map_from_config(cfg.map_rec)
-    ly, base_cp = _certify(base, cfg.grid, cfg, cache)
+    sample = ly, _, _ = _certify(base, cfg.grid, cfg, cache)
     mseq = MapSequence(tuple(default_perturbation(base, cfg.delta, rng)
                              for _ in range(cfg.horizon)))
-    mix = base_cp.mixing
-    certificates = {"ly": ly.to_config(),
-                    "mixing": {"E": mix.E, "ratio_min": mix.ratio_min,
-                               "ratio_max": mix.ratio_max,
-                               "i_checked": list(mix.i_checked)}}
-    return ([(ly, base_cp)], lambda T: (mseq, {}),
-            {"d": base_cp.d, "M": base_cp.M}, certificates)
+
+    def schedule(cp) -> tuple:
+        """The drawn maps at every rung, with the rung's d, M and mixing."""
+        mix = cp.mixing
+        return mseq, {"d": cp.d, "M": cp.M}, {
+            "ly": ly.to_config(),
+            "mixing": {"E": mix.E, "ratio_min": mix.ratio_min,
+                       "ratio_max": mix.ratio_max,
+                       "i_checked": list(mix.i_checked)}}
+    return [sample], schedule
 
 
 def run_local(config) -> RunResult:
@@ -438,6 +449,7 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
     if name not in FAMILIES:
         raise ConfigError(f"unknown family {name!r}")
     family = FAMILIES[name]
+    config_keys(fam_rec, "name", "u_start", "u_end", "cert_samples", "step")
     u0 = config_number(fam_rec, "u_start", 0.0)
     u1 = config_number(fam_rec, "u_end", 1.0)
     _check(0.0 <= u0 <= 1.0, "u_start", "lie in [0, 1]", u0)
@@ -451,29 +463,29 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
     sample_us = [float(s) for s in np.linspace(u0, u1, n_samples)]
     samples = [_certify(family(s), cfg.grid, cfg, cache) for s in sample_us]
     xis = [_stability_radius(family, s, u0, u1, cfg.delta) for s in sample_us]
-
-    def schedule(T: int) -> tuple:
-        """The traversal at block length T, with its speed limit and step:
-        a block of T steps moves the parameter by at most half the
-        smallest certified radius."""
-        limit = min(xis) / (2.0 * T)
-        step = limit if step_rec == "auto" else step_rec
-        if u1 > u0 and step > limit + 1e-15:
-            raise ConfigError(
-                f"parameter step {step:.4g} exceeds the speed limit "
-                f"{limit:.4g} at block length T = {T}")
-        us = [min(u1, u0 + k * step) for k in range(cfg.horizon)]
-        maps = MapSequence(tuple(family(u) for u in us))
-        return maps, {"sigma_estimate": limit, "step": step}
-
     certificates = {"per_sample": [{
         "u": s, "ly": ly.to_config(),
         "mixing": {"E": c.mixing.E, "ratio_min": c.mixing.ratio_min,
                    "ratio_max": c.mixing.ratio_max},
         "T": c.T, "a": c.a,
-    } for s, (ly, c) in zip(sample_us, samples)]}
-    return (samples, schedule,
-            {"xi_samples": xis, "sample_points": sample_us}, certificates)
+    } for s, (ly, c, _) in zip(sample_us, samples)]}
+
+    def schedule(cp) -> tuple:
+        """The traversal at the rung's block length T, with its speed
+        limit and step: a block of T steps moves the parameter by at most
+        half the smallest certified radius."""
+        limit = min(xis) / (2.0 * cp.T)
+        step = limit if step_rec == "auto" else step_rec
+        if u1 > u0 and step > limit + 1e-15:
+            raise ConfigError(
+                f"parameter step {step:.4g} exceeds the speed limit "
+                f"{limit:.4g} at block length T = {cp.T}")
+        us = [min(u1, u0 + k * step) for k in range(cfg.horizon)]
+        maps = MapSequence(tuple(family(u) for u in us))
+        return maps, {"sigma_estimate": limit, "step": step,
+                      "xi_samples": xis, "sample_points": sample_us}, \
+            certificates
+    return samples, schedule
 
 
 def run_global(config) -> RunResult:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .phase import (Grid, config_integer, config_numbers, is_integer,
-                    torus_delta)
+from .phase import (Grid, config_integer, config_keys, config_numbers,
+                    is_integer, torus_delta)
 
 
 def _normalize_intervals(intervals) -> tuple:
@@ -194,6 +194,7 @@ def hole_from_config(rec: dict) -> HoleSpec:
         raise ConfigError(f"a 'hole' record must be an object, got {rec!r}")
     if "dimension" not in rec:
         raise ConfigError("hole config missing key 'dimension'")
+    config_keys(rec, "dimension", "intervals", "rects", "disks")
     return HoleSpec(config_integer(rec, "dimension"),
                     intervals=config_numbers(rec, "intervals", (), width=2),
                     rects=config_numbers(rec, "rects", (), width=4),

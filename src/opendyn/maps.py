@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .phase import config_number, config_numbers, finite_float, torus_delta
+from .phase import (config_keys, config_number, config_numbers, finite_float,
+                    torus_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,13 @@ class MapSpec:
         if self.dimension == 1:
             if not self.branches:
                 raise ConfigError("1D map needs at least one branch")
+            # the perturbation family is chosen by the label
+            if self.kind == "affine_1d" and any(
+                    len(b.coeffs) == 3 and b.coeffs[2] != 0.0
+                    for b in self.branches):
+                raise ConfigError("config key 'kind' must be 'quadratic_1d' "
+                                  "for branches with a quadratic term, got "
+                                  "'affine_1d'")
             br = tuple(sorted(self.branches, key=lambda b: b.lo))
             object.__setattr__(self, "branches", br)
             if abs(br[0].lo) > 1e-12 or abs(br[-1].hi - 1.0) > 1e-12:
@@ -253,6 +261,7 @@ def map_from_config(rec: dict) -> MapSpec:
     try:
         kind = rec["kind"]
         if kind in ("affine_1d", "quadratic_1d"):
+            config_keys(rec, "kind", "branches")
             rows = rec["branches"]          # [lo, hi, [c0, c1(, c2)]] each
             try:
                 if not all(isinstance(r, list) and len(r) == 3
@@ -267,10 +276,13 @@ def map_from_config(rec: dict) -> MapSpec:
                                   f"{rec['branches']!r}") from exc
             return MapSpec(1, kind, tuple(Branch1D(*r) for r in rows))
         if kind == "full_branch_1d":
+            config_keys(rec, "kind", "cuts")
             return full_branch_map(config_numbers(rec, "cuts"))
         if kind == "beta_1d":
+            config_keys(rec, "kind", "beta")
             return beta_map(config_number(rec, "beta"))
         if kind == "affine_2d":
+            config_keys(rec, "kind", "matrix", "offset")
             return matrix_map(config_numbers(rec, "matrix", width=2),
                               config_numbers(rec, "offset", (0.0, 0.0)))
     except KeyError as exc:

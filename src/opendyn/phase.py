@@ -135,6 +135,15 @@ def config_record(rec: dict, key: str, *default) -> dict:
     return value
 
 
+def config_keys(rec: dict, *keys: str) -> None:
+    """ConfigError naming a key of rec outside `keys`, the keys its reader
+    reads, so that a misspelled key is refused rather than ignored."""
+    unread = sorted(set(rec).difference(keys), key=str)
+    if unread:
+        raise ConfigError(f"unknown config key {unread[0]!r}: the record "
+                          f"reads only {', '.join(map(repr, keys))}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on T^1 or T^2 with `cells_per_side` cells per axis."""
@@ -153,6 +162,7 @@ class Grid:
     @staticmethod
     def from_config(rec: dict) -> "Grid":
         """A config's `grid` record: dimension 1 and n = 4096 by default."""
+        config_keys(rec, "dimension", "n")
         return Grid(rec.get("dimension", 1), rec.get("n", 4096))
 
     @property

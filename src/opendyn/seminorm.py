@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import CertificateError, ConfigError, DegenerateParametersWarning
 from .mixing import ratio_profile
-from .phase import (Grid, PartitionSpec, config_number, diam_lambda,
-                    metric_diam)
+from .phase import (Grid, PartitionSpec, config_keys, config_number,
+                    diam_lambda, metric_diam)
 from .transfer import GridDensity, push
 
 NONNEG_TOL = 1e-12  # float dust allowed below zero after matrix products
@@ -156,8 +156,10 @@ class SeminormSpec:
     def from_config(rec: dict) -> "SeminormSpec":
         kind = rec["kind"]
         if kind == "tv":
+            config_keys(rec, "kind")
             return SeminormSpec("tv")
         if kind == "osc":
+            config_keys(rec, "kind", "alpha", "eps0")
             return SeminormSpec("osc", OscParams(config_number(rec, "alpha"),
                                                  config_number(rec, "eps0")))
         raise ConfigError(f"config key 'kind' must be 'tv' or 'osc', "

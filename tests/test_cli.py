@@ -229,6 +229,16 @@ LIBRARY = {"select_parameters": _select, "certify_mixing": _mixing,
     (LOCAL_CFG, "sigma", {"sigma": 1.5}),
     (LOCAL_CFG, "sigma", {"sigma": 0}),
     (GLOBAL_CFG, "zeta1", {"zeta1": 0.0}),
+    # a record refuses a key it does not read, so a misspelling neither
+    # falls back to a default nor fails later under another name
+    (LOCAL_CFG, "N", {"grid": {"dimension": 1, "N": 512}}),
+    (LOCAL_CFG, "amplitud", {"psi": {"kind": "cosine_bump",
+                                     "amplitud": 0.15}}),
+    (LOCAL_CFG, "centre", {"holes": {"kind": "drifting_interval",
+                                     "measure": 0.005, "centre": 0.3,
+                                     "velocity": 0.137}}),
+    (LOCAL_CFG, "cut", {"map": {"kind": "full_branch_1d", "cuts": [0.5],
+                                "cut": 0.3}}),
     # the library checks the same ranges, and theta_LY and C_LY, by name
     ("select_parameters", "theta_LY", {"theta_LY": 1.5}),
     ("select_parameters", "theta_LY", {"theta_LY": 0.0}),
@@ -265,6 +275,8 @@ LIBRARY = {"select_parameters": _select, "certify_mixing": _mixing,
         "u_end_over_one", "negative_u_start", "unknown_seminorm_kind",
         "bare_unknown_seminorm_kind", "zeta1_over_one", "zeta2_under_one",
         "sigma_over_one", "zero_sigma", "global_zero_zeta1",
+        "misspelled_grid_n", "misspelled_psi_amplitude",
+        "misspelled_hole_center", "extra_map_key",
         "select_theta_over_one", "select_zero_theta", "select_negative_C",
         "select_zero_zeta1", "select_zeta2_one", "select_sigma_one",
         "mixing_zeta1_over_one", "mixing_zeta2_under_one",
@@ -288,13 +300,18 @@ def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
 
 
 def test_config_cannot_disable_expansion_check(tmp_path, capsys):
-    # a map record has no switch for the s < 1 check: the cat map, which
-    # contracts along one direction, is refused by its s
-    patch = _torus(matrix=[[2, 1], [1, 1]], check_expanding=False)
-    cfg = write(tmp_path, "c.json", dict(LOCAL_CFG, **patch))
-    assert main(["simulate-local", cfg, "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error") and "s = " in err
+    # a map record has no switch for the s < 1 check: the key is refused
+    # by name, and the cat map, which contracts along one direction, is
+    # refused by its s
+    for patch, named in (
+            (_torus(matrix=[[2, 1], [1, 1]], check_expanding=False),
+             "'check_expanding'"),
+            (_torus(matrix=[[2, 1], [1, 1]]), "s = ")):
+        cfg = write(tmp_path, "c.json", dict(LOCAL_CFG, **patch))
+        assert main(["simulate-local", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and named in err
 
 
 def test_partition_level_above_grid_named(deadline):
@@ -427,15 +444,18 @@ def test_rerun_is_byte_identical(tmp_path, name):
             (tmp_path / "b" / report).read_bytes()
 
 
-def test_reports_do_not_depend_on_hash_order(tmp_path):
+@pytest.mark.parametrize("name", ["local.json", "global.json",
+                                  "local_2d.json", "doubling_closed.json"])
+def test_reports_do_not_depend_on_hash_order(tmp_path, name):
     # a rerun inside one process shares its string-hash seed, so run the
     # CLI in two fresh interpreters that hash differently
     root = pathlib.Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"),
                                          os.environ.get("PYTHONPATH")]))
+    command = f"simulate-{_shipped(name)['kind']}"
     for seed in ("0", "1"):
-        subprocess.run([sys.executable, "-m", "opendyn.cli", "simulate-local",
-                        str(root / "configs" / "local.json"),
+        subprocess.run([sys.executable, "-m", "opendyn.cli", command,
+                        str(root / "configs" / name),
                         "--out", str(tmp_path / seed)], check=True,
                        timeout=120, capture_output=True,
                        env=dict(os.environ, PYTHONPATH=path,

@@ -13,16 +13,19 @@ import opendyn.cone
 import opendyn.experiments
 import opendyn.mixing
 import opendyn.seminorm
+from opendyn.cone import ConeParams, rate_constants
 from opendyn.errors import CertificateError, ConfigError, TotalEscapeError
 from opendyn.experiments import (FAMILIES, ExperimentConfig, _walk,
                                  build_density, emit_report, fit_exponential,
                                  hole_schedule, run_global, run_local)
 from opendyn.holes import HoleSequence, interval_hole
 from opendyn.maps import MapSequence, doubling_map
-from opendyn.phase import Grid
+from opendyn.phase import Grid, dyadic_pool
 from opendyn.seminorm import SeminormSpec
 from opendyn.transfer import (GridDensity, OperatorCache, build_closed,
                               build_open, normalize)
+
+TV = SeminormSpec("tv")
 
 
 LOCAL_CFG = {
@@ -363,6 +366,60 @@ def test_global_speed_limit_at_final_T():
     cfg["family"]["step"] = 0.004
     with pytest.raises(ConfigError, match="T = 4"):
         run_global(cfg)
+
+
+@pytest.fixture
+def ly_constant(monkeypatch):
+    """Set the C of every LY certificate a run computes."""
+    real = opendyn.experiments.estimate_LY
+
+    def stub(C):
+        monkeypatch.setattr(opendyn.experiments, "estimate_LY",
+                            lambda *args, **kw: dataclasses.replace(
+                                real(*args, **kw), C=C))
+    return stub
+
+
+def test_run_repicks_a_and_Q_at_each_block_length(ly_constant):
+    # at C 1 the first sample selects T 6, a 5.42 and 32 arcs, whose
+    # blocks never mix at any longer T while (a, Q) stay frozen; the run
+    # re-picks both at every T and certifies at T 7
+    ly_constant(1.0)
+    res = run_global(_global_seed5())
+    cp, first = res.certificates["cone_params"], \
+        res.certificates["per_sample"][0]
+    assert (first["T"], cp["T"], cp["E"]) == (6, 7, 4)
+    a = max(1.0 / (0.5 * 0.8 / 2.0 - first["ly"]["theta"] ** 7), 1.0)
+    assert cp["a"] == res.constants["a"] == a
+    assert a == pytest.approx(5.2033, abs=1e-4)
+    Q = next(Q for Q in dyadic_pool(Grid(1, 1024), 8)
+             if 1.2 * a * TV.diam(Q) / TV.M(Q) <= 0.8 / 2.0)
+    assert cp["Q"] == Q.to_config() and Q.n_elements == 16
+    # at C 0.1 the aperture a(3) = 4/3 of the first sample shrinks to 1
+    # once its blocks grow to T 4
+    ly_constant(0.1)
+    res = run_global(_global_seed5())
+    assert res.certificates["per_sample"][0]["a"] == pytest.approx(4 / 3)
+    assert (res.constants["T"], res.constants["a"]) == (4, 1.0)
+
+
+def test_local_run_reports_its_final_rung(ly_constant):
+    # a local run whose first rung's blocks do not mix climbs to T 8; its
+    # rate constants, d, M and mixing certificate are those of the cone
+    # parameters it reports
+    ly_constant(1.0)
+    res = run_local(_shipped_local(
+        grid={"dimension": 1, "n": 1024}, seed=2,
+        holes={"kind": "random_intervals", "epsilon": 0.005}))
+    cp, const = res.certificates["cone_params"], res.constants
+    assert (cp["T"], len(cp["Q"]["elements"])) == (8, 16)
+    rate = rate_constants(ConeParams(
+        cp["a"], cp["sigma"], cp["T"], cp["zeta1"], cp["zeta2"], TV,
+        d=cp["d"], M=cp["M"]))
+    assert (const["delta0"], const["lambda"], const["c0"], const["c_lip"]) \
+        == (rate.delta0, rate.lam, rate.c0, rate.c_lip)
+    assert (const["d"], const["M"]) == (cp["d"], cp["M"])
+    assert res.certificates["mixing"]["E"] == cp["E"]
 
 
 @pytest.fixture

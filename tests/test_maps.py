@@ -122,9 +122,24 @@ def test_map_sequence_indexing():
 def test_map_config_roundtrip():
     for m in (doubling_map(), full_branch_map([0.3, 0.55]),
               affine_map([0.5], [2.0, 2.0], [0.0, 0.5]),
-              matrix_map([[2, 0], [0, 2]])):
+              matrix_map([[2, 0], [0, 2]]), beta_map(2.5),
+              quadratic_full_branch(0.1), quadratic_full_branch(0.0, 0.4)):
         m2 = map_from_config(m.to_config())
         assert m2 == m
+
+
+def test_map_kind_must_match_its_branches():
+    # the kind label picks the perturbation family, so an affine label on
+    # branches with a quadratic term is refused by name
+    rec = dict(quadratic_full_branch(0.1).to_config(), kind="affine_1d")
+    with pytest.raises(ConfigError, match="'kind' must be 'quadratic_1d'"):
+        map_from_config(rec)
+    with pytest.raises(ConfigError, match="'kind'"):
+        MapSpec(1, "affine_1d", quadratic_full_branch(0.1).branches)
+    # a zero quadratic coefficient is an affine branch
+    rec = {"kind": "affine_1d", "branches": [[0.0, 0.5, [0.0, 2.0, 0.0]],
+                                             [0.5, 1.0, [-1.0, 2.0, 0.0]]]}
+    assert map_from_config(rec).kind == "affine_1d"
 
 
 def test_unit_ball_volume():
