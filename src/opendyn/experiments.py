@@ -1,21 +1,21 @@
 """Experiment orchestration: certified memory-loss runs and reports.
 
-Both regimes run one pipeline, `_run`: certify, draw the hole schedule
-and psi, then climb the ladder of cone parameters (`parameter_ladder`)
-rung by rung, while two blocks fit the horizon: cone-audit the initial
+Both regimes run one pipeline, `_run`: draw the hole schedule and psi,
+certify every base map, then climb the run's one ladder of cone
+parameters (`parameter_ladder`, from the bases' worst LY constants) rung
+by rung, while two blocks fit the horizon: cone-audit the initial
 densities at the rung, walk its schedule a block of T steps at a time,
 window-checking each full block, pushing both densities through it and
 discarding its open operators, and stop at the first rung whose full
-blocks all mix; audit the parameters, then budget, fit and report.  A
-regime only supplies a plan: its per-sample certificates and, for each
-rung, its map schedule with the constants and certificates it reports.
-A local run perturbs one base map; a global run traverses a map curve
-slowly enough that per-sample certificates chain along it.
+blocks all mix; audit the parameters, then price the final rung, budget,
+fit and report.  A regime only supplies a plan: its base maps and, for
+each rung, its map schedule with the constants and certificates it
+reports.  A local run perturbs one base map; a global run traverses a
+map curve slowly enough that certificates at sample points chain along it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -32,7 +32,7 @@ from .holes import HoleSequence, HoleSpec, hole_from_config
 from .transfer import (MASS_FLOOR, GridDensity, OperatorCache, normalize,
                        push)
 from .seminorm import SeminormSpec, cone_member, estimate_LY
-from .cone import RateConstants, parameter_ladder, rate_constants
+from .cone import parameter_ladder, rate_constants
 from .mixing import default_perturbation, random_hole, ratio_profile
 
 FIT_FLOOR = 1e-14
@@ -227,16 +227,21 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
 # ---------------------------------------------------------------------------
 # certification pipeline
 
-def _certify(base: MapSpec, grid: Grid, cfg: ExperimentConfig, cache) -> tuple:
-    """The closed base operator's LY certificate and its ladder of cone
-    parameters (`parameter_ladder`): (ly, first rung, later rungs)."""
-    closed = cache.get(base, None, grid)
-    ly = estimate_LY([closed] * (K_MAX * cfg.T1), cfg.T1, cfg.seminorm,
-                     ENSEMBLE_SIZE, seed=LY_SEED)
-    rungs = parameter_ladder(cfg.zeta1, cfg.zeta2, ly.theta, ly.C, cfg.T1,
+def _certify(bases, grid: Grid, cfg: ExperimentConfig, cache) -> tuple:
+    """The LY certificate of each base map's closed operator and the run's
+    one ladder of cone parameters (`parameter_ladder`), built from their
+    worst constants theta = max theta_s and C = max C_s on the first
+    base's closed operator: (LY certificates, theta, C, rungs).  Each base's
+    inequality implies the one with these constants, so the ladder's
+    cone serves every map the run applies."""
+    closed = [cache.get(base, None, grid) for base in bases]
+    lys = [estimate_LY([op] * (K_MAX * cfg.T1), cfg.T1, cfg.seminorm,
+                       ENSEMBLE_SIZE, seed=LY_SEED) for op in closed]
+    theta, C = max(ly.theta for ly in lys), max(ly.C for ly in lys)
+    rungs = parameter_ladder(cfg.zeta1, cfg.zeta2, theta, C, cfg.T1,
                              cfg.seminorm, dyadic_pool(grid, MAX_LEVEL),
-                             closed, cfg.sigma, I_MAX)
-    return ly, next(rungs), rungs
+                             closed[0], cfg.sigma, I_MAX)
+    return lys, theta, C, rungs
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +335,21 @@ def _walk(cfg: ExperimentConfig, cp, maps, hseq, cache: OperatorCache,
 def _run(config, kind: str, plan) -> RunResult:
     """The certified pipeline both regimes share.
 
-    plan(cfg, rng, cache) returns the regime's per-sample _certify
-    results, (ly, first rung, later rungs) each, and a function from a
-    rung's cone parameters to the map schedule, constants and
-    certificates the run reports at that rung.  Holes and psi are drawn
-    from rng after the plan's own draws.
+    plan(cfg, rng) returns the regime's base maps and a function from a
+    rung's cone parameters and the bases' LY certificates to the map
+    schedule, constants and certificates the run reports at that rung.
+    Holes and psi are drawn from rng after the plan's own draws and
+    before certification, which draws nothing, so a malformed record is
+    refused before any operator is built.
 
-    After the horizon check at the first rung and psi, the run climbs the
-    first sample's ladder.  At each rung it cone-audits the initial
-    densities at the rung's (a, Q) and walks the rung's schedule
-    (`_walk`), a block of T steps at a time; a block outside the window
-    sends it to the next rung while two of its blocks fit the horizon,
-    and a total escape ends the run at its step.  The parameters are
-    audited last, at the final rung, which prices the first sample; the
-    other samples are priced at its T.
+    The run has one cone: it climbs the one ladder `_certify` builds.
+    After the horizon check at the first rung, at each rung it
+    cone-audits the initial densities at the rung's (a, Q) and walks the
+    rung's schedule (`_walk`), a block of T steps at a time; a block
+    outside the window sends it to the next rung while two of its blocks
+    fit the horizon, and a total escape ends the run at its step.  The
+    final rung is audited with the ladder's LY constants and prices the
+    run.
     """
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
@@ -351,19 +357,20 @@ def _run(config, kind: str, plan) -> RunResult:
         raise ConfigError(f"run_{kind} needs a {kind} config")
     rng = np.random.default_rng(cfg.seed)
     grid, cache = cfg.grid, OperatorCache()
-    samples, schedule = plan(cfg, rng, cache)
+    bases, schedule = plan(cfg, rng)
     hseq = hole_schedule(cfg.holes, cfg.horizon, grid.dimension, rng)
-
-    ly, cp, rungs = samples[0]
-    if cfg.horizon < 2 * cp.T:
-        raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
     phi0 = GridDensity.uniform(grid)
     psi0 = build_density(cfg.psi, grid, rng)
+
+    lys, theta, C, rungs = _certify(bases, grid, cfg, cache)
+    cp = next(rungs)
+    if cfg.horizon < 2 * cp.T:
+        raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
     while True:
         for dens in (phi0, psi0):
             if not cone_member(dens, cp.a, cp.Q, cfg.seminorm).ok:
                 raise ConfigError("initial densities fail the cone audit")
-        maps, schedule_constants, certificates = schedule(cp)
+        maps, schedule_constants, certificates = schedule(cp, lys)
         walked = _walk(cfg, cp, maps, hseq, cache, phi0, psi0)
         if walked is not None:
             break
@@ -373,14 +380,10 @@ def _run(config, kind: str, plan) -> RunResult:
                 f"open blocks never satisfied the mixing window up to "
                 f"T = {T}; two blocks of T = {cp.T} exceed the horizon "
                 f"{cfg.horizon}")
-    fails = cp.audit(ly.theta, ly.C, cfg.T1)
+    fails = cp.audit(theta, C, cfg.T1)
     if fails:
         raise CertificateError("; ".join(fails))
-    # price the run's cone and every other sample's at its T, then take
-    # the worst value of each constant
-    priced = [cp] + [dataclasses.replace(c, T=cp.T) for _, c, _ in samples[1:]]
-    rate = RateConstants(*map(max, zip(*(
-        dataclasses.astuple(rate_constants(c)) for c in priced))))
+    rate = rate_constants(cp)
 
     records, peaks = walked
     budget = _grid_budget(records, peaks, grid, rate.c_lip)
@@ -389,29 +392,29 @@ def _run(config, kind: str, plan) -> RunResult:
     flags = {"bound_dominated": bound_ok, "fit_ok": fit_ok}
     constants = {"delta0": rate.delta0, "lambda": rate.lam, "c0": rate.c0,
                  "c_lip": rate.c_lip, "a": cp.a, "sigma": cp.sigma, "T": cp.T,
-                 "zeta1": cp.zeta1, "zeta2": cp.zeta2, "grid_n": grid.n,
+                 "zeta1": cp.zeta1, "zeta2": cp.zeta2, "d": cp.d, "M": cp.M,
+                 "grid_n": grid.n,
                  "budget_formula": "c_lip*m*h*peak_seminorm/2",
                  **schedule_constants}
-    certificates = {"cone_params": cp.to_config(), **certificates}
+    mix = cp.mixing
+    certificates = {"cone_params": cp.to_config(),
+                    "mixing": {"E": mix.E, "ratio_min": mix.ratio_min,
+                               "ratio_max": mix.ratio_max,
+                               "i_checked": list(mix.i_checked)},
+                    **certificates}
     return RunResult(records, fit, constants, certificates, flags, budget,
                      cfg.raw)
 
 
-def _local_plan(cfg: ExperimentConfig, rng, cache):
+def _local_plan(cfg: ExperimentConfig, rng):
     base = map_from_config(cfg.map_rec)
-    sample = ly, _, _ = _certify(base, cfg.grid, cfg, cache)
     mseq = MapSequence(tuple(default_perturbation(base, cfg.delta, rng)
                              for _ in range(cfg.horizon)))
 
-    def schedule(cp) -> tuple:
-        """The drawn maps at every rung, with the rung's d, M and mixing."""
-        mix = cp.mixing
-        return mseq, {"d": cp.d, "M": cp.M}, {
-            "ly": ly.to_config(),
-            "mixing": {"E": mix.E, "ratio_min": mix.ratio_min,
-                       "ratio_max": mix.ratio_max,
-                       "i_checked": list(mix.i_checked)}}
-    return [sample], schedule
+    def schedule(cp, lys) -> tuple:
+        """The drawn maps at every rung, with the base's LY certificate."""
+        return mseq, {}, {"ly": lys[0].to_config()}
+    return [base], schedule
 
 
 def run_local(config) -> RunResult:
@@ -443,7 +446,7 @@ def _stability_radius(family, u: float, u_lo: float, u_hi: float,
     return lo
 
 
-def _global_plan(cfg: ExperimentConfig, rng, cache):
+def _global_plan(cfg: ExperimentConfig, rng):
     fam_rec = cfg.family
     name = fam_rec.get("name")
     if name not in FAMILIES:
@@ -461,16 +464,9 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
         step_rec = config_number(fam_rec, "step")
         _check(step_rec > 0.0, "step", "be positive", step_rec)
     sample_us = [float(s) for s in np.linspace(u0, u1, n_samples)]
-    samples = [_certify(family(s), cfg.grid, cfg, cache) for s in sample_us]
     xis = [_stability_radius(family, s, u0, u1, cfg.delta) for s in sample_us]
-    certificates = {"per_sample": [{
-        "u": s, "ly": ly.to_config(),
-        "mixing": {"E": c.mixing.E, "ratio_min": c.mixing.ratio_min,
-                   "ratio_max": c.mixing.ratio_max},
-        "T": c.T, "a": c.a,
-    } for s, (ly, c, _) in zip(sample_us, samples)]}
 
-    def schedule(cp) -> tuple:
+    def schedule(cp, lys) -> tuple:
         """The traversal at the rung's block length T, with its speed
         limit and step: a block of T steps moves the parameter by at most
         half the smallest certified radius."""
@@ -484,14 +480,15 @@ def _global_plan(cfg: ExperimentConfig, rng, cache):
         maps = MapSequence(tuple(family(u) for u in us))
         return maps, {"sigma_estimate": limit, "step": step,
                       "xi_samples": xis, "sample_points": sample_us}, \
-            certificates
-    return samples, schedule
+            {"per_sample": [{"u": s, "ly": ly.to_config()}
+                            for s, ly in zip(sample_us, lys)]}
+    return [family(s) for s in sample_us], schedule
 
 
 def run_global(config) -> RunResult:
-    """Certified quasi-static traversal of a map curve: per-sample
-    certificates, the speed limit at the run's final block length, then
-    the shared evolution core."""
+    """Certified quasi-static traversal of a map curve: one cone for
+    every sample point, the speed limit at the run's final block length,
+    then the shared evolution core."""
     return _run(config, "global", _global_plan)
 
 

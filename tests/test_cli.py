@@ -496,7 +496,8 @@ def test_shipped_config_runs(tmp_path, capsys, path):
     assert "verdict: pass" in capsys.readouterr().out
     s = json.loads((tmp_path / "out" / "report_summary.json").read_text())
     cp, const = s["certificates"]["cone_params"], s["constants"]
-    # a global run's first sample sets the cone
+    # a global run's cone takes the worst LY constants over its samples;
+    # the pinned theta and C are its first sample's
     ly = s["certificates"].get("ly") or s["certificates"]["per_sample"][0]["ly"]
     T, a, E, q, theta, C, lam, flags = PINNED[path.name]
     assert (const["T"], cp["T"], const["a"], cp["a"], cp["E"]) == (T, T, a, a, E)
@@ -504,7 +505,12 @@ def test_shipped_config_runs(tmp_path, capsys, path):
     assert s["verdict"]["flags"] == flags and s["verdict"]["pass"] is True
     assert const["lambda"] == pytest.approx(lam, rel=1e-12, abs=0.0)
     assert const["c0"] == pytest.approx(PINNED_C0, rel=1e-12, abs=0.0)
+    # both regimes report the mixing certificate of the run's one cone
+    assert s["certificates"]["mixing"]["E"] == cp["E"]
     if path.name == "global.json":
+        # a sample reports its LY certificate only: the cone is the run's
+        assert all(set(e) == {"u", "ly"}
+                   for e in s["certificates"]["per_sample"])
         # the slow-traversal step and the radii it is taken from
         assert const["xi_samples"] == GLOBAL_XI_SAMPLES
         assert const["step"] == 0.004347821076711019

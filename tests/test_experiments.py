@@ -13,7 +13,8 @@ import opendyn.cone
 import opendyn.experiments
 import opendyn.mixing
 import opendyn.seminorm
-from opendyn.cone import ConeParams, rate_constants
+import opendyn.transfer
+from opendyn.cone import ConeParams, rate_constants, select_parameters
 from opendyn.errors import CertificateError, ConfigError, TotalEscapeError
 from opendyn.experiments import (FAMILIES, ExperimentConfig, _walk,
                                  build_density, emit_report, fit_exponential,
@@ -343,11 +344,21 @@ def _global_seed5():
     return cfg
 
 
+def _first_sample_rung(res):
+    """select_parameters on the first sample of a `_global_seed5` run,
+    from its reported LY certificate."""
+    ly, grid = res.certificates["per_sample"][0]["ly"], Grid(1, 1024)
+    return select_parameters(
+        0.8, 1.2, ly["theta"], ly["C"], 1, TV,
+        dyadic_pool(grid, 8),
+        build_closed(FAMILIES["slopes_2_to_3"](0.0), grid), 0.5, 16)
+
+
 def test_global_lambda_priced_at_final_T():
     # each sample's rate must be priced at the T the run uses
     res = run_global(_global_seed5())
     c = res.constants
-    assert c["T"] > max(s["T"] for s in res.certificates["per_sample"])
+    assert c["T"] > _first_sample_rung(res).T
     assert c["lambda"] == pytest.approx(
         math.tanh(c["delta0"] / 4.0) ** (1.0 / c["T"]), rel=1e-12)
 
@@ -386,10 +397,10 @@ def test_run_repicks_a_and_Q_at_each_block_length(ly_constant):
     # re-picks both at every T and certifies at T 7
     ly_constant(1.0)
     res = run_global(_global_seed5())
-    cp, first = res.certificates["cone_params"], \
-        res.certificates["per_sample"][0]
-    assert (first["T"], cp["T"], cp["E"]) == (6, 7, 4)
-    a = max(1.0 / (0.5 * 0.8 / 2.0 - first["ly"]["theta"] ** 7), 1.0)
+    cp, first = res.certificates["cone_params"], _first_sample_rung(res)
+    assert (first.T, cp["T"], cp["E"]) == (6, 7, 4)
+    theta = res.certificates["per_sample"][0]["ly"]["theta"]
+    a = max(1.0 / (0.5 * 0.8 / 2.0 - theta ** 7), 1.0)
     assert cp["a"] == res.constants["a"] == a
     assert a == pytest.approx(5.2033, abs=1e-4)
     Q = next(Q for Q in dyadic_pool(Grid(1, 1024), 8)
@@ -399,7 +410,7 @@ def test_run_repicks_a_and_Q_at_each_block_length(ly_constant):
     # once its blocks grow to T 4
     ly_constant(0.1)
     res = run_global(_global_seed5())
-    assert res.certificates["per_sample"][0]["a"] == pytest.approx(4 / 3)
+    assert _first_sample_rung(res).a == pytest.approx(4 / 3)
     assert (res.constants["T"], res.constants["a"]) == (4, 1.0)
 
 
@@ -542,24 +553,89 @@ def certificates(monkeypatch):
     return calls
 
 
-def test_certify_computes_each_mixing_window_once(certificates):
-    # selection and the reported mixing certificate share one window per
-    # certified sample
-    res = run_local(LOCAL_CFG)
-    assert len(certificates) == 1
-    assert res.certificates["mixing"]["E"] == res.certificates["cone_params"]["E"]
+def _priced_at_its_cone(res):
+    """A run's rate constants, d, M and mixing certificate are those of
+    the cone parameters it reports."""
+    cp, const = res.certificates["cone_params"], res.constants
+    rate = rate_constants(ConeParams(
+        cp["a"], cp["sigma"], cp["T"], cp["zeta1"], cp["zeta2"], TV,
+        d=cp["d"], M=cp["M"]))
+    assert (const["delta0"], const["lambda"], const["c0"], const["c_lip"]) \
+        == (rate.delta0, rate.lam, rate.c0, rate.c_lip)
+    assert (const["d"], const["M"]) == (cp["d"], cp["M"])
+    assert res.certificates["mixing"]["E"] == cp["E"]
 
 
-@pytest.mark.parametrize("name, samples", [
-    ("local.json", 1), ("global.json", 5), ("local_2d.json", 1)])
-def test_shipped_run_certifies_each_sample_once(certificates, name, samples):
-    # a partition that selection picks again in a later round keeps its
-    # certificate, so a run computes one closed mixing certificate per
-    # certified sample
+@pytest.mark.parametrize("name", ["local.json", "global.json",
+                                  "local_2d.json", "doubling_closed.json"])
+def test_shipped_run_has_one_cone(certificates, name):
+    # selection and the reported mixing certificate share one window, a
+    # partition that selection picks again at a later rung keeps its
+    # certificate, and the run is priced at the cone it reports
     cfg = json.loads((pathlib.Path(__file__).parents[1] / "configs"
                       / name).read_text())
-    (run_local if cfg["kind"] == "local" else run_global)(cfg)
-    assert len(certificates) == samples
+    res = (run_local if cfg["kind"] == "local" else run_global)(cfg)
+    assert len(certificates) == 1
+    _priced_at_its_cone(res)
+
+
+def test_global_cone_serves_every_sample(monkeypatch):
+    # C 1 at the sample u 0.25 only: the first sample's constants select
+    # a = 1 with 4 arcs, where (P3) fails for the u 0.25 maps the run
+    # applies; the run's one ladder, from the samples' worst theta and C,
+    # certifies at T 7
+    grid = Grid(1, 1024)
+    quarter = build_closed(FAMILIES["slopes_2_to_3"](0.25), grid).matrix
+    real = opendyn.experiments.estimate_LY
+
+    def stub(ops, *args, **kw):
+        ly = real(ops, *args, **kw)
+        same = ops[0].matrix.shape == quarter.shape \
+            and (ops[0].matrix != quarter).nnz == 0
+        return dataclasses.replace(ly, C=1.0) if same else ly
+
+    monkeypatch.setattr(opendyn.experiments, "estimate_LY", stub)
+    res = run_global(_global_seed5())
+    cp, lys = res.certificates["cone_params"], \
+        [s["ly"] for s in res.certificates["per_sample"]]
+    assert [ly["C"] == 1.0 for ly in lys] == [False, True, False, False,
+                                              False]
+    assert (cp["T"], cp["E"], len(cp["Q"]["elements"])) == (7, 4, 16)
+    theta = max(ly["theta"] for ly in lys)
+    assert cp["a"] == max(1.0 / (0.5 * 0.8 / 2.0 - theta ** 7), 1.0)
+    assert cp["a"] == pytest.approx(5.2033, abs=1e-4)
+    _priced_at_its_cone(res)
+
+
+@pytest.mark.parametrize("name, changes, match", [
+    ("global.json", {"holes": {"kind": "random_intervals", "epsilon": 2.0}},
+     "'epsilon'"),
+    ("local.json", {"psi": {"kind": "cosine_bump", "amplitud": 0.15}},
+     "'amplitud'"),
+], ids=["global_hole_size", "local_psi_key"])
+def test_records_are_refused_before_certification(monkeypatch, name,
+                                                  changes, match):
+    # the hole schedule and psi are drawn before any closed operator is
+    # built or LY-certified, so a malformed record costs no certification
+    calls = []
+    real_build, real_ly = opendyn.transfer.build_closed, \
+        opendyn.experiments.estimate_LY
+
+    def build(*args):
+        calls.append("build_closed")
+        return real_build(*args)
+
+    def ly(*args, **kw):
+        calls.append("estimate_LY")
+        return real_ly(*args, **kw)
+
+    monkeypatch.setattr(opendyn.transfer, "build_closed", build)
+    monkeypatch.setattr(opendyn.experiments, "estimate_LY", ly)
+    cfg = dict(json.loads((pathlib.Path(__file__).parents[1] / "configs"
+                           / name).read_text()), **changes)
+    with pytest.raises(ConfigError, match=match):
+        (run_local if cfg["kind"] == "local" else run_global)(cfg)
+    assert calls == []
 
 
 def test_family_registry_slopes():
