@@ -566,15 +566,34 @@ def _priced_at_its_cone(res):
     assert res.certificates["mixing"]["E"] == cp["E"]
 
 
-@pytest.mark.parametrize("name", ["local.json", "global.json",
-                                  "local_2d.json", "doubling_closed.json"])
-def test_shipped_run_has_one_cone(certificates, name):
-    # selection and the reported mixing certificate share one window, a
-    # partition that selection picks again at a later rung keeps its
-    # certificate, and the run is priced at the cone it reports
+def test_certify_computes_each_mixing_window_once(certificates):
+    # selection and the reported mixing certificate share one window, and
+    # the run is priced at the cone it reports
+    res = run_local(LOCAL_CFG)
+    assert len(certificates) == 1
+    _priced_at_its_cone(res)
+
+
+@pytest.mark.parametrize("name, samples", [
+    ("local.json", 1), ("global.json", 5), ("local_2d.json", 1),
+    ("doubling_closed.json", 1)])
+def test_shipped_run_certifies_each_sample_once(monkeypatch, certificates,
+                                                name, samples):
+    # each sample's closed operator is LY-certified once; the run's one
+    # ladder computes one closed mixing certificate whatever its sample
+    # count (a partition that selection picks again at a later rung keeps
+    # its certificate), and the run is priced at the cone it reports
+    lys, real = [], opendyn.experiments.estimate_LY
+
+    def ly(*args, **kw):
+        lys.append(args[0][0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(opendyn.experiments, "estimate_LY", ly)
     cfg = json.loads((pathlib.Path(__file__).parents[1] / "configs"
                       / name).read_text())
     res = (run_local if cfg["kind"] == "local" else run_global)(cfg)
+    assert len(lys) == samples
     assert len(certificates) == 1
     _priced_at_its_cone(res)
 
