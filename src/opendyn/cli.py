@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     except (CertificateError, TotalEscapeError) as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as exc:

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import CertificateError, ConfigError, TotalEscapeError
-from .phase import (Grid, config_count, config_integer, config_keys,
-                    config_number, config_parameter, config_record,
-                    config_seed, dyadic_pool)
+from .phase import (Grid, config_check, config_choice, config_integer,
+                    config_keys, config_number, config_record, dyadic_pool)
 from .maps import (MapSequence, MapSpec, doubling_map, full_branch_map,
                    is_perturbation, map_from_config)
 from .holes import HoleSequence, HoleSpec, hole_from_config
@@ -66,12 +65,6 @@ FAMILIES = {
 # ---------------------------------------------------------------------------
 # configuration
 
-def _check(ok: bool, key: str, rule: str, value) -> None:
-    """ConfigError naming the key and its rule unless ok."""
-    if not ok:
-        raise ConfigError(f"config key {key!r} must {rule}, got {value!r}")
-
-
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -92,43 +85,42 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        try:
-            kind = cfg["kind"]
-            if kind not in ("local", "global"):
-                raise ConfigError(f"unknown experiment kind {kind!r}")
-            # a certificates record is accepted and ignored: every run
-            # certifies with one fixed recipe
-            config_keys(cfg, "kind", "grid", "horizon", "seed", "T1",
-                        "delta", "zeta1", "zeta2", "sigma", "seminorm",
-                        "holes", "psi", "map", "family", "certificates")
-            grid = Grid.from_config(config_record(cfg, "grid", {}))
-            horizon = config_integer(cfg, "horizon")
-            if horizon < 2:
-                raise ConfigError("horizon must be at least 2")
-            T1 = config_count(cfg, "T1", 1)
-            delta = config_number(cfg, "delta", 0.0)
-            _check(delta >= 0.0, "delta", "be non-negative", delta)
-            zeta1 = config_parameter(cfg, "zeta1", 0.8)
-            zeta2 = config_parameter(cfg, "zeta2", 1.2)
-            sigma = config_parameter(cfg, "sigma", 0.5)
-            sem = SeminormSpec.from_config(
-                config_record(cfg, "seminorm", {"kind": "tv"}))
-            out = ExperimentConfig(
-                kind=kind, grid=grid, horizon=horizon,
-                seed=config_seed(cfg, "seed", 0), zeta1=zeta1, zeta2=zeta2,
-                sigma=sigma, T1=T1, seminorm=sem, delta=delta,
-                holes=config_record(cfg, "holes", {"kind": "none"}),
-                psi=config_record(cfg, "psi", {"kind": "cosine_bump",
-                                               "amplitude": 0.15}),
-                map_rec=config_record(cfg, "map", {}),
-                family=config_record(cfg, "family", {}), raw=cfg)
-            if kind == "local" and not out.map_rec:
-                raise ConfigError("local run needs a 'map' entry")
-            if kind == "global" and not out.family:
-                raise ConfigError("global run needs a 'family' entry")
-            return out
-        except KeyError as exc:
-            raise ConfigError(f"missing config key {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"a run config must be a JSON object, "
+                              f"got {cfg!r}")
+        kind = config_choice(cfg, "kind", ("local", "global"))
+        # a certificates record is accepted and ignored: every run
+        # certifies with one fixed recipe
+        config_keys(cfg, "kind", "grid", "horizon", "seed", "T1", "delta",
+                    "zeta1", "zeta2", "sigma", "seminorm", "holes", "psi",
+                    "map", "family", "certificates")
+        # a local run perturbs its map, a global run traverses its family
+        config_record(cfg, "map" if kind == "local" else "family")
+        grid = Grid.from_config(config_record(cfg, "grid", {}))
+        horizon = config_integer(cfg, "horizon")
+        config_check(horizon >= 2, "horizon", "be at least 2", horizon)
+        seed = config_integer(cfg, "seed", 0)
+        config_check(seed >= 0, "seed", "be a non-negative integer", seed)
+        T1 = config_integer(cfg, "T1", 1)
+        config_check(T1 >= 1, "T1", "be at least 1", T1)
+        delta = config_number(cfg, "delta", 0.0)
+        config_check(delta >= 0.0, "delta", "be non-negative", delta)
+        zeta1 = config_number(cfg, "zeta1", 0.8)
+        config_check(0.0 < zeta1 < 1.0, "zeta1", "lie in (0, 1)", zeta1)
+        zeta2 = config_number(cfg, "zeta2", 1.2)
+        config_check(zeta2 > 1.0, "zeta2", "exceed 1", zeta2)
+        sigma = config_number(cfg, "sigma", 0.5)
+        config_check(0.0 < sigma < 1.0, "sigma", "lie in (0, 1)", sigma)
+        sem = SeminormSpec.from_config(
+            config_record(cfg, "seminorm", {"kind": "tv"}))
+        return ExperimentConfig(
+            kind=kind, grid=grid, horizon=horizon, seed=seed, zeta1=zeta1,
+            zeta2=zeta2, sigma=sigma, T1=T1, seminorm=sem, delta=delta,
+            holes=config_record(cfg, "holes", {"kind": "none"}),
+            psi=config_record(cfg, "psi", {"kind": "cosine_bump",
+                                           "amplitude": 0.15}),
+            map_rec=config_record(cfg, "map", {}),
+            family=config_record(cfg, "family", {}), raw=cfg)
 
 
 @dataclass
@@ -150,48 +142,40 @@ class RunResult:
 # schedule construction
 
 def hole_schedule(rec: dict, m: int, dimension: int, rng) -> HoleSequence:
-    kind = rec.get("kind", "none")
+    kind = config_choice(rec, "kind", ("none", "static", "drifting_interval",
+                                       "random_intervals"), "none")
     if kind == "none":
         config_keys(rec, "kind")
         return HoleSequence.closed(m)
-    try:
-        if kind == "static":
-            config_keys(rec, "kind", "hole")
-            seq = HoleSequence.static(hole_from_config(rec["hole"]), m)
-        elif kind == "drifting_interval":
-            config_keys(rec, "kind", "measure", "center", "velocity")
-            w = _hole_size(rec, "measure")
-            c0 = config_number(rec, "center", 0.3)
-            v = config_number(rec, "velocity", 0.137)
-            holes = []
-            for k in range(m):
-                c = (c0 + k * v) % 1.0
-                holes.append(HoleSpec(1, intervals=(((c - w / 2) % 1.0,
-                                                     (c + w / 2) % 1.0),)))
-            seq = HoleSequence(tuple(holes))
-        elif kind == "random_intervals":
-            config_keys(rec, "kind", "epsilon")
-            eps = _hole_size(rec, "epsilon")
-            seq = HoleSequence(tuple(random_hole(dimension, eps, rng)
-                                     for _ in range(m)))
-        else:
-            raise ConfigError(f"unknown hole schedule kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"{kind} hole schedule missing key {exc}") from exc
-    return seq
-
-
-def _hole_size(rec: dict, key: str) -> float:
-    """A hole schedule's measure or epsilon; ConfigError naming the key
-    unless it lies in [0, 1)."""
-    size = config_number(rec, key)
-    _check(0.0 <= size < 1.0, key, "lie in [0, 1)", size)
-    return size
+    if kind == "static":
+        config_keys(rec, "kind", "hole")
+        hole = hole_from_config(config_record(rec, "hole"))
+        config_check(hole.dimension == dimension, "dimension",
+                     f"equal the grid's dimension {dimension}",
+                     hole.dimension)
+        return HoleSequence.static(hole, m)
+    if kind == "drifting_interval":
+        config_keys(rec, "kind", "measure", "center", "velocity")
+        w = config_number(rec, "measure")
+        config_check(0.0 <= w < 1.0, "measure", "lie in [0, 1)", w)
+        c0 = config_number(rec, "center", 0.3)
+        v = config_number(rec, "velocity", 0.137)
+        holes = []
+        for k in range(m):
+            c = (c0 + k * v) % 1.0
+            holes.append(HoleSpec(1, intervals=(((c - w / 2) % 1.0,
+                                                 (c + w / 2) % 1.0),)))
+        return HoleSequence(tuple(holes))
+    config_keys(rec, "kind", "epsilon")
+    eps = config_number(rec, "epsilon")
+    config_check(0.0 <= eps < 1.0, "epsilon", "lie in [0, 1)", eps)
+    return HoleSequence(tuple(random_hole(dimension, eps, rng)
+                              for _ in range(m)))
 
 
 def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
     """The second initial density psi; the first, phi, is uniform."""
-    kind = rec.get("kind")
+    kind = config_choice(rec, "kind", ("cosine_bump", "sawtooth", "blocks"))
     if kind in ("cosine_bump", "sawtooth"):
         config_keys(rec, "kind", "amplitude")
     if kind == "cosine_bump":
@@ -211,17 +195,14 @@ def build_density(rec: dict, grid: Grid, rng) -> GridDensity:
         if grid.dimension != 1:
             raise ConfigError("sawtooth density is one-dimensional")
         return GridDensity(grid, 1.0 + amp * (x - 0.5))
-    if kind == "blocks":
-        config_keys(rec, "kind", "blocks")
-        nb = config_integer(rec, "blocks", 16)
-        if not 1 <= nb <= grid.total_cells:
-            raise ConfigError("config key 'blocks' must lie in "
-                              f"1..{grid.total_cells}, got {nb}")
-        heights = rng.uniform(0.25, 2.0, nb)
-        v = np.repeat(heights, grid.total_cells // nb)
-        v = np.r_[v, np.full(grid.total_cells - v.size, heights[-1])]
-        return normalize(GridDensity(grid, v))
-    raise ConfigError(f"unknown density kind {kind!r}")
+    config_keys(rec, "kind", "blocks")
+    nb = config_integer(rec, "blocks", 16)
+    config_check(1 <= nb <= grid.total_cells, "blocks",
+                 f"lie in 1..{grid.total_cells}", nb)
+    heights = rng.uniform(0.25, 2.0, nb)
+    v = np.repeat(heights, grid.total_cells // nb)
+    v = np.r_[v, np.full(grid.total_cells - v.size, heights[-1])]
+    return normalize(GridDensity(grid, v))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +330,8 @@ def _run(config, kind: str, plan) -> RunResult:
     outside the window sends it to the next rung while two of its blocks
     fit the horizon, and a total escape ends the run at its step.  The
     final rung is audited with the ladder's LY constants and prices the
-    run.
+    run, which reports them as its LY certificate: the first base's,
+    with theta = max theta_s and C = max C_s.
     """
     cfg = config if isinstance(config, ExperimentConfig) \
         else ExperimentConfig.from_dict(config)
@@ -364,8 +346,8 @@ def _run(config, kind: str, plan) -> RunResult:
 
     lys, theta, C, rungs = _certify(bases, grid, cfg, cache)
     cp = next(rungs)
-    if cfg.horizon < 2 * cp.T:
-        raise ConfigError(f"horizon must be at least 2T = {2 * cp.T}")
+    config_check(cfg.horizon >= 2 * cp.T, "horizon",
+                 f"be at least 2T = {2 * cp.T}", cfg.horizon)
     while True:
         for dens in (phi0, psi0):
             if not cone_member(dens, cp.a, cp.Q, cfg.seminorm).ok:
@@ -398,6 +380,7 @@ def _run(config, kind: str, plan) -> RunResult:
                  **schedule_constants}
     mix = cp.mixing
     certificates = {"cone_params": cp.to_config(),
+                    "ly": replace(lys[0], theta=theta, C=C).to_config(),
                     "mixing": {"E": mix.E, "ratio_min": mix.ratio_min,
                                "ratio_max": mix.ratio_max,
                                "i_checked": list(mix.i_checked)},
@@ -408,12 +391,15 @@ def _run(config, kind: str, plan) -> RunResult:
 
 def _local_plan(cfg: ExperimentConfig, rng):
     base = map_from_config(cfg.map_rec)
+    config_check(base.dimension == cfg.grid.dimension, "kind",
+                 f"name a map of the grid's dimension {cfg.grid.dimension}",
+                 cfg.map_rec["kind"])
     mseq = MapSequence(tuple(default_perturbation(base, cfg.delta, rng)
                              for _ in range(cfg.horizon)))
 
     def schedule(cp, lys) -> tuple:
-        """The drawn maps at every rung, with the base's LY certificate."""
-        return mseq, {}, {"ly": lys[0].to_config()}
+        """The drawn maps at every rung."""
+        return mseq, {}, {}
     return [base], schedule
 
 
@@ -448,21 +434,19 @@ def _stability_radius(family, u: float, u_lo: float, u_hi: float,
 
 def _global_plan(cfg: ExperimentConfig, rng):
     fam_rec = cfg.family
-    name = fam_rec.get("name")
-    if name not in FAMILIES:
-        raise ConfigError(f"unknown family {name!r}")
-    family = FAMILIES[name]
+    family = FAMILIES[config_choice(fam_rec, "name", FAMILIES)]
     config_keys(fam_rec, "name", "u_start", "u_end", "cert_samples", "step")
     u0 = config_number(fam_rec, "u_start", 0.0)
     u1 = config_number(fam_rec, "u_end", 1.0)
-    _check(0.0 <= u0 <= 1.0, "u_start", "lie in [0, 1]", u0)
-    _check(u0 <= u1 <= 1.0, "u_end", f"lie in [u_start = {u0!r}, 1]", u1)
+    config_check(0.0 <= u0 <= 1.0, "u_start", "lie in [0, 1]", u0)
+    config_check(u0 <= u1 <= 1.0, "u_end", f"lie in [u_start = {u0!r}, 1]",
+                 u1)
     n_samples = config_integer(fam_rec, "cert_samples", 5)
-    _check(n_samples >= 2, "cert_samples", "be at least 2", n_samples)
+    config_check(n_samples >= 2, "cert_samples", "be at least 2", n_samples)
     step_rec = fam_rec.get("step", "auto")
     if step_rec != "auto":
         step_rec = config_number(fam_rec, "step")
-        _check(step_rec > 0.0, "step", "be positive", step_rec)
+        config_check(step_rec > 0.0, "step", "be positive", step_rec)
     sample_us = [float(s) for s in np.linspace(u0, u1, n_samples)]
     xis = [_stability_radius(family, s, u0, u1, cfg.delta) for s in sample_us]
 

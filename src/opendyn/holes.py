@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .phase import (Grid, config_integer, config_keys, config_numbers,
-                    is_integer, torus_delta)
+from .phase import (Grid, config_check, config_integer, config_keys,
+                    config_numbers, is_integer, torus_delta)
 
 
 def _normalize_intervals(intervals) -> tuple:
@@ -190,10 +190,7 @@ def disk_hole(cx: float, cy: float, r: float) -> HoleSpec:
 
 
 def hole_from_config(rec: dict) -> HoleSpec:
-    if not isinstance(rec, dict):
-        raise ConfigError(f"a 'hole' record must be an object, got {rec!r}")
-    if "dimension" not in rec:
-        raise ConfigError("hole config missing key 'dimension'")
+    config_check(isinstance(rec, dict), "hole", "be an object", rec)
     config_keys(rec, "dimension", "intervals", "rects", "disks")
     return HoleSpec(config_integer(rec, "dimension"),
                     intervals=config_numbers(rec, "intervals", (), width=2),

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .phase import (config_keys, config_number, config_numbers, finite_float,
-                    torus_delta)
+from .phase import (_lookup, config_check, config_choice, config_keys,
+                    config_number, config_numbers, finite_float, torus_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,7 @@ def tripling_map() -> MapSpec:
 
 def beta_map(beta: float) -> MapSpec:
     """x -> beta*x mod 1 with the usual ceil(beta) branches."""
-    if beta <= 1.0:
-        raise ConfigError("beta must exceed 1")
+    config_check(beta > 1.0, "beta", "exceed 1", beta)
     nb = int(math.ceil(beta))
     cuts = [k / beta for k in range(1, nb) if k / beta < 1.0]
     slopes = [beta] * (len(cuts) + 1)
@@ -256,38 +255,33 @@ def matrix_map(matrix, offset=(0.0, 0.0), check_expanding: bool = True) -> MapSp
 
 
 def map_from_config(rec: dict) -> MapSpec:
-    if not isinstance(rec, dict):
-        raise ConfigError(f"a 'map' record must be an object, got {rec!r}")
+    config_check(isinstance(rec, dict), "map", "be an object", rec)
+    kind = config_choice(rec, "kind", ("affine_1d", "quadratic_1d",
+                                       "full_branch_1d", "beta_1d",
+                                       "affine_2d"))
+    if kind == "full_branch_1d":
+        config_keys(rec, "kind", "cuts")
+        return full_branch_map(config_numbers(rec, "cuts"))
+    if kind == "beta_1d":
+        config_keys(rec, "kind", "beta")
+        return beta_map(config_number(rec, "beta"))
+    if kind == "affine_2d":
+        config_keys(rec, "kind", "matrix", "offset")
+        return matrix_map(config_numbers(rec, "matrix", width=2),
+                          config_numbers(rec, "offset", (0.0, 0.0)))
+    config_keys(rec, "kind", "branches")
+    value = _lookup(rec, "branches")        # [lo, hi, [c0, c1(, c2)]] each
     try:
-        kind = rec["kind"]
-        if kind in ("affine_1d", "quadratic_1d"):
-            config_keys(rec, "kind", "branches")
-            rows = rec["branches"]          # [lo, hi, [c0, c1(, c2)]] each
-            try:
-                if not all(isinstance(r, list) and len(r) == 3
-                           and isinstance(r[2], list) for r in rows):
-                    raise TypeError("not a list of branch rows")
-                rows = [(finite_float(lo), finite_float(hi),
-                         tuple(map(finite_float, co))) for lo, hi, co in rows]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("config key 'branches' must be a list of "
-                                  "[lo, hi, [coefficients]] rows of finite "
-                                  "numbers, got "
-                                  f"{rec['branches']!r}") from exc
-            return MapSpec(1, kind, tuple(Branch1D(*r) for r in rows))
-        if kind == "full_branch_1d":
-            config_keys(rec, "kind", "cuts")
-            return full_branch_map(config_numbers(rec, "cuts"))
-        if kind == "beta_1d":
-            config_keys(rec, "kind", "beta")
-            return beta_map(config_number(rec, "beta"))
-        if kind == "affine_2d":
-            config_keys(rec, "kind", "matrix", "offset")
-            return matrix_map(config_numbers(rec, "matrix", width=2),
-                              config_numbers(rec, "offset", (0.0, 0.0)))
-    except KeyError as exc:
-        raise ConfigError(f"map config missing key {exc}") from exc
-    raise ConfigError(f"unknown map kind {kind!r}")
+        if not all(isinstance(r, list) and len(r) == 3
+                   and isinstance(r[2], list) for r in value):
+            raise TypeError("not a list of branch rows")
+        rows = [(finite_float(lo), finite_float(hi),
+                 tuple(map(finite_float, co))) for lo, hi, co in value]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("config key 'branches' must be a list of "
+                          "[lo, hi, [coefficients]] rows of finite numbers, "
+                          f"got {value!r}") from exc
+    return MapSpec(1, kind, tuple(Branch1D(*r) for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -27,35 +27,40 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _lookup(rec: dict, key: str, *default):
+    """rec[key], or the default when given and the key is absent;
+    ConfigError naming the key when it is absent without a default."""
+    if key in rec:
+        return rec[key]
+    if default:
+        return default[0]
+    raise ConfigError(f"missing config key {key!r}")
+
+
+def config_check(ok: bool, key: str, rule: str, value) -> None:
+    """The range rule of configurations: ConfigError naming the key, its
+    rule and the value unless ok."""
+    if not ok:
+        raise ConfigError(f"config key {key!r} must {rule}, got {value!r}")
+
+
+def config_choice(rec: dict, key: str, choices, *default) -> str:
+    """rec[key] (or the default when given and the key is absent), one of
+    the names in `choices`; ConfigError naming the key and the choices
+    when it is absent without a default, not a string or another name."""
+    value = _lookup(rec, key, *default)
+    config_check(isinstance(value, str) and value in choices, key,
+                 f"be one of {', '.join(map(repr, choices))}", value)
+    return value
+
+
 def config_integer(rec: dict, key: str, *default) -> int:
     """rec[key] (or the default when given and the key is absent) as an
-    int; ConfigError naming the key when it breaks the integer rule.
-    KeyError when the key is absent and no default is given."""
-    value = rec.get(key, *default) if default else rec[key]
-    if not is_integer(value):
-        raise ConfigError(f"config key {key!r} must be an integer, "
-                          f"got {value!r}")
+    int; ConfigError naming the key when it is absent without a default
+    or breaks the integer rule."""
+    value = _lookup(rec, key, *default)
+    config_check(is_integer(value), key, "be an integer", value)
     return int(value)
-
-
-def config_seed(rec: dict, key: str, *default) -> int:
-    """config_integer for a random seed, which numpy takes only when it is
-    non-negative; ConfigError naming the key otherwise."""
-    seed = config_integer(rec, key, *default)
-    if seed < 0:
-        raise ConfigError(f"config key {key!r} must be a non-negative "
-                          f"integer, got {seed}")
-    return seed
-
-
-def config_count(rec: dict, key: str, *default) -> int:
-    """config_integer for a count, which must be at least 1; ConfigError
-    naming the key otherwise."""
-    count = config_integer(rec, key, *default)
-    if count < 1:
-        raise ConfigError(f"config key {key!r} must be at least 1, "
-                          f"got {count}")
-    return count
 
 
 def finite_float(value) -> float:
@@ -69,10 +74,9 @@ def finite_float(value) -> float:
 
 def config_number(rec: dict, key: str, *default) -> float:
     """rec[key] (or the default when given and the key is absent) as a
-    finite float; ConfigError naming the key when float() refuses it or
-    it is NaN or infinite.  KeyError when the key is absent and no
-    default is given."""
-    value = rec.get(key, *default) if default else rec[key]
+    finite float; ConfigError naming the key when it is absent without a
+    default, float() refuses it or it is NaN or infinite."""
+    value = _lookup(rec, key, *default)
     try:
         return finite_float(value)
     except (TypeError, ValueError) as exc:
@@ -80,32 +84,13 @@ def config_number(rec: dict, key: str, *default) -> float:
                           f"got {value!r}") from exc
 
 
-# the range of each mixing-window and cone parameter: its rule, its test
-_PARAMETER_RANGES = {
-    "zeta1": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "zeta2": ("exceed 1", lambda v: v > 1.0),
-    "sigma": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
-}
-
-
-def config_parameter(rec: dict, key: str, *default) -> float:
-    """config_number of a mixing-window or cone parameter (zeta1, zeta2
-    or sigma); ConfigError naming the key unless it lies in its range.
-    KeyError when the key is absent and no default is given."""
-    value = config_number(rec, key, *default)
-    rule, ok = _PARAMETER_RANGES[key]
-    if not ok(value):
-        raise ConfigError(f"config key {key!r} must {rule}, got {value!r}")
-    return value
-
-
 def config_numbers(rec: dict, key: str, *default, width=None) -> tuple:
     """rec[key] (or the default when given and the key is absent) as a
     tuple of finite floats or, with a `width`, as a tuple of rows of
     `width` finite floats each; ConfigError naming the key when it has
-    another shape or an entry is not a finite number.  KeyError when the
-    key is absent and no default is given."""
-    value = rec.get(key, *default) if default else rec[key]
+    another shape or an entry is not a finite number, or when it is
+    absent without a default."""
+    value = _lookup(rec, key, *default)
 
     def entries(v, size=None) -> tuple:
         if not isinstance(v, (list, tuple)) or size not in (None, len(v)):
@@ -126,12 +111,10 @@ def config_numbers(rec: dict, key: str, *default, width=None) -> tuple:
 
 def config_record(rec: dict, key: str, *default) -> dict:
     """rec[key] (or the default when given and the key is absent);
-    ConfigError naming the key when it is not a JSON object.  KeyError
-    when the key is absent and no default is given."""
-    value = rec.get(key, *default) if default else rec[key]
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {key!r} must be an object, "
-                          f"got {value!r}")
+    ConfigError naming the key when it is absent without a default or
+    is not a JSON object."""
+    value = _lookup(rec, key, *default)
+    config_check(isinstance(value, dict), key, "be an object", value)
     return value
 
 
@@ -152,18 +135,19 @@ class Grid:
     cells_per_side: int
 
     def __post_init__(self):
-        if not all(map(is_integer, (self.dimension, self.cells_per_side))):
-            raise ConfigError("grid dimension and n must be integers")
-        if self.dimension not in (1, 2):
-            raise ConfigError("dimension must be 1 or 2")
-        if self.cells_per_side < 2:
-            raise ConfigError("need at least 2 cells per side")
+        for key, value in (("dimension", self.dimension),
+                           ("n", self.cells_per_side)):
+            config_check(is_integer(value), key, "be an integer", value)
+        config_check(self.dimension in (1, 2), "dimension", "be 1 or 2",
+                     self.dimension)
+        config_check(self.cells_per_side >= 2, "n", "be at least 2",
+                     self.cells_per_side)
 
     @staticmethod
     def from_config(rec: dict) -> "Grid":
         """A config's `grid` record: dimension 1 and n = 4096 by default."""
         config_keys(rec, "dimension", "n")
-        return Grid(rec.get("dimension", 1), rec.get("n", 4096))
+        return Grid(_lookup(rec, "dimension", 1), _lookup(rec, "n", 4096))
 
     @property
     def n(self) -> int:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import CertificateError, ConfigError, DegenerateParametersWarning
 from .mixing import ratio_profile
-from .phase import (Grid, PartitionSpec, config_keys, config_number,
-                    diam_lambda, metric_diam)
+from .phase import (Grid, PartitionSpec, config_check, config_choice,
+                    config_keys, config_number, diam_lambda, metric_diam)
 from .transfer import GridDensity, push
 
 NONNEG_TOL = 1e-12  # float dust allowed below zero after matrix products
@@ -64,10 +64,9 @@ class OscParams:
     eps0: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in (0, 1]")
-        if self.eps0 <= 0.0:
-            raise ConfigError("eps0 must be positive")
+        config_check(0.0 < self.alpha <= 1.0, "alpha", "lie in (0, 1]",
+                     self.alpha)
+        config_check(self.eps0 > 0.0, "eps0", "be positive", self.eps0)
 
 
 def _osc_rows(V: np.ndarray, grid: Grid, p: OscParams) -> tuple:
@@ -154,16 +153,12 @@ class SeminormSpec:
 
     @staticmethod
     def from_config(rec: dict) -> "SeminormSpec":
-        kind = rec["kind"]
-        if kind == "tv":
+        if config_choice(rec, "kind", ("tv", "osc")) == "tv":
             config_keys(rec, "kind")
             return SeminormSpec("tv")
-        if kind == "osc":
-            config_keys(rec, "kind", "alpha", "eps0")
-            return SeminormSpec("osc", OscParams(config_number(rec, "alpha"),
-                                                 config_number(rec, "eps0")))
-        raise ConfigError(f"config key 'kind' must be 'tv' or 'osc', "
-                          f"got {kind!r}")
+        config_keys(rec, "kind", "alpha", "eps0")
+        return SeminormSpec("osc", OscParams(config_number(rec, "alpha"),
+                                             config_number(rec, "eps0")))
 
 
 # ---------------------------------------------------------------------------

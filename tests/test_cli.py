@@ -259,6 +259,24 @@ LIBRARY = {"select_parameters": _select, "certify_mixing": _mixing,
     ("rate_constants", "d", {"d": -0.5}),
     ("rate_constants", "M", {"M": 0.0}),
     ("rate_constants", "M", {"M": -1.0}),
+    # a name is one of its choices, and a missing name is not a default
+    (LOCAL_CFG, "kind", {"kind": "sideways"}),
+    (LOCAL_CFG, "kind", {"holes": {"kind": "sideways"}}),
+    (LOCAL_CFG, "kind", {"psi": {"kind": "uniform"}}),
+    (LOCAL_CFG, "kind", {"map": {"kind": "logistic"}}),
+    (GLOBAL_CFG, "name", _family(name="slopes_2_to_4")),
+    (GLOBAL_CFG, "name", _family(name=["slopes_2_to_3"])),
+    (LOCAL_CFG, "kind", {"psi": {"amplitude": 0.15}}),
+    (GLOBAL_CFG, "name", {"family": {"u_start": 0.0}}),
+    (LOCAL_CFG, "horizon", {"horizon": 1}),
+    # the constructors a record reaches name the field they refuse
+    (LOCAL_CFG, "dimension", {"grid": {"dimension": 3, "n": 16}}),
+    (LOCAL_CFG, "n", {"grid": {"dimension": 1, "n": 1}}),
+    (LOCAL_CFG, "alpha", {"seminorm": {"kind": "osc", "alpha": 2.0,
+                                       "eps0": 0.1}}),
+    (LOCAL_CFG, "eps0", {"seminorm": {"kind": "osc", "alpha": 1.0,
+                                      "eps0": 0}}),
+    (LOCAL_CFG, "beta", {"map": {"kind": "beta_1d", "beta": 0.9}}),
 ], ids=["text_hole_measure", "text_psi_amplitude", "zero_blocks",
         "blocks_over_cells", "text_u_start", "text_cert_samples",
         "float_cert_samples", "text_step", "text_cut", "text_beta",
@@ -283,7 +301,11 @@ LIBRARY = {"select_parameters": _select, "certify_mixing": _mixing,
         "constants_sigma_one", "constants_zero_zeta1",
         "constants_zeta2_one", "constants_zero_a", "constants_zero_T",
         "constants_d_too_large", "constants_negative_d", "constants_zero_M",
-        "constants_negative_M"])
+        "constants_negative_M", "unknown_run_kind", "unknown_hole_kind",
+        "unknown_psi_kind", "unknown_map_kind", "unknown_family_name",
+        "list_family_name", "psi_without_kind", "family_without_name",
+        "horizon_one", "grid_dimension_three", "grid_n_one",
+        "osc_alpha_over_one", "zero_osc_eps0", "beta_under_one"])
 def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     # a run, and the library entry point a string base names, refuses a
     # bad value by name, with no traceback and no later failure that hides
@@ -297,6 +319,18 @@ def test_bad_value_names_its_key(tmp_path, capsys, base, key, patch):
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("text", ["[]", "5", '"x"', "null"],
+                         ids=["list", "number", "string", "null"])
+def test_config_that_is_not_an_object_is_refused(tmp_path, capsys, text):
+    # a run config is a JSON object; any other JSON value is a
+    # configuration error, not a traceback
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["simulate-local", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error")
 
 
 def test_config_cannot_disable_expansion_check(tmp_path, capsys):
@@ -475,7 +509,7 @@ CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.json"))
 PINNED = {
     "local.json": (3, 1.0, 2, 4, 0.5, 1e-12, 0.9283177667225558,
                    {"bound_dominated": True, "fit_ok": True}),
-    "global.json": (3, 1.0, 2, 4, 0.5, 1e-12, 0.9283177667225558,
+    "global.json": (3, 1.0, 2, 4, 0.5, 4.096e-9, 0.9283177667225558,
                     {"bound_dominated": True, "fit_ok": True}),
     "local_2d.json": (4, 1.0, 1, 4, 0.64, 1e-12, 0.9457416090031758,
                       {"bound_dominated": True, "fit_ok": True}),
@@ -496,9 +530,9 @@ def test_shipped_config_runs(tmp_path, capsys, path):
     assert "verdict: pass" in capsys.readouterr().out
     s = json.loads((tmp_path / "out" / "report_summary.json").read_text())
     cp, const = s["certificates"]["cone_params"], s["constants"]
-    # a global run's cone takes the worst LY constants over its samples;
-    # the pinned theta and C are its first sample's
-    ly = s["certificates"].get("ly") or s["certificates"]["per_sample"][0]["ly"]
+    # the LY constants of the run's cone: a global run's are the worst
+    # over its samples, theta at u 0 and C at u 0.25
+    ly = s["certificates"]["ly"]
     T, a, E, q, theta, C, lam, flags = PINNED[path.name]
     assert (const["T"], cp["T"], const["a"], cp["a"], cp["E"]) == (T, T, a, a, E)
     assert (len(cp["Q"]["elements"]), ly["theta"], ly["C"]) == (q, theta, C)

@@ -104,7 +104,7 @@ def test_build_density_kinds():
     assert abs(blocks.mass - 1.0) < 1e-12
     # psi = phi0 would leave nothing to forget, so psi is never uniform
     for rec in ({"kind": "what"}, {"kind": "uniform"}, {}):
-        with pytest.raises(ConfigError, match="unknown density kind"):
+        with pytest.raises(ConfigError, match="'kind'"):
             build_density(rec, g, rng)
 
 
@@ -513,7 +513,7 @@ def test_window_error_comes_before_an_escape():
 def test_psi_record_is_read_before_the_walk():
     # psi is drawn before the walk, so its configuration error comes
     # before the window error of the same run
-    with pytest.raises(ConfigError, match="unknown density kind"):
+    with pytest.raises(ConfigError, match="'kind'"):
         run_local(_shipped_local(**ESCAPING, psi={"kind": "none"}))
 
 
@@ -631,7 +631,12 @@ def test_global_cone_serves_every_sample(monkeypatch):
      "'epsilon'"),
     ("local.json", {"psi": {"kind": "cosine_bump", "amplitud": 0.15}},
      "'amplitud'"),
-], ids=["global_hole_size", "local_psi_key"])
+    # a record of another dimension than the grid's is refused by key
+    ("local.json", {"holes": {"kind": "static", "hole": {
+        "dimension": 2, "rects": [[0.1, 0.2, 0.1, 0.2]]}}}, "'dimension'"),
+    ("local.json", {"map": {"kind": "affine_2d", "matrix": [[3, 1], [1, 2]]}},
+     "'kind'"),
+], ids=["global_hole_size", "local_psi_key", "local_2d_hole", "local_2d_map"])
 def test_records_are_refused_before_certification(monkeypatch, name,
                                                   changes, match):
     # the hole schedule and psi are drawn before any closed operator is
